@@ -65,7 +65,7 @@ runPoint(const std::string &section, const char *call,
     queue_config.responderCores = {2};
     queue_config.fastPath = fast_path;
     queue_config.inlinePayloadBytes = inline_bytes;
-    queue_config.arenaBytesPerSlot = arena_bytes;
+    queue_config.arenaBytes = arena_bytes;
     hotcalls::HotQueue hot(*bed.runtime, hotcalls::Kind::HotOcall,
                            queue_config);
 

@@ -1,233 +1,61 @@
 /**
  * @file
- * HotCallService implementation.
+ * HotCallService implementation: the Figure-9 line protocol.
  */
 
 #include "hotcalls/hotcall.hh"
 
-#include "fault/fault.hh"
-#include "support/env.hh"
-#include "support/logging.hh"
-
 namespace hc::hotcalls {
-
-namespace {
-
-/** Requester-side fixed glue (argument packing around the channel). */
-constexpr Cycles kRequesterFixed = 95;
-/** Responder-side fixed dispatch (call-table lookup, jump). */
-constexpr Cycles kResponderFixed = 85;
-
-/** @return @p bytes rounded up to whole cache lines (0 stays 0). */
-std::uint64_t
-roundUpToLines(std::uint64_t bytes)
-{
-    return (bytes + kCacheLineSize - 1) / kCacheLineSize *
-           kCacheLineSize;
-}
-
-} // anonymous namespace
-
-bool
-resolveFastPath(int config_value)
-{
-    if (config_value >= 0)
-        return config_value != 0;
-    return envFlagOr("HC_FASTPATH", true);
-}
 
 HotCallService::HotCallService(sdk::EnclaveRuntime &runtime, Kind kind,
                                CoreId responder_core,
                                HotCallConfig config)
-    : runtime_(runtime), machine_(runtime.platform().machine()),
-      kind_(kind), responderCore_(responder_core), config_(config),
-      sleepMutex_(machine_), sleepCond_(machine_)
+    : Channel(runtime, kind), responderCore_(responder_core),
+      config_(config), sleepMutex_(machine_), sleepCond_(machine_)
 {
+    const char *name = kind == Kind::HotEcall ? "hot-ecall" : "hot-ocall";
+    bind(config_, stats_, name);
     // One 64-byte line in untrusted memory holds the whole protocol
     // state (spin-lock word, busy flag, call_ID, *data), so a single
     // coherence transfer moves it between requester and responder.
-    channelLine_ =
-        machine_.space().allocUntrusted(kCacheLineSize, kCacheLineSize);
-    if (auto *ck = machine_.check()) {
-        // The channel line is the protocol's atomic: its accesses
-        // order, not race. The shadow machine validates transitions.
-        ck->registerSyncWord(channelLine_);
-        protocol_ = std::make_unique<check::HotCallProtocol>(
-            *ck, kind_ == Kind::HotEcall ? "hot-ecall" : "hot-ocall");
-    }
-    if (auto *sentinel = machine_.guard()) {
-        guard_ = &sentinel->adopt(
-            kind_ == Kind::HotEcall ? "hot-ecall" : "hot-ocall",
-            config_.timeout);
-    }
-
-    // FastPath channel staging. Allocated strictly after the legacy
-    // channel line so a disabled fast path leaves the address layout
-    // (and therefore every cache interaction) bit-identical to the
-    // pre-FastPath channel.
-    fastOn_ = resolveFastPath(config_.fastPath);
-    if (fastOn_) {
-        const bool is_ocall = kind_ == Kind::HotOcall;
-        if (is_ocall && config_.inlinePayloadBytes > 0) {
-            inlineArena_ = std::make_unique<mem::StagingArena>(
-                machine_, mem::Domain::Untrusted,
-                roundUpToLines(config_.inlinePayloadBytes));
-        }
-        if (config_.arenaBytes > 0) {
-            // HotEcall staging must live in enclave memory: the copy
-            // out of untrusted caller buffers is the security step.
-            arena_ = std::make_unique<mem::StagingArena>(
-                machine_,
-                is_ocall ? mem::Domain::Untrusted : mem::Domain::Epc,
-                config_.arenaBytes);
-        }
-        staging_.inlineArena = inlineArena_.get();
-        staging_.spill = arena_.get();
-        if (auto *ck = machine_.check()) {
-            // Arena lines order payload handoff, they do not race.
-            for (auto *arena : {inlineArena_.get(), arena_.get()}) {
-                if (!arena)
-                    continue;
-                for (std::uint64_t i = 0; i < arena->lineCount(); ++i)
-                    ck->registerSyncWord(arena->base() +
-                                         i * kCacheLineSize);
-            }
-        }
-    }
-}
-
-HotCallService::~HotCallService()
-{
-    // stop() joins the responder; without it a still-polling
-    // responder would touch the channel line after the free below.
-    stop();
-    // Once Engine::run() has returned no fiber can ever execute
-    // again, so even a stranded (not Done) responder cannot touch the
-    // line anymore: free it. Inside a still-running simulation a
-    // responder that could not be joined (e.g. blocked inside a
-    // kernel ocall that never returns) may still hold the line, so it
-    // is deliberately leaked in that case.
-    const bool outside_sim = machine_.engine().currentThread() == nullptr;
-    bool all_done =
-        !responder_ || responder_->state() == sim::ThreadState::Done;
-    for (sim::Thread *old : retired_)
-        all_done &= old->state() == sim::ThreadState::Done;
-    if (outside_sim || all_done) {
-        machine_.space().free(channelLine_);
-    } else if (auto *ck = machine_.check()) {
-        const char *why =
-            "hotcall channel line held by an unjoinable responder";
-        ck->registerDeliberateLeak(channelLine_, why);
-        // The arenas share the channel's fate: an unjoinable
-        // responder may still be serving out of them.
-        for (auto *arena : {inlineArena_.get(), arena_.get()}) {
-            if (!arena || !arena->base())
-                continue;
-            ck->registerDeliberateLeak(arena->base(), why);
-            arena->leak();
-        }
-    }
-}
-
-void
-HotCallService::joinOne(sim::Thread *responder)
-{
-    // Only possible from inside a simulated thread while the engine
-    // is still running; outside (e.g. teardown after Engine::run()
-    // returned) the responder cannot execute anymore, so there is
-    // nothing to wait for. The wait is bounded: a responder stuck in
-    // a blocking ocall handler (no more traffic will ever arrive)
-    // must not livelock teardown.
-    constexpr Cycles kJoinGrace = 2'000'000;
-    constexpr Cycles kJoinStep = 500;
-    auto *engine = sim::Engine::current();
-    if (!engine || !engine->currentThread() || !responder)
-        return;
-    for (Cycles waited = 0;
-         responder->state() != sim::ThreadState::Done &&
-         !engine->stopRequested() && waited < kJoinGrace;
-         waited += kJoinStep) {
-        engine->advance(kJoinStep);
-    }
-    if (responder->state() == sim::ThreadState::Done) {
-        if (auto *ck = machine_.check())
-            ck->joinEdge(responder);
-    }
-}
-
-void
-HotCallService::joinResponder()
-{
-    joinOne(responder_);
-    for (sim::Thread *old : retired_)
-        joinOne(old);
-}
-
-void
-HotCallService::touchChannel(bool write)
-{
-    machine_.memory().accessWord(channelLine_, write);
-}
-
-void
-HotCallService::touchArenaLine(bool write)
-{
-    machine_.memory().accessWord(arena_->base(), write);
+    channelLine_ = allocLine();
+    if (auto *ck = machine_.check())
+        protocol_ = std::make_unique<check::HotCallProtocol>(*ck, name);
+    allocStaging(1);
 }
 
 void
 HotCallService::start()
 {
-    hc_assert(!responder_);
-    const char *name = kind_ == Kind::HotEcall ? "hot-ecall-responder"
-                                               : "hot-ocall-responder";
+    hc_assert(responders_.empty());
     const std::uint64_t epoch = responderEpoch_;
-    responder_ = machine_.engine().spawn(
-        name, responderCore_, [this, epoch] { responderLoop(epoch); });
+    responders_.push_back(machine_.engine().spawn(
+        kind_ == Kind::HotEcall ? "hot-ecall-responder"
+                                : "hot-ocall-responder",
+        responderCore_, [this, epoch] { responderLoop(epoch); }));
 }
 
 void
-HotCallService::maybeRespawn(bool entered_quarantine)
+HotCallService::respawn()
 {
-    if (!entered_quarantine || !guard_)
-        return;
-    const Cycles now = machine_.now();
-    // Respawn only when the responder is provably wedged (no
-    // heartbeat within the liveness window): a quarantine caused by
-    // sheer overload is not cured by killing the worker.
-    if (!guard_->config().respawn || !guard_->responderLate(now))
-        return;
     if (!guard_->respawnAllowed())
         return;
-    // Retire the wedged fiber — it exits at its next retirement
-    // check and is joined at stop() — and put a fresh responder on
-    // the same core. The quarantine probe confirms the recovery.
-    retired_.push_back(responder_);
-    ++responderEpoch_;
-    const std::uint64_t epoch = responderEpoch_;
-    const std::string name =
+    // Retire the wedged fiber — it exits at its next retirement check
+    // and is joined at stop(), after the live one — and put a fresh
+    // responder on the same core. The quarantine probe confirms the
+    // recovery.
+    const std::uint64_t epoch = ++responderEpoch_;
+    responders_.push_back(responders_.front());
+    responders_.front() = machine_.engine().spawn(
         std::string(kind_ == Kind::HotEcall ? "hot-ecall-responder-r"
                                             : "hot-ocall-responder-r") +
-        std::to_string(responderEpoch_);
-    responder_ = machine_.engine().spawn(
-        name, responderCore_, [this, epoch] { responderLoop(epoch); });
+            std::to_string(epoch),
+        responderCore_, [this, epoch] { responderLoop(epoch); });
 }
 
 void
-HotCallService::stop()
+HotCallService::wakeResponders()
 {
-    if (stopped_)
-        return;
-    stopRequested_ = true;
-    auto *engine = sim::Engine::current();
-    if (!engine || !engine->currentThread()) {
-        // Outside the simulation nothing can still run; there is no
-        // join to wait for, so stop is complete.
-        if (guard_)
-            guard_->flush(machine_.now());
-        stopped_ = true;
-        return;
-    }
     // The sleeping_ flag is handed over under sleepMutex_: the
     // responder only commits to wait() while holding the mutex, so
     // checking the flag inside it cannot race with a responder that
@@ -236,75 +64,54 @@ HotCallService::stop()
     if (sleeping_)
         sleepCond_.signal();
     sleepMutex_.unlock();
-    joinResponder();
-    if (guard_) {
-        // Drain a still-poisoned channel: every responder that could
-        // have discarded the abandoned request has exited, so the
-        // supervisor performs the teardown discard itself.
-        if (abandoned_) {
-            go_ = false;
-            abandoned_ = false;
-            touchChannel(true);
-            if (protocol_)
-                protocol_->onDiscard();
-            guard_->noteDiscard();
-        }
-        guard_->flush(machine_.now());
-        stats_.degradedCycles = guard_->degradedCycles(machine_.now());
-    }
-    stopped_ = true;
 }
 
-std::uint64_t
-HotCallService::call(const std::string &name, const edl::Args &args)
+void
+HotCallService::afterJoin()
 {
-    const int id = kind_ == Kind::HotOcall ? runtime_.ocallId(name)
-                                           : runtime_.ecallId(name);
-    return call(id, args);
+    if (!abandoned_)
+        return;
+    // The supervisor performs the teardown discard itself.
+    discard();
+    touchChannel(true);
+}
+
+void
+HotCallService::lock()
+{
+    lockWord_ = true;
+    if (protocol_)
+        protocol_->onLock();
+}
+
+void
+HotCallService::unlock()
+{
+    lockWord_ = false;
+    if (protocol_)
+        protocol_->onUnlock();
+    touchChannel(true);
+}
+
+void
+HotCallService::discard()
+{
+    go_ = false;
+    abandoned_ = false;
+    if (protocol_)
+        protocol_->onDiscard();
+    guard_->noteDiscard();
 }
 
 std::uint64_t
 HotCallService::call(int id, const edl::Args &args)
 {
-    hc_assert(responder_);
+    Admission adm;
+    if (!admit(adm))
+        return sdkCall(id, args);
     auto &engine = machine_.engine();
-    auto &rng = engine.rng();
-
-    const bool is_ocall = kind_ == Kind::HotOcall;
-    if (is_ocall &&
-        !runtime_.platform().inEnclave(machine_.currentCore())) {
-        throw sgx::SgxFault("HotOcall issued outside enclave mode");
-    }
-
-    // Sentinel routing: a quarantined channel sheds straight to the
-    // SDK with zero spin waste (counted as a fallback that spent no
-    // attempts), except for one scheduled probe per backoff interval.
-    bool probing = false;
-    if (guard_) {
-        const auto route = guard_->route(machine_.now());
-        if (route == guard::ChannelGuard::Route::Shed) {
-            ++stats_.fallbacks;
-            ++stats_.degradedCalls;
-            guard_->onShed(machine_.now());
-            stats_.degradedCycles =
-                guard_->degradedCycles(machine_.now());
-            return is_ocall ? runtime_.ocall(id, args)
-                            : runtime_.ecall(id, args);
-        }
-        probing = route == guard::ChannelGuard::Route::Probe;
-    }
-
-    engine.advance(kRequesterFixed);
-    const Cycles call_start = machine_.now();
-
     auto *injector = machine_.fault();
-    // The spin budget: the configured fixed value on the healthy path
-    // (bit-identical to the pre-Sentinel channel — the budget only
-    // matters at exhaustion, which implies a fallback), widened from
-    // the latency estimate once the channel looks distressed.
-    const int budget = guard_ ? guard_->attemptBudget(call_start)
-                              : config_.timeout.timeoutTries;
-    for (int attempt = 0; attempt < budget; ++attempt) {
+    for (int attempt = 0; attempt < adm.budget; ++attempt) {
         if (injector &&
             injector->fire(fault::Site::RequesterAttempt)) {
             // Forced expiry: behave exactly as if the channel were
@@ -318,71 +125,27 @@ HotCallService::call(int id, const edl::Args &args)
         touchChannel(true);
         if (lockWord_) {
             ++stats_.timeoutAttempts;
-            engine.advance(sdk::kPauseCycles +
-                           rng.nextBelow(config_.pollJitter + 1));
+            pause();
             continue;
         }
-        lockWord_ = true;
-        if (protocol_)
-            protocol_->onLock();
+        lock();
 
         // Is the responder free? Under FastPath the channel staging
-        // must also be free: slotBusy_ stays set until the previous
-        // requester has copied its results back out of the arenas
-        // (the busy flag alone drops when the responder finishes,
-        // which is too early to recycle the staging).
+        // must also be free (slotBusy_).
         touchChannel(false);
         if (go_ || slotBusy_) {
             ++stats_.timeoutAttempts;
-            lockWord_ = false;
-            if (protocol_)
-                protocol_->onUnlock();
-            touchChannel(true);
-            engine.advance(sdk::kPauseCycles +
-                           rng.nextBelow(config_.pollJitter + 1));
+            unlock();
+            pause();
             continue;
         }
 
-        // The responder is ours. Marshal the data (a HotOcall
-        // requester runs the same edger8r-generated trusted wrapper
-        // the SDK would, Section 4.2/5), publish *data and call_ID,
-        // then signal "go" and release the lock.
-        edl::StagedCall staged;
-        EcallRequest ecall_req;
-        bool fast_call = false;
-        if (is_ocall) {
-            const auto &fn = runtime_.edlFile()
-                                 .untrusted[static_cast<std::size_t>(id)];
-            // Scalar-only functions stage nothing: the legacy path
-            // below is already copy-free and charge-free for them, so
-            // the fast plane only engages when payload moves.
-            if (fastOn_)
-                fast_call = runtime_.marshaller().plan(fn).anyCopy;
-            if (fast_call) {
-                slotBusy_ = true; // claim the staging (under the lock)
-                runtime_.marshaller().stageOcallFast(
-                    runtime_.marshaller().plan(fn), args, staging_,
-                    scratch_);
-                usedArena_ = staging_.usedSpill;
-                if (usedArena_)
-                    touchArenaLine(true); // hand the payload lines over
-                ++stats_.fastCalls;
-                if (staging_.usedInline)
-                    ++stats_.inlineStaged;
-                if (staging_.usedSpill)
-                    ++stats_.arenaStaged;
-                if (staging_.usedHeap)
-                    ++stats_.heapStaged;
-                ocallRequest_ = &scratch_;
-            } else {
-                staged = runtime_.marshaller().stageOcall(fn, args);
-                ocallRequest_ = &staged;
-            }
-        } else {
-            ecall_req.args = &args;
-            ecallRequest_ = &ecall_req;
-        }
-        callId_ = id;
+        // The responder is ours. Marshal the data, publish *data and
+        // call_ID, then signal "go" and release the lock.
+        Request req;
+        stage(req, id, args, stagingSlot(0));
+        slotBusy_ = req.fast != nullptr; // claimed under the lock
+        request_ = &req;
         touchChannel(true); // publish *data and call_ID
         go_ = true;
         requestServed_ = false;
@@ -405,33 +168,20 @@ HotCallService::call(int id, const edl::Args &args)
             sleepMutex_.unlock();
         }
 
-        lockWord_ = false;
-        if (protocol_)
-            protocol_->onUnlock();
-        touchChannel(true); // release the lock
+        unlock();
         engine.advance(sdk::kPauseCycles); // PAUSE after release
 
         // Wait for completion: the responder clears the busy flag
-        // once it has executed the call and filled the response. Once
-        // the engine is unwinding the responder will never clear it,
-        // and when this requester is the only runnable fiber left the
-        // spin would keep the host alive forever — bail out instead,
-        // like the bounded join loops in stop().
+        // once it has executed the call and filled the response.
         const Cycles wait_start = machine_.now();
         for (;;) {
             touchChannel(false);
             if (!go_)
                 break;
-            if (injector)
-                injector->pollStop(); // time-based abort backstop
-            if (engine.stopRequested()) {
-                ++stats_.aborts;
-                if (fast_call) {
-                    // Release the staging claim: the responder is
-                    // stranded, nothing will harvest on our behalf.
-                    usedArena_ = false;
-                    slotBusy_ = false;
-                }
+            if (aborted()) {
+                // The responder is stranded: nothing will harvest on
+                // our behalf, so release the staging claim.
+                slotBusy_ = false;
                 return 0;
             }
             if (guard_ && !requestServed_ &&
@@ -445,160 +195,49 @@ HotCallService::call(int id, const edl::Args &args)
                 // responder to see it discards without serving — the
                 // served/abandoned handoff is host-atomic, so the
                 // request is either discarded or served, never both)
-                // and reissue the call on the SDK path.
+                // and reissue the call on the SDK path. A discarding
+                // responder never reads the staging: release it.
                 abandoned_ = true;
                 touchChannel(true);
                 if (protocol_)
                     protocol_->onAbandon();
                 guard_->noteAbandon();
-                if (fast_call) {
-                    // Release the staging claim; a discarding
-                    // responder never reads the staging.
-                    usedArena_ = false;
-                    slotBusy_ = false;
-                }
-                ++stats_.fallbacks;
-                maybeRespawn(
-                    guard_->onFallback(machine_.now(), probing));
-                stats_.degradedCycles =
-                    guard_->degradedCycles(machine_.now());
-                return is_ocall ? runtime_.ocall(id, args)
-                                : runtime_.ecall(id, args);
-            }
-            engine.advance(sdk::kPauseCycles +
-                           rng.nextBelow(config_.pollJitter + 1));
-        }
-        ++stats_.calls;
-        if (guard_) {
-            guard_->onSuccess(machine_.now(),
-                              machine_.now() - call_start, attempt,
-                              probing);
-            stats_.degradedCycles =
-                guard_->degradedCycles(machine_.now());
-        }
-
-        // Note: the shared request-pointer fields are NOT cleared
-        // here. Once the busy flag dropped, another requester may
-        // already have taken the lock and published its own request;
-        // scribbling the channel without holding the lock would race
-        // with it. (slotBusy_ is ours alone to clear: requesters
-        // only set it after observing it clear under the lock.)
-        if (is_ocall) {
-            if (fast_call) {
-                // Copy results out of the recycled staging, then
-                // release the staging claim.
-                if (usedArena_)
-                    touchArenaLine(false);
-                runtime_.marshaller().finishOcallFast(scratch_);
-                const std::uint64_t rv = scratch_.retval();
-                usedArena_ = false;
                 slotBusy_ = false;
-                touchChannel(true);
-                return rv;
+                return fallback(id, args, adm);
             }
-            // Back "inside": copy out-buffers into the enclave.
-            runtime_.marshaller().finishOcall(staged);
-            return staged.retval();
+            pause();
         }
-        return ecall_req.retval;
+        countSuccess(adm, attempt);
+
+        // Note: the shared request pointer is NOT cleared here. Once
+        // the busy flag dropped, another requester may already have
+        // taken the lock and published its own request; scribbling
+        // the channel without holding the lock would race with it.
+        // (slotBusy_ is ours alone to clear: requesters only set it
+        // after observing it clear under the lock.)
+        if (!req.fast)
+            return finish(req);
+        const std::uint64_t retval = finishFast(req);
+        slotBusy_ = false;
+        touchChannel(true);
+        return retval;
     }
 
     // Timeout expired: fall back to the conventional SDK call
     // (Section 4.2, "Preventing starvation").
-    ++stats_.fallbacks;
-    if (guard_) {
-        maybeRespawn(guard_->onFallback(machine_.now(), probing));
-        stats_.degradedCycles = guard_->degradedCycles(machine_.now());
-    }
-    return is_ocall ? runtime_.ocall(id, args)
-                    : runtime_.ecall(id, args);
-}
-
-void
-HotCallService::serveRequest()
-{
-    const Cycles start = machine_.now();
-    auto &engine = machine_.engine();
-    engine.advance(kResponderFixed);
-
-    if (kind_ == Kind::HotOcall) {
-        hc_assert(ocallRequest_);
-        const bool arena_handoff = fastOn_ && usedArena_;
-        if (arena_handoff)
-            touchArenaLine(false); // pull the spilled payload lines
-        runtime_.dispatchOcallDirect(callId_, *ocallRequest_);
-        if (arena_handoff)
-            touchArenaLine(true); // results written back to the arena
-    } else {
-        // HotEcall: the trusted responder runs the original
-        // edger8r-style wrapper — staging (copy-in), the trusted
-        // function, and copy-out all execute inside the enclave.
-        hc_assert(ecallRequest_);
-        const auto &fn =
-            runtime_.edlFile().trusted[static_cast<std::size_t>(callId_)];
-        auto &marshaller = runtime_.marshaller();
-        if (fastOn_ && marshaller.plan(fn).anyCopy) {
-            // FastPath: stage into the recycled EPC arena. The
-            // staging is responder-side and serial, so recycling here
-            // (while no other call can be in it) is safe.
-            marshaller.stageEcallFast(marshaller.plan(fn),
-                                      *ecallRequest_->args, staging_,
-                                      scratch_);
-            ++stats_.fastCalls;
-            if (staging_.usedSpill)
-                ++stats_.arenaStaged;
-            if (staging_.usedHeap)
-                ++stats_.heapStaged;
-            runtime_.dispatchEcallDirect(callId_, scratch_);
-            marshaller.finishEcallFast(scratch_);
-            ecallRequest_->retval = scratch_.retval();
-        } else {
-            auto staged =
-                marshaller.stageEcall(fn, *ecallRequest_->args);
-            runtime_.dispatchEcallDirect(callId_, staged);
-            marshaller.finishEcall(staged);
-            ecallRequest_->retval = staged.retval();
-        }
-    }
-
-    stats_.responderBusyCycles += machine_.now() - start;
+    return fallback(id, args, adm);
 }
 
 void
 HotCallService::responderLoop(std::uint64_t epoch)
 {
     auto &engine = machine_.engine();
-    auto &rng = engine.rng();
-    auto &platform = runtime_.platform();
-
     // A HotEcall responder parks inside the enclave with one
     // conventional ecall and keeps polling from enclave mode.
     sgx::Tcs *tcs = nullptr;
-    if (kind_ == Kind::HotEcall) {
-        // A respawned responder can be scheduled before its retired
-        // predecessor has left the enclave on this core (it eexits as
-        // soon as it observes its retirement): wait for the core to
-        // clear — the simulator allows one in-enclave fiber per core.
-        while (platform.inEnclave(responderCore_) &&
-               !stopRequested_ && !engine.stopRequested() &&
-               epoch == responderEpoch_) {
-            engine.advance(sdk::kPauseCycles);
-            engine.yield();
-        }
-        if (stopRequested_ || engine.stopRequested() ||
-            epoch != responderEpoch_)
-            return;
-        platform.chargeStage(platform.params().sdkEcallSoftware,
-                             runtime_.enclave().untrustedCtxLines(),
-                             false);
-        // Under heavy fallback traffic every TCS may momentarily be
-        // taken by conventional ecalls; wait for one politely.
-        while (!(tcs = runtime_.enclave().acquireTcs())) {
-            engine.advance(sdk::kPauseCycles);
-            engine.yield();
-        }
-        platform.eenter(runtime_.enclave(), *tcs);
-    }
+    if (kind_ == Kind::HotEcall &&
+        !(tcs = enterEnclave([&] { return epoch != responderEpoch_; })))
+        return;
 
     auto *injector = machine_.fault();
     std::uint64_t idle_polls = 0;
@@ -630,11 +269,12 @@ HotCallService::responderLoop(std::uint64_t epoch)
         // Try the lock; on failure just PAUSE and retry.
         touchChannel(true);
         if (!lockWord_) {
-            lockWord_ = true;
-            if (protocol_)
-                protocol_->onLock();
+            lock();
             touchChannel(false); // check the busy/"go" flag
-            if (go_) {
+            if (!go_) {
+                ++idle_polls;
+                unlock();
+            } else {
                 idle_polls = 0;
                 touchChannel(false); // read call_ID and *data
                 if (guard_ && abandoned_) {
@@ -642,16 +282,9 @@ HotCallService::responderLoop(std::uint64_t epoch)
                     // reissued it on the SDK path; its staging is
                     // gone. Discard: drop the poison marker and the
                     // busy flag together without dereferencing the
-                    // stale request pointers.
-                    go_ = false;
-                    abandoned_ = false;
-                    if (protocol_)
-                        protocol_->onDiscard();
-                    guard_->noteDiscard();
-                    lockWord_ = false;
-                    if (protocol_)
-                        protocol_->onUnlock();
-                    touchChannel(true); // release; channel clean again
+                    // stale request pointer.
+                    discard();
+                    unlock(); // channel clean again
                 } else {
                     // Commit host-atomically with the abandoned_
                     // check above (no advance in between): the
@@ -661,33 +294,17 @@ HotCallService::responderLoop(std::uint64_t epoch)
                     requestServed_ = true;
                     if (protocol_)
                         protocol_->onServe();
-                    lockWord_ = false;
-                    if (protocol_)
-                        protocol_->onUnlock();
-                    touchChannel(true); // release before executing
-                    serveRequest();
+                    unlock(); // release before executing
+                    serve(*request_, stagingSlot(0));
                     go_ = false;
                     if (protocol_)
                         protocol_->onComplete();
                     touchChannel(true); // busy cleared (completion)
-                    if (guard_)
-                        guard_->heartbeat(machine_.now());
-                    if (rng.chance(config_.hiccupChance)) {
-                        engine.advance(static_cast<Cycles>(
-                            rng.nextExponential(static_cast<double>(
-                                config_.hiccupMean))));
-                    }
+                    afterServe();
                 }
-            } else {
-                ++idle_polls;
-                lockWord_ = false;
-                if (protocol_)
-                    protocol_->onUnlock();
-                touchChannel(true);
             }
         }
-        engine.advance(sdk::kPauseCycles +
-                       rng.nextBelow(config_.pollJitter + 1));
+        pause();
 
         if (config_.responderSleep &&
             idle_polls > config_.idlePollsBeforeSleep &&
@@ -714,10 +331,8 @@ HotCallService::responderLoop(std::uint64_t epoch)
         }
     }
 
-    if (kind_ == Kind::HotEcall) {
-        platform.eexit();
-        runtime_.enclave().releaseTcs(tcs);
-    }
+    if (tcs)
+        leaveEnclave(tcs);
 }
 
 } // namespace hc::hotcalls

@@ -21,9 +21,9 @@
  *
  * Practical considerations from Section 4.2 are implemented:
  * PAUSE-based self-contention avoidance, a lock-acquire timeout with
- * fallback to the conventional SDK call, and an idle-sleep mode in
- * which the responder parks on a condition variable and the requester
- * wakes it before publishing.
+ * fallback to the conventional SDK call (both in the Channel core,
+ * channel.hh), and an idle-sleep mode in which the responder parks on
+ * a condition variable and the requester wakes it before publishing.
  */
 
 #ifndef HC_HOTCALLS_HOTCALL_HH
@@ -31,116 +31,23 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
-#include <vector>
 
-#include "check/check.hh"
-#include "guard/guard.hh"
-#include "sdk/runtime.hh"
-#include "sdk/spinlock.hh"
+#include "hotcalls/channel.hh"
 #include "sdk/thread_sync.hh"
 
 namespace hc::hotcalls {
 
-/** Which direction a service accelerates. */
-enum class Kind {
-    HotEcall, //!< untrusted requester -> trusted responder
-    HotOcall, //!< trusted requester -> untrusted responder
-};
-
-/**
- * Resolve a channel's FastPath switch: an explicit config value (0 or
- * 1) wins; -1 consults the HC_FASTPATH environment variable and
- * defaults to ON for hot channels. With the switch off a channel is
- * bit-identical to the pre-FastPath implementation (same allocations,
- * same charges, same RNG draws).
- */
-bool resolveFastPath(int config_value);
-
-/**
- * Common interface of the fast-call channels: the paper's single-line
- * HotCallService and the multi-slot HotQueue (hotqueue.hh) are
- * drop-in alternatives behind it, so callers (the porting layer, the
- * apps) can switch implementations by construction only.
- */
-class Channel
-{
-  public:
-    virtual ~Channel() = default;
-
-    /** Spawn the responder side (must be called before call()). */
-    virtual void start() = 0;
-
-    /** Ask the responders to exit and wait for them to do so. */
-    virtual void stop() = 0;
-
-    /**
-     * Issue a call through the channel; falls back to the
-     * conventional SDK call when the channel cannot take it.
-     * @return the callee's scalar return value
-     */
-    virtual std::uint64_t call(int id, const edl::Args &args) = 0;
-
-    /** Name-resolving convenience overload. */
-    virtual std::uint64_t call(const std::string &name,
-                               const edl::Args &args) = 0;
-};
-
-/** Tunables (paper Section 4.2). */
-struct HotCallConfig {
-    /** Timeout policy (shared with HotQueue and the porting layer):
-     *  the fixed spin budget plus Sentinel's adaptive-budget and
-     *  reclaim-deadline knobs (guard/guard.hh). */
-    guard::TimeoutPolicy timeout;
+/** Single-line tunables (paper Section 4.2). */
+struct HotCallConfig : ChannelConfig {
     /** Enable responder idle sleep on a condition variable. */
     bool responderSleep = false;
     /** Empty polls before the responder goes to sleep. */
     std::uint64_t idlePollsBeforeSleep = 100'000;
-    /** Small per-poll jitter bound (pipeline/branch variation). */
-    Cycles pollJitter = 22;
-    /** Probability of a scheduling hiccup on the responder per
-     *  handled call (TLB shootdowns, SMIs, ...); feeds the CDF tail. */
-    double hiccupChance = 0.012;
-    Cycles hiccupMean = 230;
-    /** FastPath data plane switch: -1 = auto (HC_FASTPATH env,
-     *  default on), 0 = off (legacy marshalling, bit-identical to
-     *  the pre-FastPath channel), 1 = on. */
-    int fastPath = -1;
-    /** Payload bytes carried inline next to the channel line (rounded
-     *  up to whole cache lines); 0 disables inline staging. Applies
-     *  to HotOcall only: HotEcall staging must live in enclave
-     *  memory, not in the shared (untrusted) channel lines. */
-    std::uint64_t inlinePayloadBytes = 64;
-    /** Channel spill-arena capacity; 0 disables (oversized payloads
-     *  go straight to the legacy heap staging). */
-    std::uint64_t arenaBytes = 4096;
-};
-
-/** Run statistics of a HotCall service. */
-struct HotCallStats {
-    std::uint64_t calls = 0;        //!< completed via the channel
-    std::uint64_t fallbacks = 0;    //!< timed out -> SDK path (counted
-                                    //!< once per logical call, however
-                                    //!< many attempts expired)
-    std::uint64_t aborts = 0;       //!< completion wait cut short by stop
-    std::uint64_t timeoutAttempts = 0; //!< individual expired attempts
-    std::uint64_t responderPolls = 0;
-    std::uint64_t responderSleeps = 0;
-    std::uint64_t wakeups = 0;
-    Cycles responderBusyCycles = 0; //!< time inside handlers
-    // FastPath staging placement (calls that staged any payload).
-    std::uint64_t fastCalls = 0;    //!< staged via the fast plane
-    std::uint64_t inlineStaged = 0; //!< used the inline slot lines
-    std::uint64_t arenaStaged = 0;  //!< used the spill arena
-    std::uint64_t heapStaged = 0;   //!< spilled past the arena to heap
-    // Sentinel quarantine (guard/guard.hh). Degraded calls also count
-    // as fallbacks (they took the SDK path) but spend zero attempts.
-    std::uint64_t degradedCalls = 0; //!< shed straight to the SDK
-    Cycles degradedCycles = 0;       //!< time spent quarantined
 };
 
 /**
- * One HotCall service: a shared channel plus its responder thread.
+ * One HotCall service: the paper's Figure-9 shared line plus its
+ * responder thread.
  */
 class HotCallService : public Channel
 {
@@ -155,75 +62,47 @@ class HotCallService : public Channel
     HotCallService(sdk::EnclaveRuntime &runtime, Kind kind,
                    CoreId responder_core, HotCallConfig config = {});
 
-    ~HotCallService() override;
-
-    HotCallService(const HotCallService &) = delete;
-    HotCallService &operator=(const HotCallService &) = delete;
+    ~HotCallService() override { stop(); }
 
     /** Spawn the responder thread (must be called before call()). */
     void start() override;
 
-    /**
-     * Ask the responder to exit its loop and (when invoked from a
-     * simulated thread) wait until it has actually exited, so the
-     * channel line can be released safely afterwards. Idempotent.
-     */
-    void stop() override;
-
-    /**
-     * Issue a call through the channel.
-     *
-     * For HotOcall this must run in enclave mode (it is the drop-in
-     * replacement for EnclaveRuntime::ocall); for HotEcall it must
-     * run outside. Falls back to the conventional SDK call after
-     * `timeoutTries` failed attempts.
-     *
-     * @return the callee's scalar return value
-     */
+    using Channel::call;
     std::uint64_t call(int id, const edl::Args &args) override;
 
-    /** Name-resolving convenience overload. */
-    std::uint64_t call(const std::string &name,
-                       const edl::Args &args) override;
-
-    const HotCallStats &stats() const { return stats_; }
-    Kind kind() const { return kind_; }
-    const HotCallConfig &config() const { return config_; }
-
-    /** @return the channel's Sentinel guard, or null (guard off). */
-    const guard::ChannelGuard *guard() const { return guard_; }
+    const ChannelStats &stats() const { return stats_; }
 
   private:
     /** The responder thread body (@p epoch: retirement generation —
      *  the loop exits once a respawn supersedes it). */
     void responderLoop(std::uint64_t epoch);
 
-    /** Wait (charging time) until @p responder has exited. */
-    void joinOne(sim::Thread *responder);
+    /** Retire the wedged responder fiber and spawn a replacement on
+     *  the same core. */
+    void respawn() override;
 
-    /** Wait for the live responder and every retired one. */
-    void joinResponder();
+    void wakeResponders() override;
 
-    /** On quarantine entry: retire the wedged responder fiber and
-     *  spawn a replacement, within the guard's respawn budget. */
-    void maybeRespawn(bool entered_quarantine);
+    /** Drain a still-poisoned line: every responder that could have
+     *  discarded the abandoned request has exited. */
+    void afterJoin() override;
 
     /** One priced access to the shared channel line. */
-    void touchChannel(bool write);
+    void touchChannel(bool write)
+    {
+        machine_.memory().accessWord(channelLine_, write);
+    }
 
-    /** One priced access to the spill arena's base line (payload
-     *  handoff for arena-staged calls; inline payloads ride the
-     *  channel-line transfers already priced). */
-    void touchArenaLine(bool write);
+    /** Take / release the spin-lock word (release: one RFO). */
+    void lock();
+    void unlock();
 
-    /** Execute the published request (responder side). */
-    void serveRequest();
+    /** Drop an abandoned request without serving it. */
+    void discard();
 
-    sdk::EnclaveRuntime &runtime_;
-    mem::Machine &machine_;
-    Kind kind_;
     CoreId responderCore_;
     HotCallConfig config_;
+    ChannelStats stats_;
 
     // ------------------------------------------------------------------
     // The shared channel, as in the paper's Figure 9. All control
@@ -232,12 +111,6 @@ class HotCallService : public Channel
     // carry the functional state. Completion is signalled by the
     // responder clearing the busy/"go" flag after executing the call.
     // ------------------------------------------------------------------
-
-    /** Payload of a HotEcall request (lives on the requester stack). */
-    struct EcallRequest {
-        const edl::Args *args = nullptr;
-        std::uint64_t retval = 0;
-    };
 
     Addr channelLine_ = 0;
     bool lockWord_ = false;    //!< the sgx_spin_lock word
@@ -251,42 +124,20 @@ class HotCallService : public Channel
      *  responder discards the stale request. */
     bool requestServed_ = false;
     bool abandoned_ = false;
-    int callId_ = -1;
-    edl::StagedCall *ocallRequest_ = nullptr; //!< the *data pointer
-    EcallRequest *ecallRequest_ = nullptr;
-
-    // ------------------------------------------------------------------
-    // FastPath channel staging. The single-line channel has exactly
-    // one staging slot; slotBusy_ extends the protocol so a second
-    // requester cannot recycle the arenas before the first one has
-    // copied its results back out (the busy flag alone drops too
-    // early: it clears when the responder finishes, not when the
-    // requester is done harvesting).
-    // ------------------------------------------------------------------
-
-    bool fastOn_ = false;
-    bool slotBusy_ = false;  //!< staging claimed; set/cleared by the
-                             //!< requester that staged into it
-    bool usedArena_ = false; //!< current call staged into the arena
-    std::unique_ptr<mem::StagingArena> inlineArena_;
-    std::unique_ptr<mem::StagingArena> arena_;
-    edl::FastStaging staging_;
-    edl::StagedCall scratch_; //!< recycled in place of stack staging
+    Request *request_ = nullptr; //!< call_ID and the *data pointer
+    /** FastPath staging claimed: set and cleared by the requester that
+     *  staged into it, so a second requester cannot recycle the staging
+     *  before the first has copied its results back out (the busy flag
+     *  alone drops too early: when the responder finishes, not when
+     *  the requester is done harvesting). */
+    bool slotBusy_ = false;
 
     sdk::SgxThreadMutex sleepMutex_;
     sdk::SgxThreadCond sleepCond_;
 
-    sim::Thread *responder_ = nullptr;
-    /** Fibers superseded by a Sentinel respawn: they exit at their
-     *  next retirement check and are joined/accounted at stop(). */
-    std::vector<sim::Thread *> retired_;
+    /** Bumped by each respawn: superseded fibers exit at their next
+     *  retirement check and are joined at stop(). */
     std::uint64_t responderEpoch_ = 0;
-    bool stopRequested_ = false;
-    bool stopped_ = false; //!< stop() completed (join done)
-    HotCallStats stats_;
-
-    /** Sentinel supervision, or null when the guard is off. */
-    guard::ChannelGuard *guard_ = nullptr;
 
     /** Shadow state machine when the Machine's checker is on. */
     std::unique_ptr<check::HotCallProtocol> protocol_;

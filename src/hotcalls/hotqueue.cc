@@ -1,6 +1,6 @@
 /**
  * @file
- * HotQueue implementation.
+ * HotQueue implementation: the slot-ring protocol.
  *
  * Functional ring state lives host-side; every protocol step prices
  * the simulated line it would touch (slot lines, cursor lines), so
@@ -15,190 +15,42 @@
 
 #include <algorithm>
 
-#include "fault/fault.hh"
-#include "support/logging.hh"
-
 namespace hc::hotcalls {
-
-namespace {
-
-/** Requester-side fixed glue (argument packing around the channel). */
-constexpr Cycles kRequesterFixed = 95;
-/** Responder-side fixed dispatch (call-table lookup, jump). */
-constexpr Cycles kResponderFixed = 85;
-
-/** @return @p bytes rounded up to whole cache lines (0 stays 0). */
-std::uint64_t
-roundUpToLines(std::uint64_t bytes)
-{
-    return (bytes + kCacheLineSize - 1) / kCacheLineSize *
-           kCacheLineSize;
-}
-
-} // anonymous namespace
 
 HotQueue::HotQueue(sdk::EnclaveRuntime &runtime, Kind kind,
                    HotQueueConfig config)
-    : runtime_(runtime), machine_(runtime.platform().machine()),
-      kind_(kind), config_(std::move(config)),
+    : Channel(runtime, kind), config_(std::move(config)),
       poolMutex_(machine_), poolCond_(machine_)
 {
+    const char *name = kind == Kind::HotEcall ? "hotq-ecall" : "hotq-ocall";
+    bind(config_, stats_, name);
     config_.numSlots = std::max(config_.numSlots, 1);
     if (config_.responderCores.empty())
         config_.responderCores = {2};
     config_.minResponders = std::clamp(
         config_.minResponders, 1,
         static_cast<int>(config_.responderCores.size()));
+    config_.maxBatch = config_.maxBatch > 0
+                           ? std::min(config_.maxBatch, config_.numSlots)
+                           : config_.numSlots;
+    if (config_.scaleUpDepth <= 0)
+        config_.scaleUpDepth = std::max(2, config_.numSlots / 2);
 
     // One 64-byte line per slot plus one per cursor: producers on
     // different slots do not false-share, and the producer cursor
     // does not bounce with the consumer cursor.
     slots_.resize(static_cast<std::size_t>(config_.numSlots));
-    for (auto &slot : slots_) {
-        slot.line = machine_.space().allocUntrusted(kCacheLineSize,
-                                                    kCacheLineSize);
-    }
-    headLine_ =
-        machine_.space().allocUntrusted(kCacheLineSize, kCacheLineSize);
-    tailLine_ =
-        machine_.space().allocUntrusted(kCacheLineSize, kCacheLineSize);
+    for (auto &slot : slots_)
+        slot.line = allocLine();
+    headLine_ = allocLine();
+    tailLine_ = allocLine();
     if (auto *ck = machine_.check()) {
-        // The slot and cursor lines are the protocol's atomics: their
-        // accesses order, not race. The shadow validates the slot
-        // lifecycle and the cursor invariant.
-        for (auto &slot : slots_)
-            ck->registerSyncWord(slot.line);
-        ck->registerSyncWord(headLine_);
-        ck->registerSyncWord(tailLine_);
+        // The shadow validates the slot lifecycle, the cursor
+        // invariant and every staging recycle.
         protocol_ = std::make_unique<check::HotQueueProtocol>(
-            *ck, kind_ == Kind::HotEcall ? "hotq-ecall" : "hotq-ocall",
-            config_.numSlots);
+            *ck, name, config_.numSlots);
     }
-    if (auto *sentinel = machine_.guard()) {
-        guard_ = &sentinel->adopt(
-            kind_ == Kind::HotEcall ? "hotq-ecall" : "hotq-ocall",
-            config_.timeout);
-    }
-
-    // FastPath per-slot staging. Allocated strictly after the legacy
-    // ring lines so a disabled fast path leaves the address layout
-    // (and therefore every cache interaction) bit-identical to the
-    // pre-FastPath queue.
-    fastOn_ = resolveFastPath(config_.fastPath);
-    if (fastOn_) {
-        const bool is_ocall = kind_ == Kind::HotOcall;
-        const std::uint64_t inline_bytes =
-            is_ocall ? roundUpToLines(config_.inlinePayloadBytes) : 0;
-        for (auto &slot : slots_) {
-            if (inline_bytes > 0) {
-                // The slot's "own" payload lines: adjacent extra
-                // lines whose transfers are covered by the slot-line
-                // handoff already priced (an inline call touches no
-                // lines beyond the slot itself).
-                slot.inlineArena = std::make_unique<mem::StagingArena>(
-                    machine_, mem::Domain::Untrusted, inline_bytes);
-            }
-            if (config_.arenaBytesPerSlot > 0) {
-                // HotEcall staging must live in enclave memory: the
-                // copy out of untrusted caller buffers is the
-                // security step.
-                slot.arena = std::make_unique<mem::StagingArena>(
-                    machine_,
-                    is_ocall ? mem::Domain::Untrusted
-                             : mem::Domain::Epc,
-                    config_.arenaBytesPerSlot);
-            }
-            slot.staging.inlineArena = slot.inlineArena.get();
-            slot.staging.spill = slot.arena.get();
-        }
-        if (auto *ck = machine_.check()) {
-            // Arena lines order payload handoff, they do not race.
-            for (auto &slot : slots_) {
-                for (auto *arena :
-                     {slot.inlineArena.get(), slot.arena.get()}) {
-                    if (!arena)
-                        continue;
-                    for (std::uint64_t i = 0; i < arena->lineCount();
-                         ++i)
-                        ck->registerSyncWord(arena->base() +
-                                             i * kCacheLineSize);
-                }
-            }
-        }
-    }
-}
-
-HotQueue::~HotQueue()
-{
-    // stop() joins the pool; without it a still-polling responder
-    // would touch the ring lines after the frees below.
-    stop();
-    // Once Engine::run() has returned no fiber can ever execute
-    // again, so even stranded (not Done) responders cannot touch the
-    // ring anymore: free it. Inside a still-running simulation a
-    // responder that could not be joined (e.g. blocked inside an
-    // ocall handler that never returns) may still hold the lines, so
-    // they are deliberately leaked instead of pulled out from under
-    // it.
-    bool all_done = true;
-    for (sim::Thread *responder : responders_)
-        all_done &= responder->state() == sim::ThreadState::Done;
-    if (all_done || machine_.engine().currentThread() == nullptr) {
-        for (auto &slot : slots_)
-            machine_.space().free(slot.line);
-        machine_.space().free(headLine_);
-        machine_.space().free(tailLine_);
-        // The slot arenas free themselves when slots_ is destroyed.
-    } else if (auto *ck = machine_.check()) {
-        const char *why = "hotqueue line held by an unjoinable responder";
-        for (auto &slot : slots_) {
-            ck->registerDeliberateLeak(slot.line, why);
-            // The arenas share the slot's fate: an unjoinable
-            // responder may still be serving out of them.
-            for (auto *arena :
-                 {slot.inlineArena.get(), slot.arena.get()}) {
-                if (!arena || !arena->base())
-                    continue;
-                ck->registerDeliberateLeak(arena->base(), why);
-                arena->leak();
-            }
-        }
-        ck->registerDeliberateLeak(headLine_, why);
-        ck->registerDeliberateLeak(tailLine_, why);
-    }
-}
-
-void
-HotQueue::touchSlot(std::size_t index, bool write)
-{
-    machine_.memory().accessWord(slots_[index].line, write);
-}
-
-void
-HotQueue::touchHead(bool write)
-{
-    machine_.memory().accessWord(headLine_, write);
-}
-
-void
-HotQueue::touchTail(bool write)
-{
-    machine_.memory().accessWord(tailLine_, write);
-}
-
-void
-HotQueue::touchArena(std::size_t index, bool write)
-{
-    machine_.memory().accessWord(slots_[index].arena->base(), write);
-}
-
-std::uint64_t
-HotQueue::scaleUpDepth() const
-{
-    if (config_.scaleUpDepth > 0)
-        return static_cast<std::uint64_t>(config_.scaleUpDepth);
-    return std::max<std::uint64_t>(
-        2, static_cast<std::uint64_t>(config_.numSlots) / 2);
+    allocStaging(slots_.size(), protocol_.get());
 }
 
 void
@@ -216,106 +68,30 @@ HotQueue::start()
 }
 
 void
-HotQueue::stop()
+HotQueue::wakeResponders()
 {
-    if (stopped_)
-        return;
-    stopRequested_ = true;
-    auto *engine = sim::Engine::current();
-    if (!engine || !engine->currentThread()) {
-        // Outside the simulation nothing can still run; there is no
-        // join to wait for, so stop is complete.
-        if (guard_)
-            guard_->flush(machine_.now());
-        stopped_ = true;
-        return;
-    }
     // Wake every parked responder so it can observe the stop request;
     // the handoff happens under poolMutex_ (a responder only commits
     // to wait() while holding it).
     poolMutex_.lock();
     poolCond_.broadcast();
     poolMutex_.unlock();
-    // Join: the ring lines must stay alive until the last responder
-    // has exited its loop. The wait is bounded per responder: one
-    // stuck inside a blocking ocall handler (whose wakeup will never
-    // come) must not livelock teardown.
-    constexpr Cycles kJoinGrace = 2'000'000;
-    constexpr Cycles kJoinStep = 500;
-    for (sim::Thread *responder : responders_) {
-        for (Cycles waited = 0;
-             responder->state() != sim::ThreadState::Done &&
-             !engine->stopRequested() && waited < kJoinGrace;
-             waited += kJoinStep) {
-            engine->advance(kJoinStep);
-        }
-        if (responder->state() == sim::ThreadState::Done) {
-            if (auto *ck = machine_.check())
-                ck->joinEdge(responder);
-        }
-    }
-    if (guard_) {
-        guard_->flush(machine_.now());
-        stats_.degradedCycles = guard_->degradedCycles(machine_.now());
-    }
-    stopped_ = true;
-}
-
-std::uint64_t
-HotQueue::call(const std::string &name, const edl::Args &args)
-{
-    const int id = kind_ == Kind::HotOcall ? runtime_.ocallId(name)
-                                           : runtime_.ecallId(name);
-    return call(id, args);
 }
 
 std::uint64_t
 HotQueue::call(int id, const edl::Args &args)
 {
-    hc_assert(!responders_.empty());
+    Admission adm;
+    if (!admit(adm))
+        return sdkCall(id, args);
     auto &engine = machine_.engine();
-    auto &rng = engine.rng();
-
-    const bool is_ocall = kind_ == Kind::HotOcall;
-    if (is_ocall &&
-        !runtime_.platform().inEnclave(machine_.currentCore())) {
-        throw sgx::SgxFault("HotOcall issued outside enclave mode");
-    }
-
-    // Sentinel routing: a quarantined ring sheds straight to the SDK
-    // with zero spin waste (counted as a fallback that spent no
-    // attempts), except for one scheduled probe per backoff interval.
-    bool probing = false;
-    if (guard_) {
-        const auto route = guard_->route(machine_.now());
-        if (route == guard::ChannelGuard::Route::Shed) {
-            ++stats_.fallbacks;
-            ++stats_.degradedCalls;
-            guard_->onShed(machine_.now());
-            stats_.degradedCycles =
-                guard_->degradedCycles(machine_.now());
-            return is_ocall ? runtime_.ocall(id, args)
-                            : runtime_.ecall(id, args);
-        }
-        probing = route == guard::ChannelGuard::Route::Probe;
-    }
-
-    engine.advance(kRequesterFixed);
-    const Cycles call_start = machine_.now();
-
     auto *injector = machine_.fault();
     // At most one *successful* scale-up wake per logical call: a call
     // that burns several failed claim attempts back-to-back used to
     // signal (and count a scale-up) once per attempt, inflating the
     // scale statistics and thrashing the parked pool.
     bool scale_woken = false;
-    // The claim budget: the configured fixed value on the healthy
-    // path (bit-identical to the pre-Sentinel ring — the budget only
-    // matters at exhaustion, which implies a fallback), widened from
-    // the latency estimate once the ring looks distressed.
-    const int budget = guard_ ? guard_->attemptBudget(call_start)
-                              : config_.timeout.timeoutTries;
-    for (int attempt = 0; attempt < budget; ++attempt) {
+    for (int attempt = 0; attempt < adm.budget; ++attempt) {
         if (injector &&
             injector->fire(fault::Site::RequesterAttempt)) {
             // Forced expiry: behave exactly as if the claim failed.
@@ -350,13 +126,11 @@ HotQueue::call(int id, const edl::Args &args)
             ++stats_.timeoutAttempts;
             if (!scale_woken)
                 scale_woken = wakeOneResponder(true);
-            engine.advance(sdk::kPauseCycles +
-                           rng.nextBelow(config_.pollJitter + 1));
+            pause();
             continue;
         }
         slot.state = SlotState::Publishing;
-        ++slot.epoch;
-        const std::uint64_t my_epoch = slot.epoch;
+        const std::uint64_t my_epoch = ++slot.epoch;
         slot.claimedAt = machine_.now();
         tail_ = ticket + 1;
         if (protocol_) {
@@ -380,75 +154,19 @@ HotQueue::call(int id, const edl::Args &args)
             // leash to retire it out from under us.
             engine.advance(injector->delay(fault::Site::PublisherStall));
         }
-        if (guard_ && slot.epoch != my_epoch) {
-            // The head scan retired the slot past the publish leash
-            // while we were stalled: our claim is void. Retire the
-            // Zombie (its publisher is its only retirer) and reissue
-            // on the SDK path.
-            if (slot.state == SlotState::Zombie)
-                retireZombie(idx);
-            ++stats_.fallbacks;
-            maybeRespawn(guard_->onFallback(machine_.now(), probing));
-            stats_.degradedCycles =
-                guard_->degradedCycles(machine_.now());
-            return is_ocall ? runtime_.ocall(id, args)
-                            : runtime_.ecall(id, args);
-        }
 
-        // Marshal into the claimed slot (a HotOcall requester runs
-        // the same edger8r-generated trusted wrapper the SDK would).
-        // Under FastPath the staging goes into the slot's recycled
-        // arenas instead of fresh allocations; recycling is legal
-        // exactly here — the slot is ours while Publishing.
-        edl::StagedCall staged;
-        EcallRequest ecall_req;
-        bool fast_call = false;
-        if (is_ocall) {
-            const auto &fn =
-                runtime_.edlFile()
-                    .untrusted[static_cast<std::size_t>(id)];
-            // Scalar-only functions stage nothing: the legacy path
-            // is already copy-free and charge-free for them.
-            if (fastOn_)
-                fast_call = runtime_.marshaller().plan(fn).anyCopy;
-            if (fast_call) {
-                if (protocol_)
-                    protocol_->onArenaRecycle(static_cast<int>(idx));
-                runtime_.marshaller().stageOcallFast(
-                    runtime_.marshaller().plan(fn), args, slot.staging,
-                    slot.scratch);
-                slot.usedArena = slot.staging.usedSpill;
-                if (slot.usedArena)
-                    touchArena(idx, true); // hand the payload lines over
-                ++stats_.fastCalls;
-                if (slot.staging.usedInline)
-                    ++stats_.inlineStaged;
-                if (slot.staging.usedSpill)
-                    ++stats_.arenaStaged;
-                if (slot.staging.usedHeap)
-                    ++stats_.heapStaged;
-                slot.ocall = &slot.scratch;
-            } else {
-                staged = runtime_.marshaller().stageOcall(fn, args);
-                slot.ocall = &staged;
-            }
-        } else {
-            ecall_req.args = &args;
-            slot.ecall = &ecall_req;
-        }
-        if (guard_ && slot.epoch != my_epoch) {
-            // Zombied during the marshalling advances (same recovery
-            // as above, just later in the publish sequence).
-            if (slot.state == SlotState::Zombie)
-                retireZombie(idx);
-            ++stats_.fallbacks;
-            maybeRespawn(guard_->onFallback(machine_.now(), probing));
-            stats_.degradedCycles =
-                guard_->degradedCycles(machine_.now());
-            return is_ocall ? runtime_.ocall(id, args)
-                            : runtime_.ecall(id, args);
-        }
-        slot.callId = id;
+        // Marshal into the claimed slot. Under FastPath the staging
+        // goes into the slot's recycled arenas instead of fresh
+        // allocations; recycling is legal exactly here — the slot is
+        // ours while Publishing. A stall or the marshalling advances
+        // may outlast the publish leash, which voids the claim.
+        Request req;
+        if (claimVoided(idx, my_epoch))
+            return fallback(id, args, adm);
+        stage(req, id, args, stagingSlot(idx));
+        if (claimVoided(idx, my_epoch))
+            return fallback(id, args, adm);
+        slot.request = &req;
         slot.state = SlotState::Ready;
         if (protocol_)
             protocol_->onPublish(static_cast<int>(idx));
@@ -457,210 +175,104 @@ HotQueue::call(int id, const edl::Args &args)
         // More backlog than the active responders drain promptly:
         // wake a parked pool member (configless-style scale-up),
         // unless this call already grew the pool.
-        if (pending() >= scaleUpDepth() && !scale_woken)
+        if (pending() >= static_cast<std::uint64_t>(config_.scaleUpDepth) &&
+            !scale_woken)
             scale_woken = wakeOneResponder(true);
 
         // Wait for completion: a responder marks the slot done once
-        // it has executed the call and filled the response. Once the
-        // engine is unwinding no responder will ever mark it, and
-        // when this requester is the only runnable fiber left the
-        // spin would keep the host alive forever — bail out instead,
-        // like the bounded join loops in stop().
+        // it has executed the call and filled the response.
         const Cycles wait_start = machine_.now();
-        bool reclaimed = false;
         for (;;) {
             touchSlot(idx, false);
             if (slot.state == SlotState::Done)
                 break;
-            if (injector)
-                injector->pollStop(); // time-based abort backstop
-            if (engine.stopRequested()) {
-                ++stats_.aborts;
+            if (aborted())
                 return 0;
-            }
-            if (guard_) {
-                const Cycles now = machine_.now();
-                if (slot.state == SlotState::Ready &&
-                    slot.epoch == my_epoch &&
-                    now - wait_start > guard_->unservedDeadline() &&
-                    guard_->responderLate(now)) {
-                    // Ready-reclaim: published, but no responder ever
-                    // grabbed it and none shows a heartbeat within
-                    // the liveness window. Retire the request and
-                    // reissue it on the SDK path. The Zombie is
-                    // ownerless — the head scan retires it when the
-                    // consumer cursor reaches it.
-                    ++slot.epoch;
-                    slot.state = SlotState::Zombie;
-                    slot.ownerless = true;
-                    slot.callId = -1;
-                    slot.ocall = nullptr;
-                    slot.ecall = nullptr;
-                    slot.usedArena = false;
-                    if (protocol_)
-                        protocol_->onReclaimReady(
-                            static_cast<int>(idx));
-                    guard_->noteReclaimReady();
-                    touchSlot(idx, true);
-                    reclaimed = true;
-                    break;
-                }
-                if (slot.state == SlotState::Serving &&
-                    slot.epoch == my_epoch && !slot.dispatched &&
-                    now - slot.servingSince > guard_->servingLeash()) {
-                    // Serving-reclaim: grabbed, but the server never
-                    // started executing it (wedged mid-batch; a
-                    // dispatched handler always completes, so only
-                    // undispatched grabs are reclaimable). The epoch
-                    // bump voids the wedge's grab, and a resumed
-                    // server only epoch-checks (never writes), so the
-                    // Zombie is ownerless: the server's stale-epoch
-                    // path retires it if it resumes, and a later
-                    // claimer retires it if the wedge is permanent —
-                    // otherwise the hole would block the producer
-                    // cursor forever once the ring wraps to it.
-                    ++slot.epoch;
-                    slot.state = SlotState::Zombie;
-                    slot.ownerless = true;
-                    slot.callId = -1;
-                    slot.ocall = nullptr;
-                    slot.ecall = nullptr;
-                    slot.usedArena = false;
-                    if (protocol_)
-                        protocol_->onReclaimServing(
-                            static_cast<int>(idx));
-                    guard_->noteReclaimServing();
-                    touchSlot(idx, true);
-                    reclaimed = true;
-                    break;
-                }
-            }
-            engine.advance(sdk::kPauseCycles +
-                           rng.nextBelow(config_.pollJitter + 1));
-        }
-        if (reclaimed) {
-            ++stats_.fallbacks;
-            maybeRespawn(guard_->onFallback(machine_.now(), probing));
-            stats_.degradedCycles =
-                guard_->degradedCycles(machine_.now());
-            return is_ocall ? runtime_.ocall(id, args)
-                            : runtime_.ecall(id, args);
+            if (guard_ && reclaimStuck(idx, my_epoch, wait_start))
+                return fallback(id, args, adm);
+            pause();
         }
         // A fast call copies its results out of the slot staging
         // BEFORE the slot is released: the arenas (and the recycled
         // scratch) belong to the slot's next claimant the moment it
         // goes Free. The legacy path keeps its original order (its
         // heap staging is private to this call).
-        std::uint64_t fast_retval = 0;
-        if (fast_call) {
-            if (slot.usedArena)
-                touchArena(idx, false); // read the results back
-            runtime_.marshaller().finishOcallFast(slot.scratch);
-            fast_retval = slot.scratch.retval();
-        }
+        const std::uint64_t fast_retval = req.fast ? finishFast(req) : 0;
 
         // Harvest, then release the slot to the next producer.
-        slot.callId = -1;
-        slot.ocall = nullptr;
-        slot.ecall = nullptr;
-        slot.usedArena = false;
+        slot.request = nullptr;
         slot.state = SlotState::Free;
         if (protocol_)
             protocol_->onHarvest(static_cast<int>(idx));
         touchSlot(idx, true);
-        ++stats_.calls;
-        if (guard_) {
-            guard_->onSuccess(machine_.now(),
-                              machine_.now() - call_start, attempt,
-                              probing);
-            stats_.degradedCycles =
-                guard_->degradedCycles(machine_.now());
-        }
-
-        if (is_ocall) {
-            if (fast_call)
-                return fast_retval;
-            runtime_.marshaller().finishOcall(staged);
-            return staged.retval();
-        }
-        return ecall_req.retval;
+        countSuccess(adm, attempt);
+        return req.fast ? fast_retval : finish(req);
     }
 
     // The ring stayed full for the whole claim budget: fall back to
     // the conventional SDK call (starvation prevention, Section 4.2)
     // and make sure the pool scales up for the next burst — unless
     // one of the failed attempts above already woke a responder.
-    ++stats_.fallbacks;
-    if (guard_) {
-        maybeRespawn(guard_->onFallback(machine_.now(), probing));
-        stats_.degradedCycles = guard_->degradedCycles(machine_.now());
-    }
+    countFallback(adm);
     if (!scale_woken)
         wakeOneResponder(true);
-    return is_ocall ? runtime_.ocall(id, args)
-                    : runtime_.ecall(id, args);
+    return sdkCall(id, args);
 }
 
 bool
-HotQueue::serveRequest(std::size_t index, std::uint64_t epoch)
+HotQueue::claimVoided(std::size_t index, std::uint64_t epoch)
 {
     Slot &slot = slots_[index];
-    // The epoch check and the dispatch commit are host-atomic (no
-    // advance in between): a slot reclaimed while queued behind a
-    // long batch is skipped as stale — its request pointers dangle —
-    // and once dispatched_ is up the requester never reclaims it.
-    if (guard_ && slot.epoch != epoch)
+    if (!guard_ || slot.epoch == epoch)
         return false;
-    slot.dispatched = true;
-    const Cycles start = machine_.now();
-    auto &engine = machine_.engine();
-    engine.advance(kResponderFixed);
+    // The publisher is the retired slot's only retirer.
+    if (slot.state == SlotState::Zombie)
+        retireZombie(index);
+    return true;
+}
 
-    if (kind_ == Kind::HotOcall) {
-        hc_assert(slot.ocall);
-        const bool arena_handoff = fastOn_ && slot.usedArena;
-        if (arena_handoff)
-            touchArena(index, false); // pull the spilled payload lines
-        runtime_.dispatchOcallDirect(slot.callId, *slot.ocall);
-        if (arena_handoff)
-            touchArena(index, true); // results written to the arena
+bool
+HotQueue::reclaimStuck(std::size_t index, std::uint64_t epoch,
+                       Cycles wait_start)
+{
+    Slot &slot = slots_[index];
+    const Cycles now = machine_.now();
+    // Ready-reclaim: published, but no responder ever grabbed it and
+    // none shows a heartbeat within the liveness window.
+    const bool ready = slot.state == SlotState::Ready &&
+                       slot.epoch == epoch &&
+                       now - wait_start > guard_->unservedDeadline() &&
+                       guard_->responderLate(now);
+    // Serving-reclaim: grabbed, but the server never started executing
+    // it (wedged mid-batch; a dispatched handler always completes, so
+    // only undispatched grabs are reclaimable).
+    const bool serving = slot.state == SlotState::Serving &&
+                         slot.epoch == epoch && !slot.dispatched &&
+                         now - slot.servingSince > guard_->servingLeash();
+    if (!ready && !serving)
+        return false;
+    // Retire the request to an ownerless Zombie and reissue it on the
+    // SDK path. The epoch bump voids a wedged server's grab, and a
+    // resumed server only epoch-checks (never writes): the head scan
+    // retires a Ready Zombie when the consumer cursor reaches it; a
+    // Serving one sits behind the head, so the server's stale-epoch
+    // path retires it if it resumes, and a later claimer if the wedge
+    // is permanent — otherwise the hole would block the producer
+    // cursor forever once the ring wraps to it.
+    ++slot.epoch;
+    slot.state = SlotState::Zombie;
+    slot.ownerless = true;
+    slot.request = nullptr;
+    if (ready) {
+        if (protocol_)
+            protocol_->onReclaimReady(static_cast<int>(index));
+        guard_->noteReclaimReady();
     } else {
-        // HotEcall: the trusted responder runs the original
-        // edger8r-style wrapper — staging (copy-in), the trusted
-        // function, and copy-out all execute inside the enclave.
-        hc_assert(slot.ecall);
-        const auto &fn =
-            runtime_.edlFile()
-                .trusted[static_cast<std::size_t>(slot.callId)];
-        auto &marshaller = runtime_.marshaller();
-        if (fastOn_ && marshaller.plan(fn).anyCopy) {
-            // FastPath: stage into the slot's recycled EPC arena.
-            // The slot is ours while Serving, so recycling is legal
-            // exactly here (and the whole round trip — stage,
-            // execute, copy-out — completes before Done).
-            if (protocol_)
-                protocol_->onArenaRecycle(static_cast<int>(index));
-            marshaller.stageEcallFast(marshaller.plan(fn),
-                                      *slot.ecall->args, slot.staging,
-                                      slot.scratch);
-            ++stats_.fastCalls;
-            if (slot.staging.usedSpill)
-                ++stats_.arenaStaged;
-            if (slot.staging.usedHeap)
-                ++stats_.heapStaged;
-            runtime_.dispatchEcallDirect(slot.callId, slot.scratch);
-            marshaller.finishEcallFast(slot.scratch);
-            slot.ecall->retval = slot.scratch.retval();
-        } else {
-            auto staged =
-                marshaller.stageEcall(fn, *slot.ecall->args);
-            runtime_.dispatchEcallDirect(slot.callId, staged);
-            marshaller.finishEcall(staged);
-            slot.ecall->retval = staged.retval();
-        }
+        if (protocol_)
+            protocol_->onReclaimServing(static_cast<int>(index));
+        guard_->noteReclaimServing();
     }
-
-    stats_.responderBusyCycles += machine_.now() - start;
+    touchSlot(index, true);
     return true;
 }
 
@@ -669,10 +281,7 @@ HotQueue::retireZombie(std::size_t index)
 {
     Slot &slot = slots_[index];
     slot.state = SlotState::Free;
-    slot.callId = -1;
-    slot.ocall = nullptr;
-    slot.ecall = nullptr;
-    slot.usedArena = false;
+    slot.request = nullptr;
     slot.dispatched = false;
     slot.ownerless = false;
     if (protocol_)
@@ -686,7 +295,6 @@ int
 HotQueue::tryServeBatch()
 {
     auto &engine = machine_.engine();
-    auto &rng = engine.rng();
 
     touchTail(false); // one producer-cursor read per poll
     if (pending() == 0)
@@ -703,18 +311,14 @@ HotQueue::tryServeBatch()
     // publish leash; each retirement prices its slot line, and every
     // iteration re-reads the cursors/states, so the interleaving the
     // charge allows stays consistent.
-    const int max_batch =
-        config_.maxBatch > 0
-            ? std::min(config_.maxBatch, config_.numSlots)
-            : config_.numSlots;
     struct Grab {
         std::size_t idx;
         std::uint64_t epoch;
     };
     std::vector<Grab> batch;
-    batch.reserve(static_cast<std::size_t>(max_batch));
+    batch.reserve(static_cast<std::size_t>(config_.maxBatch));
     bool head_moved = false;
-    while (static_cast<int>(batch.size()) < max_batch &&
+    while (static_cast<int>(batch.size()) < config_.maxBatch &&
            head_ != tail_) {
         const std::size_t idx = head_ % slots_.size();
         Slot &slot = slots_[idx];
@@ -792,25 +396,24 @@ HotQueue::tryServeBatch()
             }
             return static_cast<int>(batch.size());
         }
-        if (!serveRequest(idx, grab.epoch)) {
-            // The slot was reclaimed while queued behind the batch;
-            // its logical call already left on the SDK path.
-            if (guard_)
-                guard_->noteStaleCompletion();
+        // The epoch check and the dispatch commit are host-atomic (no
+        // advance in between): a slot reclaimed while queued behind a
+        // long batch is skipped as stale — its logical call already
+        // left on the SDK path and its request pointer dangles — and
+        // once dispatched the requester never reclaims it.
+        if (guard_ && slot.epoch != grab.epoch) {
+            guard_->noteStaleCompletion();
             if (slot.state == SlotState::Zombie)
                 retireZombie(idx);
             continue;
         }
+        slot.dispatched = true;
+        serve(*slot.request, stagingSlot(idx));
         slot.state = SlotState::Done;
         if (protocol_)
             protocol_->onComplete(static_cast<int>(idx));
         touchSlot(idx, true); // publish completion
-        if (guard_)
-            guard_->heartbeat(machine_.now());
-        if (rng.chance(config_.hiccupChance)) {
-            engine.advance(static_cast<Cycles>(rng.nextExponential(
-                static_cast<double>(config_.hiccupMean))));
-        }
+        afterServe();
     }
     return static_cast<int>(batch.size());
 }
@@ -855,79 +458,46 @@ HotQueue::wakeOneResponder(bool scale_event)
 }
 
 void
-HotQueue::maybeRespawn(bool entered_quarantine)
+HotQueue::respawn()
 {
-    if (!entered_quarantine || !guard_)
-        return;
-    const Cycles now = machine_.now();
-    // Respawn only when the pool is provably wedged (no responder
-    // heartbeat within the liveness window): a quarantine caused by
-    // sheer overload is not cured by adding workers the scale-up
-    // wake would have added already.
-    if (!guard_->config().respawn || !guard_->responderLate(now))
-        return;
     // The wedged fibers keep their pool entries (they exit on stop);
     // put a fresh responder on the next core in the rotation. The
     // quarantine probe confirms the recovery.
     const std::size_t i = responders_.size();
-    CoreId core =
-        config_.responderCores[i % config_.responderCores.size()];
+    const auto &cores = config_.responderCores;
+    CoreId core = cores[i % cores.size()];
     if (kind_ == Kind::HotEcall) {
         // The simulator allows one in-enclave fiber per core, and a
         // wedged trusted responder never eexits: the replacement must
         // land on a configured core currently outside the enclave.
         auto &platform = runtime_.platform();
-        bool found = false;
-        for (CoreId candidate : config_.responderCores) {
-            if (!platform.inEnclave(candidate)) {
-                core = candidate;
-                found = true;
-                break;
-            }
-        }
-        if (!found)
+        const auto outside =
+            std::find_if(cores.begin(), cores.end(), [&](CoreId c) {
+                return !platform.inEnclave(c);
+            });
+        if (outside == cores.end())
             return; // every configured core is wedged inside
+        core = *outside;
     }
     if (!guard_->respawnAllowed())
         return;
-    const std::string name =
+    responders_.push_back(machine_.engine().spawn(
         std::string(kind_ == Kind::HotEcall ? "hotq-ecall-resp-r"
                                             : "hotq-ocall-resp-r") +
-        std::to_string(i);
-    responders_.push_back(machine_.engine().spawn(
-        name, core, [this] { responderLoop(-1); }));
+            std::to_string(i),
+        core, [this] { responderLoop(-1); }));
 }
 
 void
 HotQueue::responderLoop(int index)
 {
     auto &engine = machine_.engine();
-    auto &rng = engine.rng();
-    auto &platform = runtime_.platform();
-
     // A HotEcall responder parks inside the enclave with one
     // conventional ecall each and keeps polling from enclave mode.
     sgx::Tcs *tcs = nullptr;
-    if (kind_ == Kind::HotEcall) {
-        // A Sentinel respawn may land while another fiber still holds
-        // this core's enclave context: wait for the core to clear
-        // (one in-enclave fiber per core).
-        while (platform.inEnclave(machine_.currentCore()) &&
-               !stopRequested_ && !engine.stopRequested()) {
-            engine.advance(sdk::kPauseCycles);
-            engine.yield();
-        }
-        if (stopRequested_ || engine.stopRequested())
-            return;
-        platform.chargeStage(platform.params().sdkEcallSoftware,
-                             runtime_.enclave().untrustedCtxLines(),
-                             false);
-        while (!(tcs = runtime_.enclave().acquireTcs())) {
-            engine.advance(sdk::kPauseCycles);
-            engine.yield();
-        }
-        platform.eenter(runtime_.enclave(), *tcs);
-    }
+    if (kind_ == Kind::HotEcall &&
+        !(tcs = enterEnclave([] { return false; })))
+        return;
 
     // Surplus pool members start parked; requesters wake them when
     // the backlog grows (not a scale-down event). Sentinel respawns
@@ -955,12 +525,10 @@ HotQueue::responderLoop(int index)
         const Cycles poll_start = machine_.now();
         const int served = tryServeBatch();
         ++window_polls;
-        if (served > 0) {
+        if (served > 0)
             window_busy += machine_.now() - poll_start;
-        } else {
-            engine.advance(sdk::kPauseCycles +
-                           rng.nextBelow(config_.pollJitter + 1));
-        }
+        else
+            pause();
         if (window_polls >= config_.scaleWindowPolls) {
             const Cycles elapsed = machine_.now() - window_start;
             const double busy_frac =
@@ -980,10 +548,8 @@ HotQueue::responderLoop(int index)
         }
     }
 
-    if (kind_ == Kind::HotEcall) {
-        platform.eexit();
-        runtime_.enclave().releaseTcs(tcs);
-    }
+    if (tcs)
+        leaveEnclave(tcs);
 }
 
 } // namespace hc::hotcalls

@@ -24,12 +24,9 @@
  *  - per-queue statistics (queue-depth histogram, batch-size
  *    histogram, scale events) are kept via support/stats.
  *
- * Like HotCallService, a HotQueue exists in both directions: HotOcall
- * (trusted requesters, untrusted responders; marshalling runs in the
- * requester with the same edger8r-generated code the SDK uses) and
- * HotEcall (untrusted requesters; responders park inside the enclave
- * via one conventional ecall each). It is a drop-in alternative
- * behind the hotcalls::Channel interface.
+ * Like HotCallService, a HotQueue exists in both directions and
+ * shares everything but its protocol with it (the Channel core,
+ * channel.hh).
  */
 
 #ifndef HC_HOTCALLS_HOTQUEUE_HH
@@ -37,34 +34,23 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "hotcalls/hotcall.hh"
-#include "mem/arena.hh"
 #include "support/stats.hh"
 
 namespace hc::hotcalls {
 
-/** HotQueue tunables. */
-struct HotQueueConfig {
+/** HotQueue tunables (ChannelConfig::arenaBytes is per slot). */
+struct HotQueueConfig : ChannelConfig {
     /** Ring capacity: concurrent in-flight requests. */
     int numSlots = 4;
     /** Responders that always keep polling (never park); >= 1. */
     int minResponders = 1;
     /** One pool member per core; size = maximum pool size. */
     std::vector<CoreId> responderCores = {2};
-    /** Timeout policy (shared with HotCallService and the porting
-     *  layer): the fixed slot-claim budget plus Sentinel's
-     *  adaptive-budget and reclaim-deadline knobs (guard/guard.hh). */
-    guard::TimeoutPolicy timeout;
     /** Max slots served per channel acquisition; 0 = numSlots. */
     int maxBatch = 0;
-    /** Small per-poll jitter bound (pipeline/branch variation). */
-    Cycles pollJitter = 22;
-    /** Responder scheduling-hiccup model (as HotCallConfig). */
-    double hiccupChance = 0.012;
-    Cycles hiccupMean = 230;
     /** Sliding occupancy window, in responder polls. */
     std::uint64_t scaleWindowPolls = 256;
     /** Park a surplus responder when the fraction of window TIME it
@@ -73,43 +59,10 @@ struct HotQueueConfig {
     /** Queue depth at which an enqueue wakes a parked responder;
      *  0 = auto (half the slots, at least 2). */
     int scaleUpDepth = 0;
-    /** FastPath data plane switch: -1 = auto (HC_FASTPATH env,
-     *  default on), 0 = off (legacy marshalling, bit-identical to
-     *  the pre-FastPath queue), 1 = on. */
-    int fastPath = -1;
-    /** Payload bytes carried inline in the slot's own cache lines
-     *  (rounded up to whole lines); 0 disables inline staging.
-     *  Applies to HotOcall only: HotEcall staging must live in
-     *  enclave memory, not in the shared (untrusted) slot lines. */
-    std::uint64_t inlinePayloadBytes = 64;
-    /** Per-slot spill arena capacity; 0 disables (oversized payloads
-     *  go straight to the legacy heap staging). */
-    std::uint64_t arenaBytesPerSlot = 4096;
 };
 
 /** Run statistics of a HotQueue. */
-struct HotQueueStats {
-    std::uint64_t calls = 0;     //!< completed via the ring
-    std::uint64_t fallbacks = 0; //!< timed out -> SDK path (counted
-                                 //!< once per logical call, however
-                                 //!< many attempts expired)
-    std::uint64_t aborts = 0;    //!< completion wait cut short by stop
-    std::uint64_t timeoutAttempts = 0; //!< individual expired attempts
-    std::uint64_t responderPolls = 0;
-    std::uint64_t batches = 0; //!< channel acquisitions that served
-    std::uint64_t wakeups = 0; //!< parked-responder signals
-    std::uint64_t scaleUps = 0;
-    std::uint64_t scaleDowns = 0;
-    Cycles responderBusyCycles = 0; //!< time inside handlers
-    // FastPath staging placement (calls that staged any payload).
-    std::uint64_t fastCalls = 0;    //!< staged via the fast plane
-    std::uint64_t inlineStaged = 0; //!< used the inline slot lines
-    std::uint64_t arenaStaged = 0;  //!< used the spill arena
-    std::uint64_t heapStaged = 0;   //!< spilled past the arena to heap
-    // Sentinel quarantine (guard/guard.hh). Degraded calls also count
-    // as fallbacks (they took the SDK path) but spend zero attempts.
-    std::uint64_t degradedCalls = 0; //!< shed straight to the SDK
-    Cycles degradedCycles = 0;       //!< time spent quarantined
+struct HotQueueStats : ChannelStats {
     Histogram depth{64};     //!< pending entries at each enqueue
     Histogram batchSize{64}; //!< slots served per batch
 };
@@ -126,37 +79,17 @@ class HotQueue : public Channel
     HotQueue(sdk::EnclaveRuntime &runtime, Kind kind,
              HotQueueConfig config = {});
 
-    ~HotQueue() override;
-
-    HotQueue(const HotQueue &) = delete;
-    HotQueue &operator=(const HotQueue &) = delete;
+    ~HotQueue() override { stop(); }
 
     /** Spawn the responder pool (must be called before call()).
      *  Responders beyond minResponders park immediately and are woken
      *  on demand. */
     void start() override;
 
-    /** Ask every responder to exit and wait for them to do so. */
-    void stop() override;
-
-    /**
-     * Issue a call through the ring. Claims a slot, publishes the
-     * request, and spins until a responder marks it done. Falls back
-     * to the conventional SDK call after `timeoutTries` failed claim
-     * attempts (ring full).
-     */
+    using Channel::call;
     std::uint64_t call(int id, const edl::Args &args) override;
 
-    /** Name-resolving convenience overload. */
-    std::uint64_t call(const std::string &name,
-                       const edl::Args &args) override;
-
     const HotQueueStats &stats() const { return stats_; }
-    Kind kind() const { return kind_; }
-    const HotQueueConfig &config() const { return config_; }
-
-    /** @return the channel's Sentinel guard, or null (guard off). */
-    const guard::ChannelGuard *guard() const { return guard_; }
 
     /** @return responders currently polling (not parked). */
     int activeResponders() const
@@ -175,26 +108,13 @@ class HotQueue : public Channel
         Zombie,     //!< reclaimed by Sentinel; awaiting retirement
     };
 
-    /** Payload of a HotEcall request (lives on the requester stack). */
-    struct EcallRequest {
-        const edl::Args *args = nullptr;
-        std::uint64_t retval = 0;
-    };
-
-    /** One ring entry; control state rides its own cache line. */
+    /** One ring entry; control state rides its own cache line (its
+     *  FastPath staging is the core's staging slot of the same
+     *  index). */
     struct Slot {
         Addr line = 0;
         SlotState state = SlotState::Free;
-        int callId = -1;
-        edl::StagedCall *ocall = nullptr;
-        EcallRequest *ecall = nullptr;
-        // FastPath per-slot staging: recycled across the calls that
-        // pass through this slot (never reallocated per call).
-        std::unique_ptr<mem::StagingArena> inlineArena;
-        std::unique_ptr<mem::StagingArena> arena;
-        edl::FastStaging staging;
-        edl::StagedCall scratch;
-        bool usedArena = false; //!< in-flight call staged into arena
+        Request *request = nullptr; //!< call_ID and the *data pointer
         // Sentinel reclamation state (inert while the guard is off).
         std::uint64_t epoch = 0; //!< bumped at claim and at reclaim:
                                  //!< a mismatch tells publisher or
@@ -215,21 +135,25 @@ class HotQueue : public Channel
     /** Serve up to maxBatch pending slots. @return slots served. */
     int tryServeBatch();
 
-    /**
-     * Execute one published request (responder side). @p epoch is the
-     * slot epoch captured at grab time; on a mismatch (Sentinel
-     * reclaimed the slot meanwhile) nothing is executed.
-     * @return true when the request actually ran
-     */
-    bool serveRequest(std::size_t index, std::uint64_t epoch);
+    /** Publisher side: @return true when the head scan retired slot
+     *  @p index (claimed at @p epoch) out from under a stalled
+     *  publisher — the claim is void, the Zombie retired. */
+    bool claimVoided(std::size_t index, std::uint64_t epoch);
+
+    /** Requester side: reclaim published slot @p index (claimed at
+     *  @p epoch) when it is stuck Ready or undispatched Serving past
+     *  its deadline. @return true when the call must reissue. */
+    bool reclaimStuck(std::size_t index, std::uint64_t epoch,
+                      Cycles wait_start);
 
     /** Return a Zombie slot to Free (fields cleared, line touched). */
     void retireZombie(std::size_t index);
 
-    /** On quarantine entry: spawn a replacement responder (the wedged
-     *  one keeps its fiber — it exits on stop), within the guard's
-     *  respawn budget. */
-    void maybeRespawn(bool entered_quarantine);
+    /** Spawn a replacement responder (the wedged one keeps its fiber —
+     *  it exits on stop) on a core that can take it. */
+    void respawn() override;
+
+    void wakeResponders() override;
 
     /** Park the calling responder; re-checks conditions under the
      *  pool mutex and counts a scale-down when @p scale_event.
@@ -245,25 +169,24 @@ class HotQueue : public Channel
     bool wakeOneResponder(bool scale_event);
 
     /** Priced accesses to the simulated control lines. */
-    void touchSlot(std::size_t index, bool write);
-    void touchHead(bool write);
-    void touchTail(bool write);
-
-    /** One priced access to slot @p index's spill-arena base line
-     *  (payload handoff for arena-staged calls; inline payloads ride
-     *  the slot-line transfers already priced). */
-    void touchArena(std::size_t index, bool write);
+    void touchSlot(std::size_t index, bool write)
+    {
+        machine_.memory().accessWord(slots_[index].line, write);
+    }
+    void touchHead(bool write)
+    {
+        machine_.memory().accessWord(headLine_, write);
+    }
+    void touchTail(bool write)
+    {
+        machine_.memory().accessWord(tailLine_, write);
+    }
 
     /** @return unserved (pre-grab) entries in the ring. */
     std::uint64_t pending() const { return tail_ - head_; }
 
-    /** Depth that triggers a scale-up wake (resolved config). */
-    std::uint64_t scaleUpDepth() const;
-
-    sdk::EnclaveRuntime &runtime_;
-    mem::Machine &machine_;
-    Kind kind_;
     HotQueueConfig config_;
+    HotQueueStats stats_;
 
     // ------------------------------------------------------------------
     // The ring. Functional state lives host-side; every protocol
@@ -281,15 +204,6 @@ class HotQueue : public Channel
     sdk::SgxThreadMutex poolMutex_; //!< guards parking handoff
     sdk::SgxThreadCond poolCond_;
     int parked_ = 0;
-
-    std::vector<sim::Thread *> responders_;
-    bool stopRequested_ = false;
-    bool stopped_ = false;
-    bool fastOn_ = false; //!< resolved FastPath switch
-    HotQueueStats stats_;
-
-    /** Sentinel supervision, or null when the guard is off. */
-    guard::ChannelGuard *guard_ = nullptr;
 
     /** Shadow state machine when the Machine's checker is on. */
     std::unique_ptr<check::HotQueueProtocol> protocol_;

@@ -121,37 +121,22 @@ PortedApp::PortedApp(sgx::SgxPlatform &platform, os::Kernel &kernel,
                               config_.hotOcalls.count(ocalls[i].name) >
                                   0;
             }
-            if (config_.useHotQueue) {
-                // All app threads share one multi-slot ring per
-                // direction; the ocall pool may scale onto the
-                // configured extra cores under load.
-                hotcalls::HotQueueConfig ocall_cfg = config_.hotQueue;
-                ocall_cfg.timeout = config_.timeout;
-                if (config_.fastPath != -1)
-                    ocall_cfg.fastPath = config_.fastPath;
-                ocall_cfg.responderCores = {config_.hotOcallCore};
-                ocall_cfg.responderCores.insert(
-                    ocall_cfg.responderCores.end(),
-                    config_.extraHotOcallCores.begin(),
-                    config_.extraHotOcallCores.end());
-                hotOcalls_ = std::make_unique<hotcalls::HotQueue>(
-                    *runtime_, hotcalls::Kind::HotOcall, ocall_cfg);
-                hotcalls::HotQueueConfig ecall_cfg = ocall_cfg;
-                ecall_cfg.responderCores = {config_.hotEcallCore};
-                hotEcalls_ = std::make_unique<hotcalls::HotQueue>(
-                    *runtime_, hotcalls::Kind::HotEcall, ecall_cfg);
-            } else {
-                hotcalls::HotCallConfig hot_cfg;
-                hot_cfg.timeout = config_.timeout;
-                if (config_.fastPath != -1)
-                    hot_cfg.fastPath = config_.fastPath;
-                hotOcalls_ = std::make_unique<hotcalls::HotCallService>(
-                    *runtime_, hotcalls::Kind::HotOcall,
-                    config_.hotOcallCore, hot_cfg);
-                hotEcalls_ = std::make_unique<hotcalls::HotCallService>(
-                    *runtime_, hotcalls::Kind::HotEcall,
-                    config_.hotEcallCore, hot_cfg);
-            }
+            // All app threads share one multi-slot ring per direction;
+            // the ocall pool may scale onto the configured extra cores
+            // under load.
+            hotcalls::HotQueueConfig ocall_cfg;
+            ocall_cfg.fastPath = config_.fastPath;
+            ocall_cfg.responderCores = {config_.hotOcallCore};
+            ocall_cfg.responderCores.insert(
+                ocall_cfg.responderCores.end(),
+                config_.extraHotOcallCores.begin(),
+                config_.extraHotOcallCores.end());
+            hotOcalls_ = std::make_unique<hotcalls::HotQueue>(
+                *runtime_, hotcalls::Kind::HotOcall, ocall_cfg);
+            hotcalls::HotQueueConfig ecall_cfg = ocall_cfg;
+            ecall_cfg.responderCores = {config_.hotEcallCore};
+            hotEcalls_ = std::make_unique<hotcalls::HotQueue>(
+                *runtime_, hotcalls::Kind::HotEcall, ecall_cfg);
         }
     }
     fdScratch_ = std::make_unique<mem::Buffer>(

@@ -34,7 +34,6 @@
 #include <string>
 #include <vector>
 
-#include "hotcalls/hotcall.hh"
 #include "hotcalls/hotqueue.hh"
 #include "mem/buffer.hh"
 #include "os/kernel.hh"
@@ -57,29 +56,14 @@ struct PortConfig {
     Mode mode = Mode::Native;
     /** Marshalling options (No-Redundant-Zeroing, word-wise memset). */
     edl::MarshalOptions marshal;
-    /** FastPath data plane for both hot channels: -1 = leave each
-     *  channel config alone (HC_FASTPATH env, default on), 0 / 1 =
-     *  force off / on for ocall and ecall channels alike. */
+    /** FastPath data plane of both hot channels (ChannelConfig's
+     *  tri-state: -1 = HC_FASTPATH env, default on). */
     int fastPath = -1;
-    /** Responder cores for the two HotCall channels. */
+    /** Responder cores of the two HotQueue channels: all app threads
+     *  share one multi-slot ring per direction (hotqueue.hh). */
     CoreId hotOcallCore = 2;
     CoreId hotEcallCore = 3;
     int numTcs = 8;
-    /** Shared timeout policy (guard/guard.hh) applied to both hot
-     *  channels whichever implementation backs them — the single
-     *  source of truth Sentinel's adaptive budget works from. It
-     *  overrides hotQueue.timeout. */
-    guard::TimeoutPolicy timeout;
-    /**
-     * Use the multi-slot HotQueue (hotqueue.hh) instead of the
-     * paper's single-line HotCallService for both directions. All
-     * app threads then share one ocall ring drained by an adaptive
-     * responder pool.
-     */
-    bool useHotQueue = true;
-    /** HotQueue tunables (responderCores is filled per direction
-     *  from hotOcallCore/hotEcallCore/extraHotOcallCores). */
-    hotcalls::HotQueueConfig hotQueue;
     /** Additional cores the ocall responder pool may scale onto. */
     std::vector<CoreId> extraHotOcallCores;
     /**
@@ -229,9 +213,9 @@ class PortedApp
     os::Kernel &kernel_;
     PortConfig config_;
     std::unique_ptr<sdk::EnclaveRuntime> runtime_;
-    /** The two fast-call channels (HotCallService or HotQueue). */
-    std::unique_ptr<hotcalls::Channel> hotOcalls_;
-    std::unique_ptr<hotcalls::Channel> hotEcalls_;
+    /** The two fast-call channels. */
+    std::unique_ptr<hotcalls::HotQueue> hotOcalls_;
+    std::unique_ptr<hotcalls::HotQueue> hotEcalls_;
     std::vector<std::function<void(std::uint64_t)>> functions_;
     std::map<std::string, std::uint64_t> nativeCounts_;
     std::map<std::string, std::uint64_t> inEnclaveCounts_;

@@ -2,10 +2,11 @@
  * @file
  * FastPath data-plane tests: cached call plans, staging placement
  * (inline slot lines vs spill arena vs legacy heap), arena recycling
- * across calls, functional equality with the legacy marshalling, the
- * single-channel staging guard, SimCheck integration (a clean run and
- * a seeded premature-arena-recycle violation), and the HC_FASTPATH
- * switch resolution.
+ * across calls, functional equality of every call path (SDK,
+ * single line, ring; both planes; both directions), the single-channel
+ * staging guard, SimCheck integration (a clean run and a seeded
+ * premature-arena-recycle violation), staging teardown next to a
+ * wedged responder, and the HC_FASTPATH switch resolution.
  */
 
 #include <gtest/gtest.h>
@@ -117,7 +118,7 @@ fastConfig(std::uint64_t inline_bytes, std::uint64_t arena_bytes)
     config.responderCores = {2};
     config.fastPath = 1;
     config.inlinePayloadBytes = inline_bytes;
-    config.arenaBytesPerSlot = arena_bytes;
+    config.arenaBytes = arena_bytes;
     return config;
 }
 
@@ -281,38 +282,158 @@ TEST(FastPath, ArenaRecyclesAcrossManyCalls)
 }
 
 // ----------------------------------------------------------------------
-// Fast and legacy planes deliver identical bytes and retvals.
+// Every call path delivers the SDK's bytes and retvals: SDK, the
+// single line and the ring, both planes, both directions.
 // ----------------------------------------------------------------------
 
-TEST(FastPath, MatchesLegacyFunctionally)
-{
-    auto run_once = [](int fast_path) {
-        Fixture f;
-        HotQueueConfig config = fastConfig(64, 4096);
-        config.fastPath = fast_path;
-        HotQueue hot(f.runtime, Kind::HotOcall, config);
-        std::vector<std::uint8_t> fill_result;
-        std::uint64_t bump_retval = 0;
-        f.run([&] {
-            hot.start();
-            f.inEnclave([&] {
-                mem::Buffer buf(f.machine, mem::Domain::Epc, 300);
-                hot.call("ocall_fill", {edl::Arg::buffer(buf),
-                                        edl::Arg::value(300)});
-                fill_result.assign(buf.data(), buf.data() + 300);
-                bump_retval = hot.call(
-                    "ocall_bump",
-                    {edl::Arg::buffer(buf), edl::Arg::value(300)});
-            });
-            hot.stop();
-            f.machine.engine().stop();
-        });
-        return std::make_pair(fill_result, bump_retval);
+namespace {
+
+const char *kParityEdl = R"(
+    enclave {
+        trusted {
+            public uint64_t ecall_in([in, size=len] uint8_t* buf,
+                                     size_t len);
+            public uint64_t ecall_out([out, size=len] uint8_t* buf,
+                                      size_t len);
+            public uint64_t ecall_inout([in, out, size=len] uint8_t* buf,
+                                        size_t len);
+            public uint64_t ecall_scalar(uint64_t v);
+        };
+        untrusted {
+            uint64_t ocall_in([in, size=len] uint8_t* buf, size_t len);
+            uint64_t ocall_out([out, size=len] uint8_t* buf, size_t len);
+            uint64_t ocall_inout([in, out, size=len] uint8_t* buf,
+                                 size_t len);
+            uint64_t ocall_scalar(uint64_t v);
+        };
     };
-    const auto legacy = run_once(0);
-    const auto fast = run_once(1);
-    EXPECT_EQ(legacy.first, fast.first);
-    EXPECT_EQ(legacy.second, fast.second);
+)";
+
+constexpr std::uint64_t kParityBytes = 2048;
+
+/** What a caller observes: each call's retval and buffer bytes. */
+struct Observed {
+    std::vector<std::uint64_t> retvals;
+    std::vector<std::vector<std::uint8_t>> buffers;
+    bool operator==(const Observed &) const = default;
+};
+
+enum class Path { Sdk, Line, Ring };
+
+/** Issue the in, out, in&out and scalar calls of direction @p kind
+ *  through @p path with FastPath @p fast_path. */
+Observed
+observeParity(Kind kind, Path path, int fast_path)
+{
+    mem::MachineConfig config;
+    config.engine.numCores = 8;
+    mem::Machine machine(config);
+    sgx::SgxPlatform platform(machine);
+    sdk::EnclaveRuntime runtime(platform, "parity", kParityEdl, 4);
+    // The same bodies on both sides: in digests, out fills, in&out
+    // digests then transforms, scalar computes.
+    auto digest = [](edl::StagedCall &c) {
+        std::uint64_t h = 0xcbf29ce484222325ull;
+        for (std::uint64_t i = 0; i < c.size(0); ++i)
+            h = (h ^ c.data(0)[i]) * 0x100000001b3ull;
+        return h;
+    };
+    const std::pair<const char *, std::function<void(edl::StagedCall &)>>
+        bodies[] = {
+            {"in", [&](edl::StagedCall &c) { c.setRetval(digest(c)); }},
+            {"out",
+             [](edl::StagedCall &c) {
+                 for (std::uint64_t i = 0; i < c.size(0); ++i)
+                     c.data(0)[i] = static_cast<std::uint8_t>(i * 131 + 7);
+                 c.setRetval(c.size(0));
+             }},
+            {"inout",
+             [&](edl::StagedCall &c) {
+                 c.setRetval(digest(c));
+                 for (std::uint64_t i = 0; i < c.size(0); ++i)
+                     c.data(0)[i] = static_cast<std::uint8_t>(~c.data(0)[i]);
+             }},
+            {"scalar",
+             [](edl::StagedCall &c) { c.setRetval(c.scalar(0) * 3 + 1); }},
+        };
+    for (const auto &[name, body] : bodies) {
+        runtime.registerEcall(std::string("ecall_") + name, body);
+        runtime.registerOcall(std::string("ocall_") + name, body);
+    }
+
+    std::unique_ptr<Channel> channel;
+    if (path == Path::Line) {
+        HotCallConfig line;
+        line.fastPath = fast_path;
+        channel = std::make_unique<HotCallService>(runtime, kind, 1, line);
+    } else if (path == Path::Ring) {
+        HotQueueConfig ring;
+        ring.responderCores = {1};
+        ring.fastPath = fast_path;
+        channel = std::make_unique<HotQueue>(runtime, kind, ring);
+    }
+    const bool ocall = kind == Kind::HotOcall;
+    Observed seen;
+    auto calls = [&] {
+        mem::Buffer buf(machine,
+                        ocall ? mem::Domain::Epc : mem::Domain::Untrusted,
+                        kParityBytes);
+        auto issue = [&](const char *name, const edl::Args &args) {
+            const std::string fn = std::string(ocall ? "ocall_" : "ecall_") +
+                                   name;
+            if (channel)
+                return channel->call(fn, args);
+            return ocall ? runtime.ocall(fn, args) : runtime.ecall(fn, args);
+        };
+        for (const char *name : {"in", "out", "inout"}) {
+            for (std::uint64_t i = 0; i < kParityBytes; ++i)
+                buf.data()[i] = static_cast<std::uint8_t>(i * 7 + 3);
+            seen.retvals.push_back(issue(
+                name, {edl::Arg::buffer(buf), edl::Arg::value(kParityBytes)}));
+            seen.buffers.emplace_back(buf.data(), buf.data() + kParityBytes);
+        }
+        seen.retvals.push_back(issue("scalar", {edl::Arg::value(41)}));
+    };
+    machine.engine().spawn("app", 0, [&] {
+        if (channel)
+            channel->start();
+        if (ocall) {
+            sgx::Tcs *tcs = runtime.enclave().acquireTcs();
+            platform.eenter(runtime.enclave(), *tcs);
+            calls();
+            platform.eexit();
+            runtime.enclave().releaseTcs(tcs);
+        } else {
+            calls();
+        }
+        if (channel)
+            channel->stop();
+        machine.engine().stop();
+    });
+    machine.engine().run();
+    return seen;
+}
+
+} // anonymous namespace
+
+TEST(FastPath, EveryPathMatchesTheSdk)
+{
+    for (Kind kind : {Kind::HotEcall, Kind::HotOcall}) {
+        const Observed sdk = observeParity(kind, Path::Sdk, 0);
+        ASSERT_EQ(sdk.retvals.size(), 4u);
+        EXPECT_EQ(sdk.retvals[1], kParityBytes); // out filled it all
+        EXPECT_EQ(sdk.retvals[3], 41u * 3 + 1);
+        EXPECT_NE(sdk.buffers[0], sdk.buffers[1]);
+        EXPECT_NE(sdk.buffers[0], sdk.buffers[2]);
+        for (Path path : {Path::Line, Path::Ring}) {
+            for (int fast_path : {0, 1}) {
+                EXPECT_TRUE(observeParity(kind, path, fast_path) == sdk)
+                    << (kind == Kind::HotOcall ? "ocall" : "ecall")
+                    << (path == Path::Line ? " line" : " ring")
+                    << " fastPath=" << fast_path;
+            }
+        }
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -486,6 +607,80 @@ TEST(FastPath, SeededPrematureArenaRecycleFlagged)
     EXPECT_NE(msg.find("staging arena recycled"), std::string::npos)
         << msg;
     EXPECT_NE(msg.find("Done"), std::string::npos) << msg;
+}
+
+// ----------------------------------------------------------------------
+// Teardown next to a responder that cannot be joined.
+// ----------------------------------------------------------------------
+
+namespace {
+
+/**
+ * Untrusted and EPC bytes still allocated after the HotEcall channel
+ * @p make() builds is destroyed inside the simulation while its
+ * responder is wedged (the app holds every TCS, so the responder never
+ * enters the enclave and can never be joined).
+ */
+template <class Make>
+std::pair<std::uint64_t, std::uint64_t>
+wedgedTeardownLeak(bool check_on, Make make)
+{
+    mem::MachineConfig config;
+    config.engine.numCores = 8;
+    config.check.enabled = check_on;
+    Fixture f(config);
+    auto &engine = f.machine.engine();
+    const auto &space = f.machine.space();
+    std::pair<std::uint64_t, std::uint64_t> leaked;
+    engine.spawn("app", 0, [&] {
+        std::vector<sgx::Tcs *> held;
+        while (sgx::Tcs *tcs = f.runtime.enclave().acquireTcs())
+            held.push_back(tcs);
+        const std::uint64_t untrusted = space.untrusted().bytesInUse();
+        const std::uint64_t epc = space.epc().bytesInUse();
+        {
+            std::unique_ptr<Channel> channel = make(f.runtime);
+            channel->start();
+            engine.sleepFor(10'000);
+        }
+        leaked = {space.untrusted().bytesInUse() - untrusted,
+                  space.epc().bytesInUse() - epc};
+        engine.stop();
+        for (sgx::Tcs *tcs : held)
+            f.runtime.enclave().releaseTcs(tcs);
+    });
+    engine.run();
+    return leaked;
+}
+
+} // anonymous namespace
+
+TEST(FastPath, WedgedTeardownLeaksAlikeWithCheckerOnOrOff)
+{
+    // The protocol lines and the FastPath staging share the responder's
+    // fate: both are leaked, so later allocations land at the same
+    // addresses (and cache sets) whether or not SimCheck watches. The
+    // staging used to be freed with the checker off.
+    auto line = [](sdk::EnclaveRuntime &runtime) {
+        HotCallConfig config;
+        config.fastPath = 1;
+        return std::make_unique<HotCallService>(runtime, Kind::HotEcall,
+                                                1, config);
+    };
+    auto ring = [](sdk::EnclaveRuntime &runtime) {
+        HotQueueConfig config;
+        config.responderCores = {1};
+        config.fastPath = 1;
+        return std::make_unique<HotQueue>(runtime, Kind::HotEcall, config);
+    };
+    const auto line_off = wedgedTeardownLeak(false, line);
+    const auto line_on = wedgedTeardownLeak(true, line);
+    EXPECT_EQ(line_off, line_on);
+    EXPECT_GT(line_off.second, 0u); // the EPC staging stayed
+    const auto ring_off = wedgedTeardownLeak(false, ring);
+    const auto ring_on = wedgedTeardownLeak(true, ring);
+    EXPECT_EQ(ring_off, ring_on);
+    EXPECT_GT(ring_off.second, line_off.second); // one arena per slot
 }
 
 // ----------------------------------------------------------------------

@@ -515,8 +515,9 @@ TEST(HotOcall, NrzChangesCostNotData)
         Fixture f;
         f.runtime.marshaller().setOptions(
             {.noRedundantZeroing = nrz});
-        HotCallService hot(f.runtime, Kind::HotOcall, 2,
-                           {.fastPath = 0});
+        HotCallConfig config;
+        config.fastPath = 0;
+        HotCallService hot(f.runtime, Kind::HotOcall, 2, config);
         std::vector<std::uint8_t> data;
         Cycles cost = 0;
         f.run([&] {
