@@ -19,7 +19,9 @@
  *
  * Every benchmark reports sim_Mcycles_per_s (simulated Mcycles per
  * host second, the figure of merit) next to google-benchmark's
- * items_per_second (simulated calls or buffer passes).
+ * items_per_second (simulated calls or buffer passes). The two
+ * interleaving workloads also report switches_per_call: the engine's
+ * fiber swaps (Engine::fiberSwitches) per simulated call.
  */
 
 #include <benchmark/benchmark.h>
@@ -113,7 +115,7 @@ static void
 BM_SimHotCallPingPong(benchmark::State &state)
 {
     constexpr int kCalls = 1'000;
-    double sim_cycles = 0, calls = 0;
+    double sim_cycles = 0, calls = 0, switches = 0;
     for (auto _ : state) {
         Bed bed;
         hotcalls::HotCallService hot(bed.runtime,
@@ -129,9 +131,11 @@ BM_SimHotCallPingPong(benchmark::State &state)
         });
         engine.run();
         sim_cycles += static_cast<double>(bed.totalSimCycles());
+        switches += static_cast<double>(engine.fiberSwitches());
         calls += kCalls;
     }
     reportSimRate(state, sim_cycles, calls);
+    state.counters["switches_per_call"] = switches / calls;
 }
 BENCHMARK(BM_SimHotCallPingPong);
 
@@ -140,7 +144,7 @@ BM_SimHotQueue4Requesters(benchmark::State &state)
 {
     constexpr int kRequesters = 4;
     constexpr int kCallsEach = 250;
-    double sim_cycles = 0, calls = 0;
+    double sim_cycles = 0, calls = 0, switches = 0;
     for (auto _ : state) {
         Bed bed;
         hotcalls::HotQueueConfig config;
@@ -164,9 +168,11 @@ BM_SimHotQueue4Requesters(benchmark::State &state)
         }
         engine.run();
         sim_cycles += static_cast<double>(bed.totalSimCycles());
+        switches += static_cast<double>(engine.fiberSwitches());
         calls += kRequesters * kCallsEach;
     }
     reportSimRate(state, sim_cycles, calls);
+    state.counters["switches_per_call"] = switches / calls;
 }
 BENCHMARK(BM_SimHotQueue4Requesters);
 

@@ -292,7 +292,7 @@ HotQueue::retireZombie(std::size_t index)
 }
 
 int
-HotQueue::tryServeBatch()
+HotQueue::tryServeBatch(std::vector<Grab> &batch)
 {
     auto &engine = machine_.engine();
 
@@ -311,12 +311,7 @@ HotQueue::tryServeBatch()
     // publish leash; each retirement prices its slot line, and every
     // iteration re-reads the cursors/states, so the interleaving the
     // charge allows stays consistent.
-    struct Grab {
-        std::size_t idx;
-        std::uint64_t epoch;
-    };
-    std::vector<Grab> batch;
-    batch.reserve(static_cast<std::size_t>(config_.maxBatch));
+    batch.clear();
     bool head_moved = false;
     while (static_cast<int>(batch.size()) < config_.maxBatch &&
            head_ != tail_) {
@@ -510,6 +505,8 @@ HotQueue::responderLoop(int index)
     // are far shorter than served batches, so a poll-count fraction
     // would look idle even on a saturated ring.
     auto *injector = machine_.fault();
+    std::vector<Grab> batch; // reused by every poll
+    batch.reserve(static_cast<std::size_t>(config_.maxBatch));
     std::uint64_t window_polls = 0;
     Cycles window_busy = 0;
     Cycles window_start = machine_.now();
@@ -523,7 +520,7 @@ HotQueue::responderLoop(int index)
             engine.advance(injector->delay(fault::Site::CursorStall));
         }
         const Cycles poll_start = machine_.now();
-        const int served = tryServeBatch();
+        const int served = tryServeBatch(batch);
         ++window_polls;
         if (served > 0)
             window_busy += machine_.now() - poll_start;

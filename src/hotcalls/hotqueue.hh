@@ -132,8 +132,16 @@ class HotQueue : public Channel
      *  members carry index -1: they never start parked). */
     void responderLoop(int index);
 
-    /** Serve up to maxBatch pending slots. @return slots served. */
-    int tryServeBatch();
+    /** A slot taken for serving, with the epoch it was taken at. */
+    struct Grab {
+        std::size_t idx;
+        std::uint64_t epoch;
+    };
+
+    /** Serve up to maxBatch pending slots, collected in @p batch (the
+     *  calling responder's scratch, cleared here: responders share the
+     *  queue and a batch spans suspensions). @return slots served. */
+    int tryServeBatch(std::vector<Grab> &batch);
 
     /** Publisher side: @return true when the head scan retired slot
      *  @p index (claimed at @p epoch) out from under a stalled

@@ -115,29 +115,29 @@ Engine::makeReady(Thread *thread, Cycles when)
 {
     thread->state_ = ThreadState::Ready;
     thread->readyTime_ = when;
-    cores_[static_cast<std::size_t>(thread->core_)].ready.push_back(
-        thread);
+    Core &core = cores_[static_cast<std::size_t>(thread->core_)];
+    // Strict `<`: an earlier arrival keeps a tie (FIFO).
+    if (core.ready.empty() ||
+        when < core.ready[core.candidate]->readyTime_)
+        core.candidate = core.ready.size();
+    core.ready.push_back(thread);
     // A new candidate may precede the running thread's horizon.
     if (running_)
         nextEventTime_ = std::min(nextEventTime_, when);
 }
 
-bool
-Engine::nextCandidate(const Core &core, Cycles &time,
-                      Thread *&thread) const
+void
+Engine::popCandidate(Core &core)
 {
-    if (core.ready.empty())
-        return false;
-    // Pick the ready thread with the earliest eligibility (FIFO on
-    // ties, which the stable scan preserves).
-    Thread *best = nullptr;
-    for (Thread *t : core.ready) {
-        if (!best || t->readyTime_ < best->readyTime_)
-            best = t;
+    auto &ready = core.ready;
+    ready.erase(ready.begin() +
+                static_cast<std::ptrdiff_t>(core.candidate));
+    // Earliest eligibility, first arrival on ties.
+    core.candidate = 0;
+    for (std::size_t i = 1; i < ready.size(); ++i) {
+        if (ready[i]->readyTime_ < ready[core.candidate]->readyTime_)
+            core.candidate = i;
     }
-    thread = best;
-    time = std::max(core.clock, best->readyTime_);
-    return true;
 }
 
 Engine::Selection
@@ -149,10 +149,11 @@ Engine::selectNext() const
     // otherMin so a post-dispatch horizon refresh only has to rescan
     // the winning core.
     for (std::size_t c = 0; c < cores_.size(); ++c) {
-        Cycles t;
-        Thread *th;
-        if (!nextCandidate(cores_[c], t, th))
+        const Core &core = cores_[c];
+        if (core.ready.empty())
             continue;
+        Thread *th = core.ready[core.candidate];
+        const Cycles t = std::max(core.clock, th->readyTime_);
         if (t < sel.time) {
             if (sel.thread)
                 sel.otherMin = std::min(sel.otherMin, sel.time);
@@ -177,16 +178,22 @@ Engine::selectNext() const
 }
 
 void
-Engine::updateNextEventAfterDispatch(const Selection &sel)
+Engine::dispatch(const Selection &sel)
 {
-    // Dispatch only changed the winning core (candidate removed,
-    // clock moved); every other core's candidate and the timeout
-    // minimum were already gathered by selectNext().
+    Core &core = cores_[sel.coreIdx];
+    popCandidate(core);
+    core.clock = sel.time;
+    sel.thread->state_ = ThreadState::Running;
+    running_ = sel.thread;
+    // Refresh the horizon: only the winning core changed (candidate
+    // removed, clock moved); every other core's candidate and the
+    // timeout minimum were already gathered by selectNext().
     Cycles next = std::min(sel.otherMin, sel.timeoutTime);
-    Cycles t;
-    Thread *th;
-    if (nextCandidate(cores_[sel.coreIdx], t, th))
-        next = std::min(next, t);
+    if (!core.ready.empty()) {
+        next = std::min(next, std::max(core.clock,
+                                       core.ready[core.candidate]
+                                           ->readyTime_));
+    }
     nextEventTime_ = next;
 }
 
@@ -232,10 +239,7 @@ Engine::run()
             continue;
         }
 
-        Thread *best_thread = sel.thread;
-        if (!best_thread) {
-            if (stopRequested_)
-                break;
+        if (!sel.thread) {
             std::string live;
             for (const auto &thread : threads_) {
                 if (thread->state_ != ThreadState::Done)
@@ -245,41 +249,29 @@ Engine::run()
                   live.c_str());
         }
 
-        // Dispatch.
-        Core &core = cores_[sel.coreIdx];
-        auto &ready = core.ready;
-        ready.erase(std::find(ready.begin(), ready.end(), best_thread));
-        core.clock = sel.time;
-        core.running = best_thread;
-        best_thread->state_ = ThreadState::Running;
-        running_ = best_thread;
-        updateNextEventAfterDispatch(sel);
+        dispatch(sel);
+        sel.thread->fiber_->switchTo();
+        // One swap in and one back; handoffs in between are counted
+        // by reschedule().
+        fiberSwitches_ += 2;
 
-        best_thread->fiber_->switchTo();
-
+        // Control is back from the thread that ran last — after
+        // handoffs, not necessarily the one dispatched above. It
+        // exited, or reschedule() left a stop, a timeout expiry or a
+        // deadlock to this loop.
+        Thread *last = running_;
         running_ = nullptr;
-        core.running = nullptr;
-        if (best_thread->fiber_->finished() ||
-            best_thread->state_ == ThreadState::Done) {
-            if (best_thread->state_ != ThreadState::Done) {
-                best_thread->state_ = ThreadState::Done;
-            }
+        if (last->fiber_->finished() ||
+            last->state_ == ThreadState::Done) {
+            last->state_ = ThreadState::Done;
             --liveThreads_;
             if (observer_)
-                observer_->onThreadExit(best_thread);
+                observer_->onThreadExit(last);
         }
     }
 
     g_current_engine = prev_engine;
     inRun_ = false;
-}
-
-Cycles
-Engine::now() const
-{
-    if (!running_)
-        return 0;
-    return cores_[static_cast<std::size_t>(running_->core_)].clock;
 }
 
 Cycles
@@ -289,46 +281,35 @@ Engine::coreNow(CoreId core) const
     return cores_[static_cast<std::size_t>(core)].clock;
 }
 
-bool
-Engine::tryFastResume(Thread *self)
-{
-    // The scheduler loop would re-check stopRequested_ before
-    // dispatching anyone; a pending stop must reach it.
-    if (stopRequested_)
-        return false;
-    const Selection sel = selectNext();
-    if (sel.expiresTimeout() || sel.thread != self)
-        return false;
-
-    // The scheduler's next decision is "run self at sel.time": do the
-    // dispatch bookkeeping in place and skip the fiber round-trip.
-    // running_/core.running still point at self.
-    Core &core = cores_[static_cast<std::size_t>(self->core_)];
-    hc_assert(!core.ready.empty() && core.ready.back() == self);
-    core.ready.pop_back();
-    self->state_ = ThreadState::Running;
-    core.clock = sel.time;
-    updateNextEventAfterDispatch(sel);
-    return true;
-}
-
 void
-Engine::switchOut()
+Engine::reschedule()
 {
     Thread *self = running_;
-    hc_assert(self);
-    self->fiber_->switchBack();
-    // Resumed: we are running again (scheduler restored bookkeeping) —
+    // The loop in run() re-checks stopRequested_ before dispatching
+    // anyone, and is the only place that expires timeouts and reports
+    // deadlock; only a plain dispatch happens here. Either way the
+    // decision is selectNext() on the same state.
+    const Selection sel =
+        stopRequested_ ? Selection{} : selectNext();
+    if (sel.thread && !sel.expiresTimeout()) {
+        dispatch(sel);
+        if (sel.thread == self)
+            return; // re-picked: keep running, no swap
+        ++fiberSwitches_;
+        self->fiber_->handoff(*sel.thread->fiber_);
+    } else {
+        self->fiber_->switchBack();
+    }
+    // Resumed by whoever dispatched us (bookkeeping already done) —
     // unless teardown resumed us solely to collapse this stack.
     if (unwinding_)
         throw ForcedUnwind{};
 }
 
 void
-Engine::maybeInterrupt()
+Engine::deliverInterrupts(Core &core)
 {
     Thread *self = running_;
-    Core &core = cores_[static_cast<std::size_t>(self->core_)];
     while (core.clock >= core.nextInterrupt) {
         ++interruptCount_;
         const Cycles at = core.nextInterrupt;
@@ -358,16 +339,13 @@ Engine::advance(Cycles cycles)
     hc_assert(self);
     Core &core = cores_[static_cast<std::size_t>(self->core_)];
     core.clock += cycles;
-    if (config_.interruptMeanCycles > 0)
-        maybeInterrupt();
+    if (core.clock >= core.nextInterrupt)
+        deliverInterrupts(core);
     if (core.clock >= nextEventTime_) {
-        // Another event precedes (or ties) our clock: let the
-        // scheduler interleave. We stay ready at our current time.
-        self->state_ = ThreadState::Ready;
-        self->readyTime_ = core.clock;
-        core.ready.push_back(self);
-        if (!tryFastResume(self))
-            switchOut();
+        // Another event precedes (or ties) our clock: interleave. We
+        // stay ready at our current time.
+        makeReady(self, core.clock);
+        reschedule();
     }
 }
 
@@ -381,11 +359,8 @@ Engine::yield()
     Core &core = cores_[static_cast<std::size_t>(self->core_)];
     if (core.ready.empty())
         return;
-    self->state_ = ThreadState::Ready;
-    self->readyTime_ = core.clock;
-    core.ready.push_back(self);
-    if (!tryFastResume(self))
-        switchOut();
+    makeReady(self, core.clock);
+    reschedule();
 }
 
 void
@@ -395,12 +370,8 @@ Engine::sleepUntil(Cycles when)
         return;
     Thread *self = running_;
     hc_assert(self);
-    Core &core = cores_[static_cast<std::size_t>(self->core_)];
-    self->state_ = ThreadState::Ready;
-    self->readyTime_ = std::max(when, core.clock);
-    core.ready.push_back(self);
-    if (!tryFastResume(self))
-        switchOut();
+    makeReady(self, std::max(when, now()));
+    reschedule();
 }
 
 void
@@ -415,7 +386,7 @@ Engine::wait(WaitQueue &queue)
     self->hasTimeout_ = false;
     self->timedOut_ = false;
     queue.waiters_.push_back(self);
-    switchOut();
+    reschedule();
 }
 
 bool
@@ -432,7 +403,7 @@ Engine::waitUntil(WaitQueue &queue, Cycles deadline)
     self->timedOut_ = false;
     queue.waiters_.push_back(self);
     timedWaiters_.push_back(self);
-    switchOut();
+    reschedule();
     return !self->timedOut_;
 }
 
@@ -467,7 +438,7 @@ Engine::exitThread()
     Thread *self = running_;
     hc_assert(self);
     self->state_ = ThreadState::Done;
-    switchOut();
+    self->fiber_->switchBack();
     panic("exited thread resumed");
 }
 

@@ -9,12 +9,15 @@
  * effective start time is globally minimal, so for a fixed seed every
  * run interleaves identically.
  *
- * Threads charge virtual time with advance(); advance() hands control
- * back to the scheduler whenever the local clock crosses the earliest
- * pending event elsewhere, which keeps cross-core shared-memory
- * interactions (the HotCalls channel, spin-locks) correctly ordered in
- * virtual time while costing a context switch only at real
- * interleaving points.
+ * Threads charge virtual time with advance(); advance() reschedules
+ * whenever the local clock crosses the earliest pending event
+ * elsewhere, which keeps cross-core shared-memory interactions (the
+ * HotCalls channel, spin-locks) correctly ordered in virtual time while
+ * costing a context switch only at real interleaving points. There the
+ * suspending thread makes the scheduling decision itself and hands its
+ * fiber straight to the winner (one swap); the scheduler loop in run()
+ * takes over only for thread exit, a pending stop, timeout expiry and
+ * deadlock.
  */
 
 #ifndef HC_SIM_ENGINE_HH
@@ -227,8 +230,14 @@ class Engine
     /** @return the currently running thread. */
     Thread *currentThread() const { return running_; }
 
-    /** @return the current thread's core clock, in cycles. */
-    Cycles now() const;
+    /** @return the current thread's core clock, in cycles (0 outside
+     *  the simulation). */
+    Cycles now() const
+    {
+        return running_
+                   ? cores_[static_cast<std::size_t>(running_->core_)].clock
+                   : 0;
+    }
 
     /** @return the clock of core @p core. */
     Cycles coreNow(CoreId core) const;
@@ -277,6 +286,12 @@ class Engine
     /** @return total interrupts delivered so far. */
     std::uint64_t interruptCount() const { return interruptCount_; }
 
+    /** @return fiber swaps made so far by run(): dispatches from the
+     *  scheduler loop, handoffs between threads, and returns to the
+     *  loop (by reschedule() or thread exit). Host-side only: no
+     *  simulated state depends on it. */
+    std::uint64_t fiberSwitches() const { return fiberSwitches_; }
+
     /** Install the scheduler event sink (null to detach). The
      *  observer must outlive the engine or be detached first. */
     void setObserver(EngineObserver *observer) { observer_ = observer; }
@@ -290,8 +305,14 @@ class Engine
   private:
     struct Core {
         Cycles clock = 0;
-        Thread *running = nullptr;
-        std::deque<Thread *> ready;
+        /** Ready threads in arrival order. */
+        std::vector<Thread *> ready;
+        /** Index in ready of the core's candidate: the earliest
+         *  readyTime_, the first arrival on ties. Valid while ready is
+         *  non-empty (queued readyTime_s never change). */
+        std::size_t candidate = 0;
+        /** Next timer interrupt; stays at the maximum when interrupts
+         *  are off, so the due test in advance() never fires. */
         Cycles nextInterrupt = std::numeric_limits<Cycles>::max();
     };
 
@@ -319,38 +340,38 @@ class Engine
     /** Move @p thread to Ready on its core, runnable at @p when. */
     void makeReady(Thread *thread, Cycles when);
 
+    /** Remove @p core's candidate from its ready queue and find the
+     *  next one. */
+    void popCandidate(Core &core);
+
     /** Compute the next scheduling decision (shared by the scheduler
-     *  loop and the re-pick-self fast path, so they cannot diverge). */
+     *  loop and reschedule(), so they cannot diverge). */
     Selection selectNext() const;
 
-    /** Refresh nextEventTime_ after dispatching @p sel's winner:
-     *  only the winning core's candidate changed, so combine its
-     *  rescan with the mins already gathered during selection. */
-    void updateNextEventAfterDispatch(const Selection &sel);
+    /**
+     * Make @p sel's winner the running thread: take it off its core's
+     * ready queue, move the core clock to its start time and refresh
+     * the horizon. The only dispatch routine; the caller then
+     * transfers control (the loop by switchTo(), a suspending thread
+     * by handoff() unless it won itself). Emits no observer events.
+     */
+    void dispatch(const Selection &sel);
 
     /**
-     * Fast path for a running thread that just re-queued itself on
-     * its own core (advance/yield/sleep): when the scheduler's next
-     * decision would re-pick that same thread, complete the dispatch
-     * bookkeeping in place and skip the two fiber switches. The
-     * observer sees nothing either way — dispatch emits no events.
-     * @return true when the thread keeps running (caller returns),
-     *         false when it must switchOut() to the scheduler.
+     * End a suspension point. The running thread has re-queued itself
+     * (advance/yield/sleepUntil) or parked (wait/waitUntil); decide
+     * who runs next, exactly as the scheduler loop would. A winning
+     * self keeps running; another winner is dispatched here and
+     * resumed by a direct fiber handoff. A pending stop, a winning
+     * timeout expiry or nothing runnable returns to the loop in run().
      */
-    bool tryFastResume(Thread *self);
+    void reschedule();
 
     /** Drop @p thread from the timed-waiter list (timeout cleared). */
     void dropTimedWaiter(Thread *thread);
 
-    /** Candidate (time, thread) for the next thread a core would run. */
-    bool nextCandidate(const Core &core, Cycles &time,
-                       Thread *&thread) const;
-
-    /** Yield from the running fiber back to the scheduler. */
-    void switchOut();
-
-    /** Deliver any interrupt due on the current core. */
-    void maybeInterrupt();
+    /** Deliver the interrupts due on @p core (running thread's). */
+    void deliverInterrupts(Core &core);
 
     Config config_;
     Rng rng_;
@@ -367,6 +388,7 @@ class Engine
     bool inRun_ = false;
     bool unwinding_ = false;
     std::uint64_t interruptCount_ = 0;
+    std::uint64_t fiberSwitches_ = 0;
     InterruptHandler interruptHandler_;
     EngineObserver *observer_ = nullptr;
 

@@ -155,56 +155,6 @@ Fiber::Fiber(Body body, std::size_t stack_size)
     started_ = true;
 }
 
-void
-Fiber::run()
-{
-#ifdef HC_ASAN_FIBERS
-    // First entry: complete the switch the resumer started and learn
-    // the host stack so switches back can announce their destination.
-    __sanitizer_finish_switch_fiber(nullptr, &asanHostBottom_,
-                                    &asanHostSize_);
-#endif
-    body_();
-    finished_ = true;
-#ifdef HC_ASAN_FIBERS
-    // Null save slot: the fiber is exiting, drop its fake stack.
-    __sanitizer_start_switch_fiber(nullptr, asanHostBottom_,
-                                   asanHostSize_);
-#endif
-    // Final hop back to whoever switched us in last; the frame saved
-    // through fiberSp_ is never resumed.
-    hcFiberSwap(&fiberSp_, hostSp_);
-}
-
-void
-Fiber::switchTo()
-{
-    hc_assert(started_ && !finished_);
-#ifdef HC_ASAN_FIBERS
-    void *fake = nullptr;
-    __sanitizer_start_switch_fiber(&fake, stack_.data(), stack_.size());
-#endif
-    hcFiberSwap(&hostSp_, fiberSp_);
-#ifdef HC_ASAN_FIBERS
-    __sanitizer_finish_switch_fiber(fake, nullptr, nullptr);
-#endif
-}
-
-void
-Fiber::switchBack()
-{
-    hc_assert(!finished_);
-#ifdef HC_ASAN_FIBERS
-    __sanitizer_start_switch_fiber(&asanFiberFake_, asanHostBottom_,
-                                   asanHostSize_);
-#endif
-    hcFiberSwap(&fiberSp_, hostSp_);
-#ifdef HC_ASAN_FIBERS
-    __sanitizer_finish_switch_fiber(asanFiberFake_, &asanHostBottom_,
-                                    &asanHostSize_);
-#endif
-}
-
 #else // !HC_FIBER_FAST
 
 // --- Portable backend: ucontext ------------------------------------
@@ -239,15 +189,35 @@ Fiber::trampoline(unsigned int hi, unsigned int lo)
     reinterpret_cast<Fiber *>(self)->run();
 }
 
+#endif // HC_FIBER_FAST
+
+// --- Switching, shared by both backends ----------------------------
+//
+// Only the raw transfer differs per backend. The return context (the
+// last switchTo() caller, normally the scheduler) is saved once per
+// switchTo() and copied into each fiber a handoff() resumes, so every
+// fiber's exit and switchBack() reach it however many handoffs ran in
+// between.
+
+void
+Fiber::arrive()
+{
+#ifdef HC_ASAN_FIBERS
+    // Restore this fiber's fake stack (null on first entry). After a
+    // switchTo() the resumer is the return context: learn its stack
+    // bounds. After a handoff() they arrived with the return context;
+    // the resuming fiber's own stack must not replace them.
+    const bool learn = asanHostBottom_ == nullptr;
+    __sanitizer_finish_switch_fiber(asanFiberFake_,
+                                    learn ? &asanHostBottom_ : nullptr,
+                                    learn ? &asanHostSize_ : nullptr);
+#endif
+}
+
 void
 Fiber::run()
 {
-#ifdef HC_ASAN_FIBERS
-    // First entry: complete the switch the resumer started and learn
-    // the host stack so switches back can announce their destination.
-    __sanitizer_finish_switch_fiber(nullptr, &asanHostBottom_,
-                                    &asanHostSize_);
-#endif
+    arrive();
     body_();
     finished_ = true;
 #ifdef HC_ASAN_FIBERS
@@ -255,8 +225,12 @@ Fiber::run()
     __sanitizer_start_switch_fiber(nullptr, asanHostBottom_,
                                    asanHostSize_);
 #endif
-    // Returning lets ucontext jump to uc_link (= returnContext_),
-    // resuming whoever switched us in last.
+#ifdef HC_FIBER_FAST
+    // Final hop to the return context; the frame saved through
+    // fiberSp_ is never resumed.
+    hcFiberSwap(&fiberSp_, hostSp_);
+#endif
+    // ucontext: returning jumps to uc_link (= returnContext_).
 }
 
 void
@@ -264,11 +238,16 @@ Fiber::switchTo()
 {
     hc_assert(started_ && !finished_);
 #ifdef HC_ASAN_FIBERS
+    asanHostBottom_ = nullptr;
     void *fake = nullptr;
     __sanitizer_start_switch_fiber(&fake, stack_.data(), stack_.size());
 #endif
+#ifdef HC_FIBER_FAST
+    hcFiberSwap(&hostSp_, fiberSp_);
+#else
     if (swapcontext(&returnContext_, &context_) != 0)
         panic("swapcontext into fiber failed");
+#endif
 #ifdef HC_ASAN_FIBERS
     __sanitizer_finish_switch_fiber(fake, nullptr, nullptr);
 #endif
@@ -282,14 +261,40 @@ Fiber::switchBack()
     __sanitizer_start_switch_fiber(&asanFiberFake_, asanHostBottom_,
                                    asanHostSize_);
 #endif
+#ifdef HC_FIBER_FAST
+    hcFiberSwap(&fiberSp_, hostSp_);
+#else
     if (swapcontext(&context_, &returnContext_) != 0)
         panic("swapcontext out of fiber failed");
-#ifdef HC_ASAN_FIBERS
-    __sanitizer_finish_switch_fiber(asanFiberFake_, &asanHostBottom_,
-                                    &asanHostSize_);
 #endif
+    arrive();
 }
 
-#endif // HC_FIBER_FAST
+void
+Fiber::handoff(Fiber &next)
+{
+    hc_assert(!finished_ && &next != this && next.started_ &&
+              !next.finished_);
+#ifdef HC_ASAN_FIBERS
+    next.asanHostBottom_ = asanHostBottom_;
+    next.asanHostSize_ = asanHostSize_;
+    __sanitizer_start_switch_fiber(&asanFiberFake_, next.stack_.data(),
+                                   next.stack_.size());
+#endif
+#ifdef HC_FIBER_FAST
+    next.hostSp_ = hostSp_;
+    hcFiberSwap(&fiberSp_, next.fiberSp_);
+#else
+    // uc_link was fixed at makecontext to next's own returnContext_,
+    // so the return context is copied there. glibc may leave the
+    // copy's FP-state pointer aimed at the original, which keeps its
+    // contents while the return context stays suspended; no copy is
+    // resumed after that.
+    next.returnContext_ = returnContext_;
+    if (swapcontext(&context_, &next.context_) != 0)
+        panic("swapcontext between fibers failed");
+#endif
+    arrive();
+}
 
 } // namespace hc::sim

@@ -43,9 +43,12 @@ namespace hc::sim {
 /**
  * A suspendable execution context with its own stack.
  *
- * The fiber starts suspended; the owner resumes it with switchTo() and
- * the fiber gives control back via switchBack() (or by returning from
- * its body, which marks it finished).
+ * The fiber starts suspended; the owner (the scheduler, or any host
+ * context) resumes it with switchTo() and the fiber gives control back
+ * via switchBack() (or by returning from its body, which marks it
+ * finished). A fiber may instead pass control straight to another
+ * fiber with handoff(); the scheduler's return context travels along,
+ * so whichever fiber runs last still returns to the scheduler.
  */
 class Fiber
 {
@@ -71,10 +74,20 @@ class Fiber
     void switchTo();
 
     /**
-     * Transfer control from inside the fiber back to whatever context
-     * last resumed it. Must be called from inside this fiber.
+     * Transfer control from inside the fiber back to the context that
+     * last called switchTo() on it or on any fiber that handed off to
+     * it. Must be called from inside this fiber.
      */
     void switchBack();
+
+    /**
+     * Transfer control from inside this fiber straight into @p next,
+     * a different suspended, unfinished fiber. @p next inherits this
+     * fiber's return context, so its switchBack() or exit reaches the
+     * context that resumed this one. Returns when this fiber is
+     * resumed again, by switchTo() or by another fiber's handoff().
+     */
+    void handoff(Fiber &next);
 
     /** @return true once the fiber body has returned. */
     bool finished() const { return finished_; }
@@ -90,15 +103,20 @@ class Fiber
 #endif
     void run();
 
+    /** Complete a switch into this fiber (ASan bookkeeping only). */
+    void arrive();
+
     Body body_;
     std::vector<std::uint8_t> stack_;
 #ifdef HC_FIBER_FAST
     /** Saved stack pointer of the suspended fiber. */
     void *fiberSp_ = nullptr;
-    /** Saved stack pointer of whoever last resumed the fiber. */
+    /** Saved stack pointer of the return context (the last switchTo()
+     *  caller; handoff() passes it on). */
     void *hostSp_ = nullptr;
 #else
     ucontext_t context_;
+    /** The return context, also the uc_link target on exit. */
     ucontext_t returnContext_;
 #endif
     bool started_ = false;
@@ -107,7 +125,10 @@ class Fiber
     // AddressSanitizer bookkeeping: ASan must be told about every
     // stack switch (__sanitizer_start/finish_switch_fiber), or frames
     // on the heap-allocated fiber stacks are reported as
-    // stack-buffer-overflows. Unused in non-ASan builds.
+    // stack-buffer-overflows. The host-stack bounds belong to the
+    // return context and travel with it through handoff(); a null
+    // bottom means "learn them on arrival" (set by switchTo()).
+    // Unused in non-ASan builds.
     void *asanFiberFake_ = nullptr;
     const void *asanHostBottom_ = nullptr;
     std::size_t asanHostSize_ = 0;

@@ -1,11 +1,14 @@
 /**
  * @file
  * Tests for the discrete-event engine: fibers, virtual-time
- * scheduling, blocking, timeouts, determinism, interrupts.
+ * scheduling, blocking, timeouts, determinism, interrupts, and the
+ * direct fiber handoff between threads.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -44,6 +47,40 @@ TEST(Fiber, SuspendsAndResumes)
     fiber.switchTo();
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
     EXPECT_TRUE(fiber.finished());
+}
+
+TEST(Fiber, HandoffPassesOnTheReturnContext)
+{
+    // a hands off to b (first entry, then exit) and later to c
+    // (switchBack): both must come back here, not to a.
+    std::vector<int> order;
+    Fiber *self_c = nullptr;
+    Fiber b([&] { order.push_back(2); });
+    Fiber c([&] {
+        order.push_back(5);
+        self_c->switchBack();
+        order.push_back(8);
+    });
+    self_c = &c;
+    Fiber *self_a = nullptr;
+    Fiber a([&] {
+        order.push_back(1);
+        self_a->handoff(b);
+        order.push_back(4);
+        self_a->handoff(c);
+        order.push_back(7);
+    });
+    self_a = &a;
+    a.switchTo();
+    order.push_back(3);
+    EXPECT_TRUE(b.finished());
+    a.switchTo();
+    order.push_back(6);
+    a.switchTo();
+    EXPECT_TRUE(a.finished());
+    c.switchTo();
+    EXPECT_TRUE(c.finished());
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6, 7, 8}));
 }
 
 // ----------------------------------------------------------------------
@@ -458,3 +495,217 @@ TEST_P(EngineCores, NotificationOrderIsFifo)
 
 INSTANTIATE_TEST_SUITE_P(CoreCounts, EngineCores,
                          ::testing::Values(1, 2, 4, 8, 16));
+
+// ----------------------------------------------------------------------
+// Direct handoff: a suspending thread dispatches the next one itself;
+// the scheduler loop runs only for exit, stop, timeout expiry and
+// deadlock.
+// ----------------------------------------------------------------------
+
+namespace {
+
+/** One trace record: a thread ran on its core at a time. */
+struct Step {
+    std::string name;
+    CoreId core;
+    Cycles at;
+
+    bool operator==(const Step &) const = default;
+};
+
+/** @p steps in the order the engine must run them: by time, ties to
+ *  the lower core (stable, so each thread keeps its own order). */
+std::vector<Step>
+mergeByTimeThenCore(std::vector<Step> steps)
+{
+    std::stable_sort(steps.begin(), steps.end(),
+                     [](const Step &x, const Step &y) {
+                         return x.at != y.at ? x.at < y.at
+                                             : x.core < y.core;
+                     });
+    return steps;
+}
+
+/** Counts onThreadExit per thread name. */
+class ExitCounter : public EngineObserver
+{
+  public:
+    void onSpawn(Thread *, Thread *) override {}
+    void onWake(Thread *, Thread *) override {}
+    void onThreadExit(Thread *thread) override { ++exits[thread->name()]; }
+
+    std::map<std::string, int> exits;
+};
+
+constexpr Cycles kLeapfrogSteps[] = {30, 70, 110};
+constexpr int kLeapfrogRecords = 200;
+
+/** Three threads on three cores, each recording (name, core, now())
+ *  and then advancing by its own fixed step. */
+std::vector<Step>
+runLeapfrog(Engine &engine)
+{
+    std::vector<Step> trace;
+    for (int c = 0; c < 3; ++c) {
+        const std::string name(1, static_cast<char>('a' + c));
+        engine.spawn(name, c, [&, name, c] {
+            for (int i = 0; i < kLeapfrogRecords; ++i) {
+                trace.push_back({name, c, engine.now()});
+                engine.advance(kLeapfrogSteps[c]);
+            }
+        });
+    }
+    engine.run();
+    return trace;
+}
+
+} // anonymous namespace
+
+TEST(Handoff, LeapfrogTraceIsTheTimeOrderedMerge)
+{
+    Engine::Config config;
+    config.numCores = 3;
+    Engine engine(config);
+    const std::vector<Step> trace = runLeapfrog(engine);
+
+    std::vector<Step> reference;
+    for (int c = 0; c < 3; ++c) {
+        for (int i = 0; i < kLeapfrogRecords; ++i) {
+            reference.push_back({std::string(1, static_cast<char>('a' + c)),
+                                 c,
+                                 static_cast<Cycles>(i) * kLeapfrogSteps[c]});
+        }
+    }
+    EXPECT_EQ(trace, mergeByTimeThenCore(reference));
+}
+
+TEST(Handoff, LeapfrogTraceIsTheTimeOrderedMergeWithInterrupts)
+{
+    // Interrupt handlers shift each core's clock by amounts drawn from
+    // the shared RNG, so the reference merges the threads' own
+    // recorded sequences.
+    Engine::Config config;
+    config.numCores = 3;
+    config.seed = 5;
+    config.interruptMeanCycles = 500;
+    Engine engine(config);
+    engine.setInterruptHandler([](CoreId, Cycles) { return Cycles{37}; });
+    const std::vector<Step> trace = runLeapfrog(engine);
+
+    ASSERT_EQ(trace.size(), 3u * kLeapfrogRecords);
+    EXPECT_GT(engine.interruptCount(), 10u);
+    EXPECT_EQ(trace, mergeByTimeThenCore(trace));
+}
+
+TEST(Handoff, ThreadStartedByHandoffExitsOnce)
+{
+    ExitCounter observer; // outlives the engine
+    Engine engine;
+    engine.setObserver(&observer);
+    Thread *parent = nullptr;
+    Thread *child = nullptr;
+    ThreadState parent_at_child_start = ThreadState::Done;
+    parent = engine.spawn("parent", 0, [&] {
+        child = engine.spawn("child", 1, [&] {
+            parent_at_child_start = parent->state();
+            engine.advance(10);
+        });
+        // Crossing the child's start time hands the parent's fiber
+        // straight to it: run() never dispatches the child.
+        engine.advance(100);
+        engine.advance(100);
+    });
+    engine.run();
+    EXPECT_EQ(parent_at_child_start, ThreadState::Ready);
+    ASSERT_NE(child, nullptr);
+    EXPECT_EQ(child->state(), ThreadState::Done);
+    EXPECT_EQ(observer.exits["child"], 1);
+    EXPECT_EQ(observer.exits["parent"], 1);
+    EXPECT_EQ(engine.liveThreads(), 0u);
+}
+
+TEST(Handoff, StopUnwindsFibersSuspendedInHandoff)
+{
+    struct Local {
+        int &destroyed;
+        ~Local() { ++destroyed; }
+    };
+    int destroyed = 0;
+    Engine::Config config;
+    config.numCores = 3;
+    Engine engine(config);
+    for (int c = 0; c < 3; ++c) {
+        engine.spawn("t" + std::to_string(c), c, [&, c] {
+            Local local{destroyed};
+            for (;;) {
+                engine.advance(100 + static_cast<Cycles>(c));
+                if (c == 0 && engine.now() >= 5'000)
+                    engine.stop();
+            }
+        });
+    }
+    engine.run();
+    // The threads never exit, so only the stop returned to run():
+    // both other fibers last suspended inside a handoff.
+    EXPECT_TRUE(engine.stopRequested());
+    EXPECT_EQ(engine.liveThreads(), 3u);
+    EXPECT_EQ(destroyed, 0);
+    engine.unwindStranded();
+    EXPECT_EQ(destroyed, 3);
+    EXPECT_EQ(engine.liveThreads(), 0u);
+}
+
+TEST(Handoff, TimeoutBetweenLeapfrogStepsExpiresOnTime)
+{
+    Engine engine;
+    WaitQueue never_notified;
+    std::vector<Step> trace;
+    for (int c = 0; c < 2; ++c) {
+        const std::string name = c ? "b" : "a";
+        engine.spawn(name, c, [&, name, c] {
+            for (int i = 0; i < 20; ++i) {
+                trace.push_back({name, c, engine.now()});
+                engine.advance(100);
+            }
+        });
+    }
+    bool notified = true;
+    Thread *waiter = engine.spawn("waiter", 2, [&] {
+        notified = engine.waitUntil(never_notified, 1'050);
+        trace.push_back({"waiter", 2, engine.now()});
+    });
+    engine.run();
+    EXPECT_FALSE(notified);
+    EXPECT_TRUE(waiter->timedOut());
+    const auto woke = std::find_if(
+        trace.begin(), trace.end(),
+        [](const Step &step) { return step.name == "waiter"; });
+    ASSERT_NE(woke, trace.end());
+    EXPECT_EQ(woke->at, 1'050u);
+    // Between the leapfrog's steps at 1,000 and 1,100.
+    EXPECT_EQ(trace, mergeByTimeThenCore(trace));
+}
+
+TEST(Handoff, LeapfrogCostsOneSwapPerInterleaving)
+{
+    Engine engine;
+    std::vector<std::string> ran; // who held control, in order
+    for (int c = 0; c < 2; ++c) {
+        const std::string name = c ? "b" : "a";
+        engine.spawn(name, c, [&, name] {
+            ran.push_back(name);
+            for (int i = 0; i < 500; ++i) {
+                engine.advance(100);
+                ran.push_back(name);
+            }
+        });
+    }
+    engine.run();
+    std::uint64_t interleavings = 0;
+    for (std::size_t i = 1; i < ran.size(); ++i)
+        interleavings += ran[i] != ran[i - 1];
+    EXPECT_GE(interleavings, 1'000u); // every step crosses the other
+    // One swap per interleaving plus one per thread start and exit;
+    // a detour through the scheduler would cost two per interleaving.
+    EXPECT_LE(engine.fiberSwitches(), interleavings + 2 * 2);
+}
