@@ -82,7 +82,7 @@ fastPathConfig(double measure_sec)
     AppRunConfig config;
     config.mode = port::Mode::SgxHotCalls;
     config.noRedundantZeroing = true;
-    config.fastPath = 1;
+    config.fastPath = true;
     config.measureSec = measure_sec;
     return config;
 }
@@ -93,7 +93,7 @@ configLabel(const AppRunConfig &config)
     std::string label = port::modeName(config.mode);
     if (config.noRedundantZeroing)
         label += "+nrz";
-    if (config.fastPath > 0)
+    if (config.fastPath)
         label += "+fastpath";
     return label;
 }

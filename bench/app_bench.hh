@@ -26,10 +26,10 @@ namespace hc::bench {
 struct AppRunConfig {
     port::Mode mode = port::Mode::Native;
     bool noRedundantZeroing = false;
-    /** FastPath data plane for the hot channels (0/1, forwarded to
-     *  PortConfig). Defaults to 0 — the paper bars measure the legacy
-     *  data plane and stay bit-identical regardless of HC_FASTPATH. */
-    int fastPath = 0;
+    /** FastPath data plane for the hot channels (forwarded to
+     *  PortConfig). Off by default: the paper bars measure the SDK's
+     *  own marshalling, the data plane the paper ran. */
+    bool fastPath = false;
     double warmupSec = 0.04;
     double measureSec = 0.25;
     std::uint64_t seed = 7;

@@ -74,8 +74,8 @@ runPoint(const fault::FaultPlan &plan, const Policy &policy, int calls)
 {
     TestBed bed(/*with_interrupts=*/false, {}, /*seed=*/42,
                 [&](mem::MachineConfig &mc) {
-                    mc.guard.mode =
-                        (policy.adaptive || policy.quarantine) ? 1 : 0;
+                    mc.guard.enabled =
+                        policy.adaptive || policy.quarantine;
                     if (!policy.quarantine) {
                         // Push the streak threshold out of reach: the
                         // budget adapts but the channel never degrades.

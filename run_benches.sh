@@ -49,9 +49,6 @@ args_for() {
         [ "$QUICK" = 1 ] && echo "--runs=30" || echo "" ;;
       bench_ablation_fastpath)
         [ "$QUICK" = 1 ] && echo "--runs=200" || echo "" ;;
-      bench_ablation_bulkspan)
-        [ "$QUICK" = 1 ] && echo "--benchmark_min_time=0.05" \
-                         || echo "--benchmark_min_time=0.2" ;;
       bench_ablation_speculative_mee)
         [ "$QUICK" = 1 ] && echo "--runs=40" || echo "" ;;
       bench_hotqueue_scaling)

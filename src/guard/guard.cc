@@ -1,7 +1,7 @@
 /**
  * @file
  * Sentinel implementation (the decision logic is header-inline; this
- * file holds the switch resolution and the reporting helpers).
+ * file holds the reporting helpers).
  */
 
 #include "guard/guard.hh"
@@ -9,17 +9,7 @@
 #include <algorithm>
 #include <sstream>
 
-#include "support/env.hh"
-
 namespace hc::guard {
-
-bool
-resolveGuard(int config_value)
-{
-    if (config_value >= 0)
-        return config_value != 0;
-    return envFlagOr("HC_GUARD", true);
-}
 
 GuardStats
 Sentinel::totals() const

@@ -89,10 +89,9 @@ struct TimeoutPolicy {
 
 /** Sentinel tunables (mem::MachineConfig::guard). */
 struct GuardConfig {
-    /** Tri-state switch: -1 = auto (HC_GUARD env, default on),
-     *  0 = off (no Sentinel, bit-identical to the unguarded plane),
-     *  1 = on. */
-    int mode = -1;
+    /** Off: no Sentinel, bit-identical to the unguarded plane on
+     *  quiet runs. */
+    bool enabled = true;
     /** Consecutive fallbacks before the channel is quarantined. */
     int quarantineAfter = 8;
     /** Cycles between quarantine probes (first probe interval). */
@@ -112,13 +111,6 @@ struct GuardConfig {
     /** Total respawn budget per channel (runaway guard brake). */
     int maxRespawns = 4;
 };
-
-/**
- * Resolve the Sentinel switch: an explicit config value (0 or 1)
- * wins; -1 consults the HC_GUARD environment variable (strictly
- * parsed, warn-once on garbage) and defaults to ON.
- */
-bool resolveGuard(int config_value);
 
 /** Per-channel supervision counters (ChannelGuard::stats()). */
 struct GuardStats {

@@ -5,8 +5,6 @@
 
 #include "hotcalls/channel.hh"
 
-#include "support/env.hh"
-
 namespace hc::hotcalls {
 
 namespace {
@@ -20,14 +18,6 @@ roundUpToLines(std::uint64_t bytes)
 }
 
 } // anonymous namespace
-
-bool
-resolveFastPath(int config_value)
-{
-    if (config_value >= 0)
-        return config_value != 0;
-    return envFlagOr("HC_FASTPATH", true);
-}
 
 Channel::Channel(sdk::EnclaveRuntime &runtime, Kind kind)
     : runtime_(runtime), machine_(runtime.platform().machine()),
@@ -96,7 +86,7 @@ Channel::allocLine()
 void
 Channel::allocStaging(std::size_t count, check::HotQueueProtocol *shadow)
 {
-    if (!resolveFastPath(knobs_->fastPath))
+    if (!knobs_->fastPath)
         return;
     const bool is_ocall = kind_ == Kind::HotOcall;
     const std::uint64_t inline_bytes =

@@ -42,15 +42,6 @@ enum class Kind {
     HotOcall, //!< trusted requester -> untrusted responder
 };
 
-/**
- * Resolve a channel's FastPath switch: an explicit config value (0 or
- * 1) wins; -1 consults the HC_FASTPATH environment variable and
- * defaults to ON for hot channels. With the switch off a channel is
- * bit-identical to the pre-FastPath implementation (same allocations,
- * same charges, same RNG draws).
- */
-bool resolveFastPath(int config_value);
-
 /** Tunables every hot channel has (paper Section 4.2, FastPath). */
 struct ChannelConfig {
     /** Timeout policy (shared with the porting layer): the fixed spin
@@ -63,10 +54,10 @@ struct ChannelConfig {
      *  call (TLB shootdowns, SMIs, ...); feeds the CDF tail. */
     double hiccupChance = 0.012;
     Cycles hiccupMean = 230;
-    /** FastPath data plane switch: -1 = auto (HC_FASTPATH env,
-     *  default on), 0 = off (legacy marshalling, bit-identical to the
-     *  pre-FastPath channel), 1 = on. */
-    int fastPath = -1;
+    /** FastPath data plane. Off is the SDK's own marshalling into
+     *  heap staging per call, bit-identical to the pre-FastPath
+     *  channel (same allocations, same charges, same RNG draws). */
+    bool fastPath = true;
     /** Payload bytes carried inline beside each protocol line
      *  (rounded up to whole cache lines); 0 disables inline staging.
      *  HotOcall only: HotEcall staging must live in enclave memory,
@@ -177,8 +168,9 @@ class Channel
     /**
      * Issue a call through the channel; falls back to the
      * conventional SDK call when the channel cannot take it within the
-     * attempt budget. A HotOcall must run in enclave mode (it replaces
-     * EnclaveRuntime::ocall), a HotEcall outside.
+     * attempt budget, or once stop() was requested. A HotOcall must
+     * run in enclave mode (it replaces EnclaveRuntime::ocall), a
+     * HotEcall outside.
      * @return the callee's scalar return value
      */
     virtual std::uint64_t call(int id, const edl::Args &args) = 0;
@@ -236,8 +228,8 @@ class Channel
     /**
      * Enforce HotOcall enclave mode, route through Sentinel, charge
      * the requester glue and fix the attempt budget.
-     * @return false when the call is shed (already counted; answer it
-     *         with sdkCall())
+     * @return false when the call is shed, or the channel's stop was
+     *         requested (already counted; answer it with sdkCall())
      */
     bool admit(Admission &adm);
 
@@ -377,6 +369,13 @@ Channel::admit(Admission &adm)
     if (kind_ == Kind::HotOcall &&
         !runtime_.platform().inEnclave(machine_.currentCore())) {
         throw sgx::SgxFault("HotOcall issued outside enclave mode");
+    }
+    // A stopped channel's responders have exited or are leaving: no
+    // one would ever serve a request published now. Send the call
+    // straight to the SDK, counted as a fallback with zero attempts.
+    if (stopRequested_) {
+        ++counters_->fallbacks;
+        return false;
     }
     // Sentinel routing: a quarantined channel sheds straight to the
     // SDK with zero spin waste (counted as a fallback that spent no

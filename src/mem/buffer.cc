@@ -68,14 +68,6 @@ Buffer::evict() const
 }
 
 Cycles
-Buffer::readRange(std::uint64_t offset, std::uint64_t len) const
-{
-    hc_assert(offset <= bytes_.size() &&
-              len <= bytes_.size() - offset);
-    return machine_->memory().readBuffer(addr_ + offset, len);
-}
-
-Cycles
 Buffer::writeRange(std::uint64_t offset, std::uint64_t len,
                    bool flush_after)
 {
@@ -83,14 +75,6 @@ Buffer::writeRange(std::uint64_t offset, std::uint64_t len,
               len <= bytes_.size() - offset);
     return machine_->memory().writeBuffer(addr_ + offset, len,
                                           flush_after);
-}
-
-void
-Buffer::evictRange(std::uint64_t offset, std::uint64_t len) const
-{
-    hc_assert(offset <= bytes_.size() &&
-              len <= bytes_.size() - offset);
-    machine_->memory().evictRange(addr_ + offset, len);
 }
 
 } // namespace hc::mem

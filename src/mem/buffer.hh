@@ -52,23 +52,11 @@ class Buffer
     /** Evict the buffer from the LLC (experiment setup; no cycles). */
     void evict() const;
 
-    // ------------------------------------------------------------------
-    // Range slices: the same priced operations over [offset,
-    // offset+len) of the buffer, for consumers that transfer a part
-    // of a larger allocation (e.g. a payload behind a header). They
-    // go through the MemoryModel bulk ops, so the BulkSpan plane
-    // applies to them like to the whole-buffer forms.
-    // ------------------------------------------------------------------
-
-    /** Priced sequential read of [offset, offset+len). */
-    Cycles readRange(std::uint64_t offset, std::uint64_t len) const;
-
-    /** Priced sequential write of [offset, offset+len). */
+    /** Priced sequential write of [offset, offset+len) only, for a
+     *  consumer that transfers part of a larger allocation (e.g. a
+     *  payload behind a header). */
     Cycles writeRange(std::uint64_t offset, std::uint64_t len,
                       bool flush_after = false);
-
-    /** Evict [offset, offset+len) from the LLC (no cycles). */
-    void evictRange(std::uint64_t offset, std::uint64_t len) const;
 
   private:
     Machine *machine_ = nullptr;

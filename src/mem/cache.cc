@@ -190,19 +190,4 @@ CacheModel::flushAll()
     spanMemos_.clear();
 }
 
-void
-CacheModel::flushRange(Addr addr, std::uint64_t len)
-{
-    if (len == 0)
-        return;
-    // Count-based loop: an inclusive end address would make a range
-    // ending at the top of the address space wrap and never exit.
-    const Addr first = lineAddr(addr);
-    const std::uint64_t count =
-        ((addr + len - 1) / lineSize_) - (first / lineSize_) + 1;
-    Addr line = first;
-    for (std::uint64_t i = 0; i < count; ++i, line += lineSize_)
-        flushLine(line);
-}
-
 } // namespace hc::mem

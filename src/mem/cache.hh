@@ -59,9 +59,9 @@ class CacheModel
     Result access(CoreId core, Addr addr, bool write);
 
     /**
-     * Bulk-span access plane: probe @p count consecutive lines
-     * starting at @p first_line (line-aligned), invoking
-     * @p on_line(line_addr, result) for each in ascending order.
+     * Bulk-span access: probe @p count consecutive lines starting at
+     * @p first_line (line-aligned), invoking @p on_line(line_addr,
+     * result) for each in ascending order.
      *
      * Bit-identical to @p count calls of access(): same outcomes,
      * same hit/miss counters, same LRU (lastUse) evolution, same
@@ -142,11 +142,11 @@ class CacheModel
     }
 
     /**
-     * Bulk-span flush plane: flushLine() over @p count consecutive
-     * lines from @p first_line, invoking @p on_line(line_addr,
-     * was_dirty) for each in ascending order. Bit-identical state and
-     * results; a valid span memo turns the per-line set scans into
-     * direct way invalidations.
+     * Bulk-span flush: flushLine() over @p count consecutive lines
+     * from @p first_line, invoking @p on_line(line_addr, was_dirty)
+     * for each in ascending order. Bit-identical state and results; a
+     * valid span memo turns the per-line set scans into direct way
+     * invalidations.
      */
     template <typename OnLine>
     void flushSpan(Addr first_line, std::uint64_t count,
@@ -191,9 +191,6 @@ class CacheModel
 
     /** Invalidate the whole cache (cold-cache experiments). */
     void flushAll();
-
-    /** Invalidate every line overlapping [addr, addr+len). */
-    void flushRange(Addr addr, std::uint64_t len);
 
     std::uint64_t hits() const { return hits_; }
     std::uint64_t misses() const { return misses_; }

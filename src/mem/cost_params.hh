@@ -105,17 +105,6 @@ struct CostParams {
     // ------------------------------------------------------------------
     Cycles epcPageFault = 12'000;
 
-    /**
-     * BulkSpan host-side plane for readBuffer/writeBuffer/evictRange:
-     * range-batched LLC probes and MEE walks instead of fully
-     * independent per-line ones. Unlike HC_FASTPATH this is NOT a
-     * model change — both positions produce bit-identical simulated
-     * cycles and stats (pinned by test_determinism) — so the switch
-     * exists purely for ablation and falsification. Tri-state:
-     * -1 = follow HC_BULKSPAN, defaulting to on; 0 = off; 1 = on.
-     */
-    int bulkSpanMode = -1;
-
     // ------------------------------------------------------------------
     // OS reference costs (Section 1: FlexSC / KVM comparisons).
     // ------------------------------------------------------------------

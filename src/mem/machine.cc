@@ -34,7 +34,7 @@ Machine::Machine(MachineConfig config)
             check_->onFree(addr, size);
         });
     }
-    if (guard::resolveGuard(config_.guard.mode))
+    if (config_.guard.enabled)
         guard_ = std::make_unique<guard::Sentinel>(config_.guard);
 }
 

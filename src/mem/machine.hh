@@ -37,8 +37,8 @@ struct MachineConfig {
      *  panic-on-violation) unless the config enables it explicitly. */
     check::CheckConfig check;
     /** Sentinel supervision layer (src/guard). On by default
-     *  (guard.mode = -1 consults HC_GUARD); quiet runs stay
-     *  bit-identical with it on or off. */
+     *  (guard.enabled); quiet runs stay bit-identical with it on or
+     *  off. */
     guard::GuardConfig guard;
 };
 

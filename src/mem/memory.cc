@@ -8,7 +8,6 @@
 #include <cmath>
 
 #include "check/check.hh"
-#include "support/env.hh"
 #include "support/logging.hh"
 
 namespace hc::mem {
@@ -19,9 +18,6 @@ MemoryModel::MemoryModel(sim::Engine &engine, AddressSpace &space,
       cache_(params.llcSize, params.llcWays),
       mee_(params_, AddressSpace::kEpcBase, params.epcVirtualSize, seed)
 {
-    bulkSpan_ = params_.bulkSpanMode < 0
-                    ? envFlagOr("HC_BULKSPAN", true)
-                    : params_.bulkSpanMode != 0;
 }
 
 Cycles
@@ -102,13 +98,9 @@ MemoryModel::readBuffer(Addr addr, std::uint64_t len, bool charge_time)
     const Addr first = addr & ~(kCacheLineSize - 1);
     const std::uint64_t count = spanLines(addr, len);
 
-    // One per-line pricing routine shared by both planes, so the cost
-    // additions are the same operations in the same order by
-    // construction (the single-rounding-point contract: see
-    // roundCost()). The planes differ only in how the cache outcome
-    // and MEE walk are computed, never in what they return.
-    const auto price = [&](Addr line, const CacheModel::Result &result,
-                           bool span) {
+    // Costs add in ascending line order and round once, at the end
+    // (the single-rounding-point contract: see roundCost()).
+    const auto price = [&](Addr line, const CacheModel::Result &result) {
         handleEviction(result);
         switch (result.outcome) {
           case CacheOutcome::OwnedHit:
@@ -121,9 +113,7 @@ MemoryModel::readBuffer(Addr addr, std::uint64_t len, bool charge_time)
             cost += params_.seqReadPerLine;
             if (epc) {
                 verifyFetched(line);
-                const int walk_misses =
-                    span ? mee_.spanWalkMisses(line)
-                         : mee_.readWalkMisses(line);
+                const int walk_misses = mee_.spanWalkMisses(line);
                 const double spec_pipe =
                     params_.meeSpeculativeLoading
                         ? params_.speculativePipelineFactor
@@ -141,19 +131,7 @@ MemoryModel::readBuffer(Addr addr, std::uint64_t len, bool charge_time)
             break;
         }
     };
-
-    if (bulkSpan_) {
-        cache_.accessSpan(core, first, count, false,
-                          [&](Addr line,
-                              const CacheModel::Result &result) {
-                              price(line, result, true);
-                          });
-    } else {
-        Addr line = first;
-        for (std::uint64_t i = 0; i < count;
-             ++i, line += kCacheLineSize)
-            price(line, cache_.access(core, line, false), false);
-    }
+    cache_.accessSpan(core, first, count, false, price);
 
     const Cycles cycles = roundCost(cost);
     if (charge_time)
@@ -176,9 +154,7 @@ MemoryModel::writeBuffer(Addr addr, std::uint64_t len, bool flush_after,
     const Addr first = addr & ~(kCacheLineSize - 1);
     const std::uint64_t count = spanLines(addr, len);
 
-    // Shared per-line pricing, as in readBuffer(): both planes add
-    // the same costs in the same order.
-    const auto price = [&](const CacheModel::Result &result) {
+    const auto price = [&](Addr, const CacheModel::Result &result) {
         handleEviction(result);
         switch (result.outcome) {
           case CacheOutcome::OwnedHit:
@@ -206,26 +182,9 @@ MemoryModel::writeBuffer(Addr addr, std::uint64_t len, bool flush_after,
             mee_.writebackLine(line);
         }
     };
-
-    if (bulkSpan_) {
-        cache_.accessSpan(core, first, count, true,
-                          [&](Addr, const CacheModel::Result &result) {
-                              price(result);
-                          });
-        if (flush_after)
-            cache_.flushSpan(first, count, price_flush);
-    } else {
-        Addr line = first;
-        for (std::uint64_t i = 0; i < count;
-             ++i, line += kCacheLineSize)
-            price(cache_.access(core, line, true));
-        if (flush_after) {
-            line = first;
-            for (std::uint64_t i = 0; i < count;
-                 ++i, line += kCacheLineSize)
-                price_flush(line, cache_.flushLine(line));
-        }
-    }
+    cache_.accessSpan(core, first, count, true, price);
+    if (flush_after)
+        cache_.flushSpan(first, count, price_flush);
 
     const Cycles cycles = roundCost(cost);
     if (charge_time)
@@ -291,20 +250,12 @@ MemoryModel::evictRange(Addr addr, std::uint64_t len)
 {
     if (len == 0)
         return;
-    const Addr first = addr & ~(kCacheLineSize - 1);
-    const std::uint64_t count = spanLines(addr, len);
     const auto writeback = [&](Addr line, bool dirty) {
         if (dirty && space_.isEpc(line))
             mee_.writebackLine(line);
     };
-    if (bulkSpan_) {
-        cache_.flushSpan(first, count, writeback);
-    } else {
-        Addr line = first;
-        for (std::uint64_t i = 0; i < count;
-             ++i, line += kCacheLineSize)
-            writeback(line, cache_.flushLine(line));
-    }
+    cache_.flushSpan(addr & ~(kCacheLineSize - 1), spanLines(addr, len),
+                     writeback);
 }
 
 void

@@ -89,17 +89,6 @@ class MemoryModel
     /** Evict every line overlapping [addr, addr+len). */
     void evictRange(Addr addr, std::uint64_t len);
 
-    /**
-     * Select the BulkSpan plane at runtime (test/ablation hook; the
-     * construction-time default comes from CostParams::bulkSpanMode /
-     * HC_BULKSPAN). Both positions are bit-identical in every
-     * simulated output — only host-side speed differs.
-     */
-    void setBulkSpan(bool enabled) { bulkSpan_ = enabled; }
-
-    /** @return true when the BulkSpan plane is selected. */
-    bool bulkSpanEnabled() const { return bulkSpan_; }
-
     /** Evict the entire LLC (cold-cache experiments). */
     void evictAll();
 
@@ -175,7 +164,6 @@ class MemoryModel
     PageTouchHook pageTouch_;
     IntegrityFailureHook integrityFailure_;
     check::SimCheck *check_ = nullptr;
-    bool bulkSpan_ = true; //!< BulkSpan plane selected (see setBulkSpan)
 };
 
 } // namespace hc::mem

@@ -56,9 +56,9 @@ struct PortConfig {
     Mode mode = Mode::Native;
     /** Marshalling options (No-Redundant-Zeroing, word-wise memset). */
     edl::MarshalOptions marshal;
-    /** FastPath data plane of both hot channels (ChannelConfig's
-     *  tri-state: -1 = HC_FASTPATH env, default on). */
-    int fastPath = -1;
+    /** FastPath data plane of both hot channels
+     *  (ChannelConfig::fastPath). */
+    bool fastPath = true;
     /** Responder cores of the two HotQueue channels: all app threads
      *  share one multi-slot ring per direction (hotqueue.hh). */
     CoreId hotOcallCore = 2;

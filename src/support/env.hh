@@ -2,11 +2,11 @@
  * @file
  * Strict boolean environment-flag parsing.
  *
- * Several switches (HC_FASTPATH, HC_CHECK, HC_BULKSPAN, HC_GUARD)
- * are read from the environment. Historically each call site open-coded its own parse
- * with different lenient rules ("anything but '0' is on"), so a typo
- * like HC_CHECK=ture silently enabled — or HC_FASTPATH=off silently
- * ENABLED — the feature. envFlag() parses strictly: a recognized
+ * HC_CHECK (the SimCheck layer, mem::Machine) is the one switch the
+ * simulator reads from the environment; every other plane is a config
+ * value. A lenient parse ("anything but '0' is on") would let a typo
+ * like HC_CHECK=ture silently enable — or HC_CHECK=off silently
+ * ENABLE — the checker. envFlag() parses strictly: a recognized
  * on/off literal yields On/Off, everything else (including empty) is
  * Unset and warns once per variable, so the caller's default applies.
  */

@@ -81,7 +81,7 @@ runLibquantum(mem::Machine &machine, mem::Domain domain,
     // Repeated streaming sweeps applying a gate to every amplitude:
     // read-modify-write over the whole register, in 1 MiB chunks.
     // Each chunk is one bulk-span readBuffer/writeBuffer pair (the
-    // BulkSpan plane batches the per-line probes); the chunk size is
+    // span path batches the per-line probes); the chunk size is
     // part of the modelled access pattern — every chunk op rounds
     // its fractional per-line costs once, so re-chunking would move
     // Fig 8 outputs.

@@ -92,15 +92,11 @@ struct Fixture {
     sdk::EnclaveRuntime runtime;
     std::unique_ptr<fault::FaultInjector> injector;
 
-    /** @p bulk_span pins the BulkSpan plane (-1: HC_BULKSPAN / on).
-     *  Both positions must digest identically — the plane is a host
-     *  fast path, not a model change. @p guard_mode pins Sentinel
-     *  (-1: HC_GUARD / on) under the same contract: a quiet run never
-     *  trips a guard intervention, so both positions must digest
-     *  identically too. */
+    /** @p guard switches Sentinel. A quiet run never trips a guard
+     *  intervention, so both positions must digest identically. */
     explicit Fixture(bool with_interrupts, bool check_on,
                      const fault::FaultPlan *plan = nullptr,
-                     int bulk_span = -1, int guard_mode = -1)
+                     bool guard = true)
         : machine([&] {
               mem::MachineConfig config;
               config.engine.numCores = 8;
@@ -108,8 +104,7 @@ struct Fixture {
               config.engine.interruptMeanCycles =
                   with_interrupts ? 7'000'000 : 0;
               config.check.enabled = check_on;
-              config.mem.bulkSpanMode = bulk_span;
-              config.guard.mode = guard_mode;
+              config.guard.enabled = guard;
               return config;
           }()),
           platform(machine), runtime(platform, "determinism", kEdl, 4)
@@ -163,9 +158,9 @@ struct Fixture {
 inline Digest
 fig3Scenario(bool with_interrupts, bool hiccups, bool check_on,
              int calls, const fault::FaultPlan *plan = nullptr,
-             int bulk_span = -1, int guard_mode = -1)
+             bool guard = true)
 {
-    Fixture f(with_interrupts, check_on, plan, bulk_span, guard_mode);
+    Fixture f(with_interrupts, check_on, plan, guard);
     hotcalls::HotCallConfig config;
     if (!hiccups)
         config.hiccupChance = 0.0;
@@ -202,9 +197,9 @@ inline Digest
 hotqueueScenario(bool with_interrupts, bool hiccups, bool check_on,
                  int calls_each,
                  const fault::FaultPlan *plan = nullptr,
-                 int bulk_span = -1, int guard_mode = -1)
+                 bool guard = true)
 {
-    Fixture f(with_interrupts, check_on, plan, bulk_span, guard_mode);
+    Fixture f(with_interrupts, check_on, plan, guard);
     hotcalls::HotQueueConfig config;
     config.numSlots = 8;
     config.responderCores = {1, 2};
@@ -267,9 +262,9 @@ hotqueueScenario(bool with_interrupts, bool hiccups, bool check_on,
 inline Digest
 memorySweepScenario(bool check_on,
                     const fault::FaultPlan *plan = nullptr,
-                    int bulk_span = -1, int guard_mode = -1)
+                    bool guard = true)
 {
-    Fixture f(false, check_on, plan, bulk_span, guard_mode);
+    Fixture f(false, check_on, plan, guard);
     std::vector<Cycles> costs;
     f.machine.engine().spawn("sweep", 0, [&] {
         for (std::uint64_t size : {2_KiB, 8_KiB, 32_KiB, 128_KiB}) {
@@ -305,9 +300,9 @@ memorySweepScenario(bool check_on,
 inline Digest
 sdkLoopScenario(bool check_on, int calls,
                 const fault::FaultPlan *plan = nullptr,
-                int bulk_span = -1, int guard_mode = -1)
+                bool guard = true)
 {
-    Fixture f(false, check_on, plan, bulk_span, guard_mode);
+    Fixture f(false, check_on, plan, guard);
     std::vector<Cycles> latencies;
     f.machine.engine().spawn("driver", 0, [&] {
         for (int i = 0; i < calls; ++i) {
@@ -325,22 +320,18 @@ sdkLoopScenario(bool check_on, int calls,
 }
 
 /** Concatenation of every libm-free scenario (the golden input).
- *  @p plan applies to each scenario's machine in turn; @p guard_mode
- *  pins Sentinel for each machine (both positions must reproduce the
- *  pinned hash — the guard is quiet on these scenarios). */
+ *  @p plan applies to each scenario's machine in turn; @p guard
+ *  switches Sentinel for each machine (both positions must reproduce
+ *  the pinned hash — the guard is quiet on these scenarios). */
 inline std::string
-goldenText(const fault::FaultPlan *plan = nullptr,
-           int guard_mode = -1)
+goldenText(const fault::FaultPlan *plan = nullptr, bool guard = true)
 {
     std::string text;
-    text += fig3Scenario(false, false, false, 400, plan, -1,
-                         guard_mode)
-                .text();
-    text += hotqueueScenario(false, false, false, 150, plan, -1,
-                             guard_mode)
-                .text();
-    text += memorySweepScenario(false, plan, -1, guard_mode).text();
-    text += sdkLoopScenario(false, 200, plan, -1, guard_mode).text();
+    text += fig3Scenario(false, false, false, 400, plan, guard).text();
+    text +=
+        hotqueueScenario(false, false, false, 150, plan, guard).text();
+    text += memorySweepScenario(false, plan, guard).text();
+    text += sdkLoopScenario(false, 200, plan, guard).text();
     return text;
 }
 
@@ -365,21 +356,20 @@ inline const char *kFastPathEdl = R"(
 /**
  * Hot ocalls carrying buffers sized to hit all three staging
  * placements (inline, arena, heap spill), libm-free. @p fast_path
- * pins the data plane: 0 must reproduce the legacy marshalling
- * bit for bit regardless of HC_FASTPATH.
+ * selects the data plane: 0 must reproduce the legacy marshalling
+ * bit for bit.
  */
 inline Digest
 fastPathScenario(bool check_on, int fast_path, int calls,
                  const fault::FaultPlan *plan = nullptr,
-                 int bulk_span = -1, int guard_mode = -1)
+                 bool guard = true)
 {
     mem::MachineConfig machine_config;
     machine_config.engine.numCores = 8;
     machine_config.engine.seed = 42;
     machine_config.engine.interruptMeanCycles = 0;
     machine_config.check.enabled = check_on;
-    machine_config.mem.bulkSpanMode = bulk_span;
-    machine_config.guard.mode = guard_mode;
+    machine_config.guard.enabled = guard;
     mem::Machine machine(machine_config);
     std::unique_ptr<fault::FaultInjector> injector;
     if (plan) {
@@ -459,12 +449,10 @@ fastPathScenario(bool check_on, int fast_path, int calls,
 /** Both planes' digests back to back (the FastPath golden input). */
 inline std::string
 fastPathGoldenText(const fault::FaultPlan *plan = nullptr,
-                   int guard_mode = -1)
+                   bool guard = true)
 {
-    return fastPathScenario(false, 0, 120, plan, -1, guard_mode)
-               .text() +
-           fastPathScenario(false, 1, 120, plan, -1, guard_mode)
-               .text();
+    return fastPathScenario(false, 0, 120, plan, guard).text() +
+           fastPathScenario(false, 1, 120, plan, guard).text();
 }
 
 } // namespace hc::dtest

@@ -89,22 +89,39 @@ TEST(VpnFrame, RejectsTamperAndWrongKey)
 
 namespace {
 
+/** One app configuration: a port mode plus the hot-channel planes,
+ *  which only SgxHotCalls consults. */
+struct AppCase {
+    port::Mode mode;
+    bool fastPath = true;
+    bool guard = true;
+};
+
+void
+PrintTo(const AppCase &c, std::ostream *os)
+{
+    *os << port::modeName(c.mode) << (c.fastPath ? "" : " fastPath off")
+        << (c.guard ? "" : " guard off");
+}
+
 struct AppFixture {
     mem::Machine machine;
     sgx::SgxPlatform platform;
     os::Kernel kernel;
     port::PortedApp app;
 
-    explicit AppFixture(port::Mode mode)
-        : machine([] {
+    explicit AppFixture(const AppCase &c)
+        : machine([&] {
               mem::MachineConfig config;
               config.engine.numCores = 8;
+              config.guard.enabled = c.guard;
               return config;
           }()),
           platform(machine), kernel(machine),
           app(platform, kernel, "app", [&] {
               port::PortConfig config;
-              config.mode = mode;
+              config.mode = c.mode;
+              config.fastPath = c.fastPath;
               config.hotEcallCore = 1;
               config.hotOcallCore = 2;
               return config;
@@ -113,12 +130,15 @@ struct AppFixture {
     }
 };
 
-const port::Mode kAllModes[] = {port::Mode::Native, port::Mode::Sgx,
-                                port::Mode::SgxHotCalls};
+/** Every mode, SgxHotCalls with FastPath on and off. */
+const AppCase kAllCases[] = {{port::Mode::Native},
+                             {port::Mode::Sgx},
+                             {port::Mode::SgxHotCalls},
+                             {port::Mode::SgxHotCalls, false}};
 
 } // anonymous namespace
 
-class KvCacheModes : public ::testing::TestWithParam<port::Mode>
+class KvCacheModes : public ::testing::TestWithParam<AppCase>
 {
 };
 
@@ -179,9 +199,9 @@ TEST_P(KvCacheModes, SetThenGetReturnsFingerprint)
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, KvCacheModes,
-                         ::testing::ValuesIn(kAllModes));
+                         ::testing::ValuesIn(kAllCases));
 
-class HttpdModes : public ::testing::TestWithParam<port::Mode>
+class HttpdModes : public ::testing::TestWithParam<AppCase>
 {
 };
 
@@ -242,9 +262,9 @@ TEST_P(HttpdModes, ServesFullPage)
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, HttpdModes,
-                         ::testing::ValuesIn(kAllModes));
+                         ::testing::ValuesIn(kAllCases));
 
-class VpnModes : public ::testing::TestWithParam<port::Mode>
+class VpnModes : public ::testing::TestWithParam<AppCase>
 {
 };
 
@@ -308,11 +328,17 @@ TEST_P(VpnModes, TunnelDeliversEncryptedPackets)
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, VpnModes,
-                         ::testing::ValuesIn(kAllModes));
+                         ::testing::ValuesIn(kAllCases));
+
+// The tunnel daemon issues hot ocalls until the app stops its
+// channels, so it also runs with Sentinel off.
+INSTANTIATE_TEST_SUITE_P(GuardOff, VpnModes,
+                         ::testing::Values(AppCase{
+                             port::Mode::SgxHotCalls, true, false}));
 
 TEST(Vpn, DropsForgedFrames)
 {
-    AppFixture f(port::Mode::Native);
+    AppFixture f({port::Mode::Native});
     crypto::ChaChaKey key{};
     VpnConfig vpn_config;
     VpnTunnel tunnel(f.app, key, vpn_config);
@@ -347,7 +373,7 @@ TEST(Vpn, DropsForgedFrames)
 
 TEST(KvCacheWorkers, TwoWorkersServeCorrectly)
 {
-    AppFixture f(port::Mode::Sgx);
+    AppFixture f({port::Mode::Sgx});
     KvCacheConfig config;
     config.numSlots = 1'000;
     config.numWorkers = 2;
@@ -380,7 +406,7 @@ TEST(KvCacheWorkers, TwoWorkersServeCorrectly)
 
 TEST(VpnPing, EchoesThroughTunnelWithSaneRtt)
 {
-    AppFixture f(port::Mode::Native);
+    AppFixture f({port::Mode::Native});
     crypto::ChaChaKey key{};
     key[3] = 0x33;
     VpnConfig vpn_config;

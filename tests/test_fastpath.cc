@@ -5,13 +5,12 @@
  * across calls, functional equality of every call path (SDK,
  * single line, ring; both planes; both directions), the single-channel
  * staging guard, SimCheck integration (a clean run and a seeded
- * premature-arena-recycle violation), staging teardown next to a
- * wedged responder, and the HC_FASTPATH switch resolution.
+ * premature-arena-recycle violation), and staging teardown next to a
+ * wedged responder.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <functional>
 
@@ -681,30 +680,4 @@ TEST(FastPath, WedgedTeardownLeaksAlikeWithCheckerOnOrOff)
     const auto ring_on = wedgedTeardownLeak(true, ring);
     EXPECT_EQ(ring_off, ring_on);
     EXPECT_GT(ring_off.second, line_off.second); // one arena per slot
-}
-
-// ----------------------------------------------------------------------
-// Switch resolution.
-// ----------------------------------------------------------------------
-
-TEST(FastPath, ResolveSwitchExplicitAndEnv)
-{
-    // Explicit config wins outright.
-    EXPECT_FALSE(resolveFastPath(0));
-    EXPECT_TRUE(resolveFastPath(1));
-
-    // -1 consults HC_FASTPATH: exactly "0" disables, anything else
-    // (including unset) leaves the default on.
-    const char *saved = std::getenv("HC_FASTPATH");
-    const std::string saved_copy = saved ? saved : "";
-
-    ::setenv("HC_FASTPATH", "0", 1);
-    EXPECT_FALSE(resolveFastPath(-1));
-    ::setenv("HC_FASTPATH", "1", 1);
-    EXPECT_TRUE(resolveFastPath(-1));
-    ::unsetenv("HC_FASTPATH");
-    EXPECT_TRUE(resolveFastPath(-1));
-
-    if (saved)
-        ::setenv("HC_FASTPATH", saved_copy.c_str(), 1);
 }

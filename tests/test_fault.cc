@@ -27,7 +27,7 @@
  * determinism contract).
  *
  * Set HC_FAULT_JSON=<path> to write a JSON summary of every scenario
- * (the CI faultcampaign job uploads it as an artifact).
+ * (the CI sanitize job uploads it as an artifact).
  */
 
 #include <gtest/gtest.h>
@@ -127,11 +127,10 @@ campaignMachineConfig()
     // campaign can assert exact violation counts per scenario.
     config.check.enabled = true;
     // The legacy campaign pins the pre-Sentinel contract (full spin
-    // budgets, backstop-driven termination of dead channels): force
-    // the guard off regardless of HC_GUARD. The recovery campaign
-    // below turns it on explicitly and asserts the opposite — that
-    // dead channels heal instead of aborting.
-    config.guard.mode = 0;
+    // budgets, backstop-driven termination of dead channels): guard
+    // off. The recovery campaign below turns it back on and asserts
+    // the opposite — that dead channels heal instead of aborting.
+    config.guard.enabled = false;
     return config;
 }
 
@@ -139,7 +138,7 @@ mem::MachineConfig
 guardedMachineConfig()
 {
     mem::MachineConfig config = campaignMachineConfig();
-    config.guard.mode = 1;
+    config.guard.enabled = true;
     // The campaign workloads are a few hundred thousand cycles end to
     // end; probe on a matching scale so a quarantine window does not
     // swallow the whole run.
@@ -706,7 +705,7 @@ TEST(FaultCampaign, PortFallbackReroutesHotOcalls)
 // designed recovery path, cleanly under SimCheck.
 //
 // Set HC_GUARD_JSON=<path> to write a JSON summary of the recovery
-// scenarios (the CI guard job uploads it as an artifact).
+// scenarios (the CI sanitize job uploads it as an artifact).
 // ----------------------------------------------------------------------
 
 namespace {

@@ -2,12 +2,11 @@
  * @file
  * Sentinel (src/guard) tests.
  *
- * Unit level: the HC_GUARD switch resolution, the latency estimator,
- * and the ChannelGuard state machine — quarantine hysteresis (no
- * flapping), probe backoff, adaptive budget clamping, reclaim
- * deadlines, liveness, and the respawn budget. The guard is pure
- * decision logic driven by caller-supplied clocks, so these run
- * without a Machine.
+ * Unit level: the latency estimator and the ChannelGuard state
+ * machine — quarantine hysteresis (no flapping), probe backoff,
+ * adaptive budget clamping, reclaim deadlines, liveness, and the
+ * respawn budget. The guard is pure decision logic driven by
+ * caller-supplied clocks, so these run without a Machine.
  *
  * Protocol level: seeded violations for the Sentinel transitions the
  * SimCheck shadow machines learned (abandon/discard on the single
@@ -21,7 +20,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 
 #include "check/check.hh"
@@ -41,7 +39,6 @@ guard::GuardConfig
 tightConfig()
 {
     guard::GuardConfig config;
-    config.mode = 1;
     config.quarantineAfter = 3;
     config.probeInterval = 1'000;
     config.probeBackoff = 2.0;
@@ -71,35 +68,6 @@ checkedConfig()
 }
 
 } // anonymous namespace
-
-// ----------------------------------------------------------------------
-// Switch resolution.
-// ----------------------------------------------------------------------
-
-TEST(ResolveGuard, ExplicitConfigBeatsEnvironment)
-{
-    ::setenv("HC_GUARD", "0", 1);
-    EXPECT_TRUE(guard::resolveGuard(1));
-    ::setenv("HC_GUARD", "1", 1);
-    EXPECT_FALSE(guard::resolveGuard(0));
-    ::unsetenv("HC_GUARD");
-}
-
-TEST(ResolveGuard, AutoConsultsEnvAndDefaultsOn)
-{
-    ::unsetenv("HC_GUARD");
-    EXPECT_TRUE(guard::resolveGuard(-1)); // default ON
-    ::setenv("HC_GUARD", "0", 1);
-    EXPECT_FALSE(guard::resolveGuard(-1));
-    ::setenv("HC_GUARD", "off", 1);
-    EXPECT_FALSE(guard::resolveGuard(-1));
-    ::setenv("HC_GUARD", "1", 1);
-    EXPECT_TRUE(guard::resolveGuard(-1));
-    // Strict parsing: garbage is Unset (warns once), default applies.
-    ::setenv("HC_GUARD", "ture", 1);
-    EXPECT_TRUE(guard::resolveGuard(-1));
-    ::unsetenv("HC_GUARD");
-}
 
 // ----------------------------------------------------------------------
 // Latency estimator.
@@ -474,7 +442,7 @@ TEST(GuardProtocol, HotQueueFlagsBadZombieTransitions)
 TEST(GuardIntegration, StalledPublisherRetiredThroughPublishLeash)
 {
     mem::MachineConfig machine_config = checkedConfig();
-    machine_config.guard.mode = 1;
+    machine_config.guard.enabled = true;
     mem::Machine machine(machine_config);
 
     fault::FaultPlan plan = fault::FaultPlan::quiet(2024);

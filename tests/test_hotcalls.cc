@@ -10,8 +10,10 @@
 
 #include <cstring>
 #include <functional>
+#include <string>
 
 #include "hotcalls/hotcall.hh"
+#include "hotcalls/hotqueue.hh"
 #include "mem/buffer.hh"
 #include "support/stats.hh"
 
@@ -42,10 +44,11 @@ struct Fixture {
     sdk::EnclaveRuntime runtime;
     std::vector<std::uint8_t> consumed;
 
-    Fixture()
-        : machine([] {
+    explicit Fixture(bool guard = true)
+        : machine([&] {
               mem::MachineConfig config;
               config.engine.numCores = 8;
+              config.guard.enabled = guard;
               return config;
           }()),
           platform(machine),
@@ -137,28 +140,35 @@ TEST(HotOcall, RequiresEnclaveMode)
 
 TEST(HotOcall, BuffersMarshalledBothWays)
 {
-    Fixture f;
-    HotCallService hot(f.runtime, Kind::HotOcall, 2);
-    f.run([&] {
-        hot.start();
-        f.inEnclave([&] {
-            mem::Buffer out(f.machine, mem::Domain::Epc, 32);
-            hot.call("ocall_fill",
-                     {edl::Arg::buffer(out), edl::Arg::value(32)});
-            for (int i = 0; i < 32; ++i)
-                EXPECT_EQ(out.data()[i], 0xc0 + (i & 0xf));
+    for (const bool fast_path : {true, false}) {
+        SCOPED_TRACE(fast_path ? "fastPath on" : "fastPath off");
+        Fixture f;
+        HotCallConfig config;
+        config.fastPath = fast_path;
+        HotCallService hot(f.runtime, Kind::HotOcall, 2, config);
+        f.run([&] {
+            hot.start();
+            f.inEnclave([&] {
+                mem::Buffer out(f.machine, mem::Domain::Epc, 32);
+                hot.call("ocall_fill",
+                         {edl::Arg::buffer(out), edl::Arg::value(32)});
+                for (int i = 0; i < 32; ++i)
+                    EXPECT_EQ(out.data()[i], 0xc0 + (i & 0xf));
 
-            mem::Buffer in(f.machine, mem::Domain::Epc, 16);
-            std::memcpy(in.data(), "hotcall-payload", 15);
-            hot.call("ocall_consume",
-                     {edl::Arg::buffer(in), edl::Arg::value(15)});
+                mem::Buffer in(f.machine, mem::Domain::Epc, 16);
+                std::memcpy(in.data(), "hotcall-payload", 15);
+                hot.call("ocall_consume",
+                         {edl::Arg::buffer(in), edl::Arg::value(15)});
+            });
+            hot.stop();
+            f.machine.engine().stop();
         });
-        hot.stop();
-        f.machine.engine().stop();
-    });
-    ASSERT_EQ(f.consumed.size(), 15u);
-    EXPECT_EQ(std::memcmp(f.consumed.data(), "hotcall-payload", 15),
-              0);
+        EXPECT_EQ(hot.stats().calls, 2u);
+        EXPECT_EQ(hot.stats().fastCalls, fast_path ? 2u : 0u);
+        ASSERT_EQ(f.consumed.size(), 15u);
+        EXPECT_EQ(std::memcmp(f.consumed.data(), "hotcall-payload", 15),
+                  0);
+    }
 }
 
 TEST(HotCalls, MuchFasterThanSdkPath)
@@ -258,6 +268,96 @@ TEST(HotCalls, FallbackCountedOncePerLogicalCall)
         engine.stop();
     });
     engine.run();
+}
+
+// ----------------------------------------------------------------------
+// A call issued after stop(): the responders have exited, so nothing
+// would ever serve it on the channel. It must take the SDK path at
+// once — not wait for Sentinel to reclaim it (guard on) or for the
+// engine to stop (guard off).
+// ----------------------------------------------------------------------
+
+namespace {
+
+/**
+ * Serve one call on @p channel and stop it, then time one SDK call and
+ * one call on the stopped channel (ecall_add or ocall_double, by its
+ * kind). A watchdog stops the engine should the call wait for a
+ * responder.
+ */
+void
+expectCallAfterStopTakesSdk(Fixture &f, Channel &channel,
+                            const ChannelStats &stats)
+{
+    const bool ocall = channel.kind() == Kind::HotOcall;
+    const char *name = ocall ? "ocall_double" : "ecall_add";
+    const edl::Args args = ocall ? edl::Args{edl::Arg::value(21)}
+                                 : edl::Args{edl::Arg::value(40),
+                                             edl::Arg::value(2)};
+    std::uint64_t retval = 0;
+    Cycles sdk_cycles = 0, hot_cycles = 0;
+    f.run([&] {
+        auto &engine = f.machine.engine();
+        engine.spawn("watchdog", 7, [&] {
+            engine.sleepUntil(50'000'000);
+            engine.stop();
+        });
+        channel.start();
+        const auto calls = [&] {
+            EXPECT_EQ(channel.call(name, args), 42u); // served
+            channel.stop();
+            const auto sdk = [&] {
+                return ocall ? f.runtime.ocall(name, args)
+                             : f.runtime.ecall(name, args);
+            };
+            sdk(); // warm the SDK path
+            Cycles start = f.machine.now();
+            EXPECT_EQ(sdk(), 42u);
+            sdk_cycles = f.machine.now() - start;
+            start = f.machine.now();
+            retval = channel.call(name, args);
+            hot_cycles = f.machine.now() - start;
+        };
+        if (ocall)
+            f.inEnclave(calls);
+        else
+            calls();
+        engine.stop();
+    });
+    EXPECT_EQ(retval, 42u);
+    EXPECT_EQ(stats.calls, 1u);
+    EXPECT_EQ(stats.fallbacks, 1u);
+    EXPECT_EQ(stats.timeoutAttempts, 0u);
+    EXPECT_EQ(stats.aborts, 0u);
+    // One SDK call plus glue, not a reclaim deadline.
+    EXPECT_LE(hot_cycles, sdk_cycles + 200);
+}
+
+} // anonymous namespace
+
+TEST(HotCalls, CallAfterStopGoesStraightToSdk)
+{
+    for (const Kind kind : {Kind::HotEcall, Kind::HotOcall}) {
+        for (const bool guard : {true, false}) {
+            SCOPED_TRACE(std::string(kind == Kind::HotEcall ? "HotEcall"
+                                                            : "HotOcall") +
+                         (guard ? " guard on" : " guard off"));
+            {
+                SCOPED_TRACE("HotCallService");
+                Fixture f(guard);
+                HotCallService line(f.runtime, kind, 1);
+                expectCallAfterStopTakesSdk(f, line, line.stats());
+            }
+            {
+                SCOPED_TRACE("HotQueue");
+                Fixture f(guard);
+                HotQueueConfig config;
+                config.responderCores = {1};
+                HotQueue ring(f.runtime, kind, config);
+                expectCallAfterStopTakesSdk(f, ring, ring.stats());
+            }
+        }
+    }
 }
 
 TEST(HotCalls, SharedResponderServesManyRequesters)

@@ -142,28 +142,35 @@ TEST(HotQueueOcall, RequiresEnclaveMode)
 
 TEST(HotQueueOcall, BuffersMarshalledBothWays)
 {
-    Fixture f;
-    HotQueue hot(f.runtime, Kind::HotOcall);
-    f.run([&] {
-        hot.start();
-        f.inEnclave([&] {
-            mem::Buffer out(f.machine, mem::Domain::Epc, 32);
-            hot.call("ocall_fill",
-                     {edl::Arg::buffer(out), edl::Arg::value(32)});
-            for (int i = 0; i < 32; ++i)
-                EXPECT_EQ(out.data()[i], 0xc0 + (i & 0xf));
+    for (const bool fast_path : {true, false}) {
+        SCOPED_TRACE(fast_path ? "fastPath on" : "fastPath off");
+        Fixture f;
+        HotQueueConfig config;
+        config.fastPath = fast_path;
+        HotQueue hot(f.runtime, Kind::HotOcall, config);
+        f.run([&] {
+            hot.start();
+            f.inEnclave([&] {
+                mem::Buffer out(f.machine, mem::Domain::Epc, 32);
+                hot.call("ocall_fill",
+                         {edl::Arg::buffer(out), edl::Arg::value(32)});
+                for (int i = 0; i < 32; ++i)
+                    EXPECT_EQ(out.data()[i], 0xc0 + (i & 0xf));
 
-            mem::Buffer in(f.machine, mem::Domain::Epc, 16);
-            std::memcpy(in.data(), "hotqueue-payload", 16);
-            hot.call("ocall_consume",
-                     {edl::Arg::buffer(in), edl::Arg::value(16)});
+                mem::Buffer in(f.machine, mem::Domain::Epc, 16);
+                std::memcpy(in.data(), "hotqueue-payload", 16);
+                hot.call("ocall_consume",
+                         {edl::Arg::buffer(in), edl::Arg::value(16)});
+            });
+            hot.stop();
+            f.machine.engine().stop();
         });
-        hot.stop();
-        f.machine.engine().stop();
-    });
-    ASSERT_EQ(f.consumed.size(), 16u);
-    EXPECT_EQ(std::memcmp(f.consumed.data(), "hotqueue-payload", 16),
-              0);
+        EXPECT_EQ(hot.stats().calls, 2u);
+        EXPECT_EQ(hot.stats().fastCalls, fast_path ? 2u : 0u);
+        ASSERT_EQ(f.consumed.size(), 16u);
+        EXPECT_EQ(std::memcmp(f.consumed.data(), "hotqueue-payload", 16),
+                  0);
+    }
 }
 
 TEST(HotQueue, ManyRequestersAllServedWithBatching)

@@ -8,10 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <vector>
 
 #include "mem/buffer.hh"
 #include "mem/machine.hh"
 #include "mem/shared_var.hh"
+#include "support/rng.hh"
 
 using namespace hc;
 using namespace hc::mem;
@@ -523,199 +525,219 @@ TEST(MemoryModel, EncryptedAlwaysCostsAtLeastPlain)
 }
 
 // ----------------------------------------------------------------------
-// BulkSpan: the range-batched plane through the cache + MEE models
-// must be bit-identical to the per-line loops it replaces — same
-// per-op costs, same LLC and MEE counters — for every span shape,
-// including the awkward ones (unaligned edges, boundary straddles,
-// degenerate lengths, address-space wraparound).
+// Span paths. CacheModel::accessSpan/flushSpan and Mee::spanWalkMisses
+// are memoised batch forms of the per-line access/flushLine and
+// readWalkMisses, which accessWord keeps using. Twin models, one
+// driven per span and one per line, run the same seeded mix of
+// operations and must agree after every one of them.
 // ----------------------------------------------------------------------
 
 namespace {
 
-/**
- * Run @p body on a machine with the BulkSpan plane pinned to
- * @p bulk_span and serialize every observable: the per-op costs the
- * body records plus the cache/MEE counters afterwards. Equality of
- * the two planes' strings is the bit-identity contract.
- */
-std::string
-spanTrace(int bulk_span,
-          const std::function<void(Machine &, std::vector<Cycles> &)>
-              &body)
+/** Append one access outcome to @p trace. */
+void
+noteAccess(std::vector<std::uint64_t> &trace, Addr line,
+           const CacheModel::Result &result)
 {
-    MachineConfig config;
-    config.mem.bulkSpanMode = bulk_span;
-    Machine machine(config);
-    EXPECT_EQ(machine.memory().bulkSpanEnabled(), bulk_span != 0);
-    std::vector<Cycles> costs;
-    runSim(machine, [&] { body(machine, costs); });
-    std::string out;
-    for (const Cycles c : costs)
-        out += std::to_string(c) + ',';
-    out += "|llc=" + std::to_string(machine.memory().cache().hits()) +
-           '/' + std::to_string(machine.memory().cache().misses());
-    out += "|mee=" +
-           std::to_string(machine.memory().mee().nodeCacheHits()) +
-           '/' +
-           std::to_string(machine.memory().mee().nodeCacheMisses());
-    return out;
+    trace.insert(trace.end(),
+                 {line, static_cast<std::uint64_t>(result.outcome),
+                  result.evicted, result.evictedDirty,
+                  result.evictedLine});
 }
 
-/** EXPECT both planes produce the same trace for @p body. */
-void
-expectPlanesAgree(const std::function<void(Machine &,
-                                           std::vector<Cycles> &)>
-                      &body,
-                  const char *what)
+/**
+ * Drive a span-path cache and a per-line twin through @p ops seeded
+ * operations: spans that repeat (so memos record and replay) from
+ * cores 0-1, single-line accesses from cores 2-3 that steal lines out
+ * of those spans, span and line flushes, and fills over a region four
+ * times the cache that evict. @return the first op after which any
+ * result, flushed dirty bit or hit/miss counter differs, or -1.
+ */
+int
+cacheTwinDivergence(std::uint64_t seed, int ops)
 {
-    EXPECT_EQ(spanTrace(0, body), spanTrace(1, body)) << what;
+    CacheModel span_cache(64_KiB, 4);
+    CacheModel line_cache(64_KiB, 4);
+    Rng rng(seed);
+    constexpr Addr kBase = 0x100000;
+    constexpr std::uint64_t kRegionLines = 4 * 64_KiB / kCacheLineSize;
+    struct Span {
+        Addr first;
+        std::uint64_t count;
+    };
+    std::vector<Span> spans;
+    for (int i = 0; i < 4; ++i) {
+        spans.push_back(
+            {kBase + rng.nextBelow(kRegionLines - 64) * kCacheLineSize,
+             1 + rng.nextBelow(48)});
+    }
+    for (int op = 0; op < ops; ++op) {
+        const Span &s = spans[rng.nextBelow(spans.size())];
+        std::vector<std::uint64_t> by_span, by_line;
+        const std::uint64_t kind = rng.nextBelow(10);
+        if (kind < 5) { // a span from one of the span cores
+            const auto core = static_cast<CoreId>(rng.nextBelow(2));
+            const bool write = rng.chance(0.5);
+            span_cache.accessSpan(
+                core, s.first, s.count, write,
+                [&](Addr line, const CacheModel::Result &result) {
+                    noteAccess(by_span, line, result);
+                });
+            Addr line = s.first;
+            for (std::uint64_t i = 0; i < s.count;
+                 ++i, line += kCacheLineSize)
+                noteAccess(by_line, line,
+                           line_cache.access(core, line, write));
+        } else if (kind < 8) { // one line, anywhere or out of a span
+            const auto core = static_cast<CoreId>(2 + rng.nextBelow(2));
+            const bool write = rng.chance(0.5);
+            const Addr line =
+                kind == 5 ? kBase + rng.nextBelow(kRegionLines) *
+                                        kCacheLineSize
+                          : s.first + rng.nextBelow(s.count) *
+                                          kCacheLineSize;
+            noteAccess(by_span, line,
+                       span_cache.access(core, line, write));
+            noteAccess(by_line, line,
+                       line_cache.access(core, line, write));
+        } else if (kind < 9) { // flush a span
+            span_cache.flushSpan(s.first, s.count,
+                                 [&](Addr line, bool dirty) {
+                                     by_span.insert(by_span.end(),
+                                                    {line, dirty});
+                                 });
+            Addr line = s.first;
+            for (std::uint64_t i = 0; i < s.count;
+                 ++i, line += kCacheLineSize)
+                by_line.insert(by_line.end(),
+                               {line, line_cache.flushLine(line)});
+        } else { // flush one line of a span
+            const Addr line =
+                s.first + rng.nextBelow(s.count) * kCacheLineSize;
+            by_span.push_back(span_cache.flushLine(line));
+            by_line.push_back(line_cache.flushLine(line));
+        }
+        by_span.insert(by_span.end(),
+                       {span_cache.hits(), span_cache.misses()});
+        by_line.insert(by_line.end(),
+                       {line_cache.hits(), line_cache.misses()});
+        if (by_span != by_line)
+            return op;
+    }
+    return -1;
+}
+
+/**
+ * Drive a span-walking MEE and a per-line twin, both with an 8-entry
+ * node cache (small enough that a walk's upper levels evict its own
+ * leaf), through @p ops seeded operations: ascending spans, random
+ * single-line walks and node-cache clears. @return the first op after
+ * which any walk length or node hit/miss counter differs, or -1.
+ */
+int
+meeTwinDivergence(std::uint64_t seed, int ops)
+{
+    CostParams params;
+    params.meeCacheEntries = 8;
+    constexpr Addr kBase = 0x1000000;
+    constexpr std::uint64_t kLines = 16_MiB / kCacheLineSize;
+    Mee span_mee(params, kBase, 16_MiB, 0x6b6579);
+    Mee line_mee(params, kBase, 16_MiB, 0x6b6579);
+    Rng rng(seed);
+    for (int op = 0; op < ops; ++op) {
+        std::vector<std::uint64_t> by_span, by_line;
+        const std::uint64_t kind = rng.nextBelow(10);
+        if (kind < 6) { // an ascending span
+            const std::uint64_t count = 1 + rng.nextBelow(64);
+            Addr line =
+                kBase + rng.nextBelow(kLines - count) * kCacheLineSize;
+            for (std::uint64_t i = 0; i < count;
+                 ++i, line += kCacheLineSize) {
+                by_span.push_back(span_mee.spanWalkMisses(line));
+                by_line.push_back(line_mee.readWalkMisses(line));
+            }
+        } else if (kind < 9) { // a random single-line walk
+            const Addr line =
+                kBase + rng.nextBelow(kLines) * kCacheLineSize;
+            by_span.push_back(span_mee.readWalkMisses(line));
+            by_line.push_back(line_mee.readWalkMisses(line));
+        } else {
+            span_mee.clearNodeCache();
+            line_mee.clearNodeCache();
+        }
+        by_span.insert(by_span.end(), {span_mee.nodeCacheHits(),
+                                       span_mee.nodeCacheMisses()});
+        by_line.insert(by_line.end(), {line_mee.nodeCacheHits(),
+                                       line_mee.nodeCacheMisses()});
+        if (by_span != by_line)
+            return op;
+    }
+    return -1;
 }
 
 } // anonymous namespace
 
-TEST(BulkSpan, UnalignedSpansBitIdentical)
+TEST(SpanPath, CacheSpansMatchPerLineTwin)
 {
-    expectPlanesAgree(
-        [](Machine &machine, std::vector<Cycles> &costs) {
-            auto &mem = machine.memory();
-            for (const Domain domain :
-                 {Domain::Untrusted, Domain::Epc}) {
-                Buffer buf(machine, domain, 8192);
-                const Addr base = buf.addr();
-                for (const std::uint64_t off :
-                     {0ull, 1ull, 7ull, 63ull, 64ull, 65ull}) {
-                    for (const std::uint64_t len :
-                         {1ull, 63ull, 64ull, 65ull, 127ull, 128ull,
-                          4097ull}) {
-                        costs.push_back(
-                            mem.readBuffer(base + off, len));
-                        costs.push_back(
-                            mem.writeBuffer(base + off, len));
-                        costs.push_back(mem.writeBuffer(
-                            base + off, len, /*flush_after=*/true));
-                        // Warm replay of the identical span, then a
-                        // cold retry after an unaligned eviction.
-                        costs.push_back(
-                            mem.readBuffer(base + off, len));
-                        mem.evictRange(base + off, len);
-                        costs.push_back(
-                            mem.readBuffer(base + off, len));
-                    }
-                }
-            }
-        },
-        "unaligned spans");
+    for (std::uint64_t seed = 1; seed <= 8; ++seed)
+        EXPECT_EQ(cacheTwinDivergence(seed, 2'000), -1)
+            << "seed=" << seed;
 }
 
-TEST(BulkSpan, EpcPageStraddlingSpansBitIdentical)
+TEST(SpanPath, MeeSpanWalksMatchPerLineTwin)
 {
-    expectPlanesAgree(
-        [](Machine &machine, std::vector<Cycles> &costs) {
-            auto &mem = machine.memory();
-            const Addr base =
-                machine.space().allocEpc(3 * 4096, 4096);
-            // Spans crossing each EPC page boundary (and, since
-            // consecutive lines hash to different LLC sets, every
-            // multi-line span also straddles cache sets).
-            for (const Addr page :
-                 {base + 4096, base + 2 * 4096}) {
-                for (const std::uint64_t back :
-                     {32ull, 64ull, 96ull}) {
-                    for (const std::uint64_t len :
-                         {64ull, 160ull, 4096ull}) {
-                        costs.push_back(
-                            mem.readBuffer(page - back, len));
-                        costs.push_back(
-                            mem.writeBuffer(page - back, len));
-                    }
-                }
-            }
-            // The whole three-page object, warm and cold.
-            costs.push_back(mem.readBuffer(base, 3 * 4096));
-            costs.push_back(mem.readBuffer(base, 3 * 4096));
-            mem.evictRange(base, 3 * 4096);
-            mem.mee().clearNodeCache();
-            costs.push_back(mem.readBuffer(base, 3 * 4096));
-            machine.space().free(base);
-        },
-        "EPC page straddles");
+    for (std::uint64_t seed = 1; seed <= 8; ++seed)
+        EXPECT_EQ(meeTwinDivergence(seed, 2'000), -1)
+            << "seed=" << seed;
 }
 
-TEST(BulkSpan, DegenerateSpansBitIdentical)
+TEST(SpanPath, ZeroLengthSpansAreFree)
 {
-    expectPlanesAgree(
-        [](Machine &machine, std::vector<Cycles> &costs) {
-            auto &mem = machine.memory();
-            Buffer buf(machine, Domain::Epc, 256);
-            const Addr base = buf.addr();
-            // Zero-length spans are free in both planes, at any
-            // alignment.
-            for (const std::uint64_t off : {0ull, 1ull, 63ull}) {
-                costs.push_back(mem.readBuffer(base + off, 0));
-                costs.push_back(mem.writeBuffer(base + off, 0));
-                EXPECT_EQ(costs.back(), 0u);
-                mem.evictRange(base + off, 0);
-            }
-            // Single-line spans, aligned and not, including the
-            // one-byte edge and the 64-byte span whose unaligned
-            // start makes it two lines.
-            costs.push_back(mem.readBuffer(base, 1));
-            costs.push_back(mem.readBuffer(base + 63, 1));
-            costs.push_back(mem.readBuffer(base, 64));
-            costs.push_back(mem.readBuffer(base + 1, 64));
-            costs.push_back(mem.writeBuffer(base + 1, 64));
-        },
-        "degenerate spans");
+    Machine machine;
+    runSim(machine, [&] {
+        auto &mem = machine.memory();
+        Buffer buf(machine, Domain::Epc, 256);
+        const Cycles start = machine.now();
+        for (const std::uint64_t off : {0ull, 1ull, 63ull}) {
+            EXPECT_EQ(mem.readBuffer(buf.addr() + off, 0), 0u);
+            EXPECT_EQ(mem.writeBuffer(buf.addr() + off, 0), 0u);
+            EXPECT_EQ(mem.writeBuffer(buf.addr() + off, 0,
+                                      /*flush_after=*/true),
+                      0u);
+            mem.evictRange(buf.addr() + off, 0);
+        }
+        EXPECT_EQ(machine.now(), start);
+        EXPECT_EQ(mem.cache().hits() + mem.cache().misses(), 0u);
+    });
 }
 
-TEST(BulkSpan, CrossDomainSpansBitIdentical)
-{
-    expectPlanesAgree(
-        [](Machine &machine, std::vector<Cycles> &costs) {
-            auto &mem = machine.memory();
-            // A raw span straddling the untrusted/EPC boundary. The
-            // model prices the whole span by its starting domain,
-            // but the touched lines (and their MEE writebacks on
-            // eviction) live on both sides — the planes must agree
-            // on all of it.
-            const Addr boundary = AddressSpace::kEpcBase;
-            costs.push_back(mem.readBuffer(boundary - 128, 256));
-            costs.push_back(mem.writeBuffer(boundary - 128, 256));
-            mem.evictRange(boundary - 128, 256);
-            costs.push_back(mem.readBuffer(boundary - 64, 128));
-            costs.push_back(
-                mem.writeBuffer(boundary - 65, 130,
-                                /*flush_after=*/true));
-        },
-        "cross-domain spans");
-}
-
-TEST(BulkSpan, SpanAtTopOfAddressSpaceTerminates)
+TEST(SpanPath, SpanAtTopOfAddressSpaceTerminates)
 {
     // Count-form loops only: a span ending exactly at the top of the
     // 64-bit address space must not wrap (the inclusive end address
-    // is 0) and must cost the same in both planes.
-    expectPlanesAgree(
-        [](Machine &machine, std::vector<Cycles> &costs) {
-            auto &mem = machine.memory();
-            const Addr top_line = ~Addr{0} - 63; // 0xFF...FFC0
-            costs.push_back(mem.readBuffer(top_line, 64));
-            costs.push_back(mem.readBuffer(top_line - 64, 128));
-            costs.push_back(mem.readBuffer(~Addr{0}, 1));
-            costs.push_back(mem.writeBuffer(top_line, 64));
-            costs.push_back(
-                mem.writeBuffer(top_line + 1, 63,
-                                /*flush_after=*/true));
-            mem.evictRange(top_line - 64, 128);
-            costs.push_back(mem.readBuffer(top_line, 64));
-        },
-        "top-of-address-space spans");
+    // is 0) and spin.
+    Machine machine;
+    runSim(machine, [&] {
+        auto &mem = machine.memory();
+        const Addr top_line = ~Addr{0} - 63; // 0xFF...FFC0
+        EXPECT_GT(mem.readBuffer(top_line, 64), 0u);
+        EXPECT_GT(mem.readBuffer(top_line - 64, 128), 0u);
+        EXPECT_GT(mem.readBuffer(~Addr{0}, 1), 0u);
+        EXPECT_GT(mem.writeBuffer(top_line, 64), 0u);
+        EXPECT_GT(mem.writeBuffer(top_line + 1, 63,
+                                  /*flush_after=*/true),
+                  0u);
+        mem.evictRange(top_line - 64, 128);
+        EXPECT_FALSE(mem.cache().contains(top_line));
+        EXPECT_GT(mem.readBuffer(top_line, 64), 0u);
+        EXPECT_EQ(mem.cache().misses(), 3u); // two cold lines, a refetch
+    });
 }
 
 // ----------------------------------------------------------------------
 // HC_CHECK visibility: a registered sync word swept by a span keeps
-// its acquire/release semantics in both planes, so a bulk copy over
-// a channel line still orders the plain accesses around it.
+// its acquire/release semantics, so a bulk copy over a channel line
+// still orders the plain accesses around it.
 // ----------------------------------------------------------------------
 
 namespace {
@@ -729,10 +751,9 @@ namespace {
  * @return the number of Race violations SimCheck reported.
  */
 std::uint64_t
-spanSyncRaces(int bulk_span, bool with_sync_word)
+spanSyncRaces(bool with_sync_word)
 {
     MachineConfig config;
-    config.mem.bulkSpanMode = bulk_span;
     config.check.enabled = true;
     Machine machine(config);
     auto &mem = machine.memory();
@@ -755,15 +776,11 @@ spanSyncRaces(int bulk_span, bool with_sync_word)
 
 } // anonymous namespace
 
-TEST(BulkSpan, SyncWordInsideSpanStaysVisibleToSimCheck)
+TEST(SpanPath, SyncWordInsideSpanStaysVisibleToSimCheck)
 {
-    for (const int bulk : {0, 1}) {
-        EXPECT_EQ(spanSyncRaces(bulk, /*with_sync_word=*/true), 0u)
-            << "bulk=" << bulk;
-        // Control: without the sync word the same schedule races, so
-        // the pass above is the span hook working, not the detector
-        // being blind.
-        EXPECT_GE(spanSyncRaces(bulk, /*with_sync_word=*/false), 1u)
-            << "bulk=" << bulk;
-    }
+    EXPECT_EQ(spanSyncRaces(/*with_sync_word=*/true), 0u);
+    // Control: without the sync word the same schedule races, so the
+    // pass above is the span hook working, not the detector being
+    // blind.
+    EXPECT_GE(spanSyncRaces(/*with_sync_word=*/false), 1u);
 }

@@ -24,8 +24,8 @@ struct Fixture {
     os::Kernel kernel;
     PortedApp app;
 
-    explicit Fixture(Mode mode,
-                     edl::MarshalOptions marshal = {})
+    explicit Fixture(Mode mode, edl::MarshalOptions marshal = {},
+                     bool fast_path = true)
         : machine([] {
               mem::MachineConfig config;
               config.engine.numCores = 8;
@@ -36,6 +36,7 @@ struct Fixture {
               PortConfig config;
               config.mode = mode;
               config.marshal = marshal;
+              config.fastPath = fast_path;
               config.hotEcallCore = 1;
               config.hotOcallCore = 2;
               return config;
@@ -136,14 +137,21 @@ TEST(Port, SurfaceWorksSgx)
 
 TEST(Port, SurfaceWorksSgxHotCalls)
 {
-    Fixture f(Mode::SgxHotCalls);
-    f.run([&] { exerciseSurface(f); });
+    for (const bool fast_path : {true, false}) {
+        SCOPED_TRACE(fast_path ? "fastPath on" : "fastPath off");
+        Fixture f(Mode::SgxHotCalls, {}, fast_path);
+        f.run([&] { exerciseSurface(f); });
+    }
 }
 
 TEST(Port, SurfaceWorksWithNoRedundantZeroing)
 {
-    Fixture f(Mode::SgxHotCalls, {.noRedundantZeroing = true});
-    f.run([&] { exerciseSurface(f); });
+    for (const bool fast_path : {true, false}) {
+        SCOPED_TRACE(fast_path ? "fastPath on" : "fastPath off");
+        Fixture f(Mode::SgxHotCalls, {.noRedundantZeroing = true},
+                  fast_path);
+        f.run([&] { exerciseSurface(f); });
+    }
 }
 
 TEST(Port, RunEnclaveFunctionDispatchesArg)

@@ -307,8 +307,9 @@ TEST(TextTable, NumFormatting)
 
 // ----------------------------------------------------------------------
 // Environment flags. The historical per-call-site parses were lenient
-// in contradictory ways ("anything but '0' is on"), so HC_FASTPATH=off
-// silently ENABLED the fast path; envFlag() is the strict replacement.
+// in contradictory ways ("anything but '0' is on"), so a switch set to
+// "off" silently ENABLED its feature; envFlag() is the strict
+// replacement.
 // ----------------------------------------------------------------------
 
 TEST(EnvFlag, RecognizedLiterals)
