@@ -20,8 +20,10 @@
  * Every benchmark reports sim_Mcycles_per_s (simulated Mcycles per
  * host second, the figure of merit) next to google-benchmark's
  * items_per_second (simulated calls or buffer passes). The two
- * interleaving workloads also report switches_per_call: the engine's
- * fiber swaps (Engine::fiberSwitches) per simulated call.
+ * interleaving workloads also report switches_per_call, the engine's
+ * fiber swaps (Engine::fiberSwitches) per simulated call, and
+ * inline_steps_per_call, the polling phases the scheduler stepped
+ * without resuming a fiber (Engine::inlineSteps).
  */
 
 #include <benchmark/benchmark.h>
@@ -90,6 +92,24 @@ reportSimRate(benchmark::State &state, double sim_cycles,
         sim_cycles / 1e6, benchmark::Counter::kIsRate);
 }
 
+/** Host scheduler work of the interleaving runs, summed over runs. */
+struct SchedulerCounts {
+    double switches = 0;
+    double inlineSteps = 0;
+
+    void add(const sim::Engine &engine)
+    {
+        switches += static_cast<double>(engine.fiberSwitches());
+        inlineSteps += static_cast<double>(engine.inlineSteps());
+    }
+
+    void report(benchmark::State &state, double calls) const
+    {
+        state.counters["switches_per_call"] = switches / calls;
+        state.counters["inline_steps_per_call"] = inlineSteps / calls;
+    }
+};
+
 } // anonymous namespace
 
 static void
@@ -115,7 +135,8 @@ static void
 BM_SimHotCallPingPong(benchmark::State &state)
 {
     constexpr int kCalls = 1'000;
-    double sim_cycles = 0, calls = 0, switches = 0;
+    double sim_cycles = 0, calls = 0;
+    SchedulerCounts counts;
     for (auto _ : state) {
         Bed bed;
         hotcalls::HotCallService hot(bed.runtime,
@@ -131,11 +152,11 @@ BM_SimHotCallPingPong(benchmark::State &state)
         });
         engine.run();
         sim_cycles += static_cast<double>(bed.totalSimCycles());
-        switches += static_cast<double>(engine.fiberSwitches());
+        counts.add(engine);
         calls += kCalls;
     }
     reportSimRate(state, sim_cycles, calls);
-    state.counters["switches_per_call"] = switches / calls;
+    counts.report(state, calls);
 }
 BENCHMARK(BM_SimHotCallPingPong);
 
@@ -144,7 +165,8 @@ BM_SimHotQueue4Requesters(benchmark::State &state)
 {
     constexpr int kRequesters = 4;
     constexpr int kCallsEach = 250;
-    double sim_cycles = 0, calls = 0, switches = 0;
+    double sim_cycles = 0, calls = 0;
+    SchedulerCounts counts;
     for (auto _ : state) {
         Bed bed;
         hotcalls::HotQueueConfig config;
@@ -168,11 +190,11 @@ BM_SimHotQueue4Requesters(benchmark::State &state)
         }
         engine.run();
         sim_cycles += static_cast<double>(bed.totalSimCycles());
-        switches += static_cast<double>(engine.fiberSwitches());
+        counts.add(engine);
         calls += kRequesters * kCallsEach;
     }
     reportSimRate(state, sim_cycles, calls);
-    state.counters["switches_per_call"] = switches / calls;
+    counts.report(state, calls);
 }
 BENCHMARK(BM_SimHotQueue4Requesters);
 

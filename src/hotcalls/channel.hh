@@ -261,12 +261,39 @@ class Channel
      *  ever complete the request. */
     bool aborted();
 
-    /** One PAUSE plus the poll-jitter draw. */
-    void pause()
+    /** How a requester's completion wait ended. */
+    enum class WaitEnd {
+        Complete, //!< the responder published the completion
+        Aborted,  //!< aborted(): nobody will ever complete it
+        Stuck,    //!< the Sentinel deadline check fired
+    };
+
+    /**
+     * The requester's completion wait, stepped as a sim::Spin: @p probe
+     * reads the completion line (a priced access, returning its
+     * cycles); one phase later the wait ends on @p complete(), on
+     * aborted(), or when @p stuck(wait_start) says a Sentinel deadline
+     * passed, and otherwise PAUSEs and probes again. The caller acts on
+     * the end at the clock the check ran.
+     */
+    template <class Probe, class Complete, class Stuck>
+    WaitEnd awaitCompletion(Probe probe, Complete complete, Stuck stuck);
+
+    /** One PAUSE plus the poll-jitter draw, priced but not charged
+     *  (a Spin step returns it). */
+    Cycles pauseCycles()
     {
-        auto &engine = machine_.engine();
-        engine.advance(sdk::kPauseCycles +
-                       engine.rng().nextBelow(knobs_->pollJitter + 1));
+        return sdk::kPauseCycles +
+               machine_.engine().rng().nextBelow(knobs_->pollJitter + 1);
+    }
+
+    /** One PAUSE plus the poll-jitter draw, charged. */
+    void pause() { machine_.engine().advance(pauseCycles()); }
+
+    /** One access to protocol line @p line, priced but not charged. */
+    Cycles probeLine(Addr line, bool write)
+    {
+        return machine_.memory().accessWord(line, write, false);
     }
 
     /**
@@ -439,6 +466,45 @@ Channel::aborted()
         return false;
     ++counters_->aborts;
     return true;
+}
+
+template <class Probe, class Complete, class Stuck>
+Channel::WaitEnd
+Channel::awaitCompletion(Probe probe, Complete complete, Stuck stuck)
+{
+    struct Wait final : sim::Spin {
+        Channel &channel;
+        Probe &probe;
+        Complete &complete;
+        Stuck &stuck;
+        const Cycles start;
+        bool probed = false; //!< the probe's result is due
+        WaitEnd end = WaitEnd::Complete;
+
+        Wait(Channel &c, Probe &p, Complete &d, Stuck &s, Cycles now)
+            : channel(c), probe(p), complete(d), stuck(s), start(now)
+        {
+        }
+
+        Cycles step() override
+        {
+            probed = !probed;
+            if (probed)
+                return probe();
+            if (complete())
+                end = WaitEnd::Complete;
+            else if (channel.aborted())
+                end = WaitEnd::Aborted;
+            else if (stuck(start))
+                end = WaitEnd::Stuck;
+            else
+                return channel.pauseCycles();
+            return sim::kSpinDone;
+        }
+    };
+    Wait wait(*this, probe, complete, stuck, machine_.now());
+    machine_.engine().spin(wait);
+    return wait.end;
 }
 
 template <class Retired>

@@ -85,12 +85,11 @@ HotCallService::lock()
 }
 
 void
-HotCallService::unlock()
+HotCallService::release()
 {
     lockWord_ = false;
     if (protocol_)
         protocol_->onUnlock();
-    touchChannel(true);
 }
 
 void
@@ -173,39 +172,37 @@ HotCallService::call(int id, const edl::Args &args)
 
         // Wait for completion: the responder clears the busy flag
         // once it has executed the call and filled the response.
-        const Cycles wait_start = machine_.now();
-        for (;;) {
-            touchChannel(false);
-            if (!go_)
-                break;
-            if (aborted()) {
-                // The responder is stranded: nothing will harvest on
-                // our behalf, so release the staging claim.
-                slotBusy_ = false;
-                return 0;
-            }
-            if (guard_ && !requestServed_ &&
-                machine_.now() - wait_start >
-                    guard_->unservedDeadline() &&
-                guard_->responderLate(machine_.now())) {
-                // Abandon: no live responder ever committed to the
-                // published request, and none has shown a heartbeat
-                // within the liveness window. Poison the channel (go_
-                // stays up so no requester can claim it; the next
-                // responder to see it discards without serving — the
-                // served/abandoned handoff is host-atomic, so the
-                // request is either discarded or served, never both)
-                // and reissue the call on the SDK path. A discarding
-                // responder never reads the staging: release it.
-                abandoned_ = true;
-                touchChannel(true);
-                if (protocol_)
-                    protocol_->onAbandon();
-                guard_->noteAbandon();
-                slotBusy_ = false;
-                return fallback(id, args, adm);
-            }
-            pause();
+        const WaitEnd end = awaitCompletion(
+            [&] { return probeChannel(false); }, [&] { return !go_; },
+            [&](Cycles wait_start) {
+                return guard_ && !requestServed_ &&
+                       machine_.now() - wait_start >
+                           guard_->unservedDeadline() &&
+                       guard_->responderLate(machine_.now());
+            });
+        if (end == WaitEnd::Aborted) {
+            // The responder is stranded: nothing will harvest on our
+            // behalf, so release the staging claim.
+            slotBusy_ = false;
+            return 0;
+        }
+        if (end == WaitEnd::Stuck) {
+            // Abandon: no live responder ever committed to the
+            // published request, and none has shown a heartbeat within
+            // the liveness window. Poison the channel (go_ stays up so
+            // no requester can claim it; the next responder to see it
+            // discards without serving — the served/abandoned handoff
+            // is host-atomic, so the request is either discarded or
+            // served, never both) and reissue the call on the SDK
+            // path. A discarding responder never reads the staging:
+            // release it.
+            abandoned_ = true;
+            touchChannel(true);
+            if (protocol_)
+                protocol_->onAbandon();
+            guard_->noteAbandon();
+            slotBusy_ = false;
+            return fallback(id, args, adm);
         }
         countSuccess(adm, attempt);
 
@@ -229,6 +226,35 @@ HotCallService::call(int id, const edl::Args &args)
 }
 
 void
+HotCallService::serveRequest()
+{
+    touchChannel(false); // read call_ID and *data
+    if (guard_ && abandoned_) {
+        // The publisher gave up on this request and reissued it on the
+        // SDK path; its staging is gone. Discard: drop the poison
+        // marker and the busy flag together without dereferencing the
+        // stale request pointer.
+        discard();
+        unlock(); // channel clean again
+        return;
+    }
+    // Commit host-atomically with the abandoned_ check above (no
+    // advance in between): the publisher only abandons while
+    // !requestServed_, so a request is either discarded or served,
+    // never both.
+    requestServed_ = true;
+    if (protocol_)
+        protocol_->onServe();
+    unlock(); // release before executing
+    serve(*request_, stagingSlot(0));
+    go_ = false;
+    if (protocol_)
+        protocol_->onComplete();
+    touchChannel(true); // busy cleared (completion)
+    afterServe();
+}
+
+void
 HotCallService::responderLoop(std::uint64_t epoch)
 {
     auto &engine = machine_.engine();
@@ -239,76 +265,90 @@ HotCallService::responderLoop(std::uint64_t epoch)
         !(tcs = enterEnclave([&] { return epoch != responderEpoch_; })))
         return;
 
-    auto *injector = machine_.fault();
-    std::uint64_t idle_polls = 0;
-    while (!stopRequested_ && epoch == responderEpoch_) {
-        ++stats_.responderPolls;
-        if (guard_)
-            guard_->heartbeat(machine_.now());
+    // The poll loop as spin phases, each ending in its priced access
+    // or PAUSE. It ends where the fiber has work: a published request,
+    // the idle sleep, an injected fault, or the loop's exit.
+    enum class Phase { Rest, Poll, Probe, Lock, Go, Pause };
+    enum class Exit { Stop, Serve, Sleep, Wedge, Oversleep };
+    struct Poll final : sim::Spin {
+        HotCallService &svc;
+        const std::uint64_t epoch;
+        fault::FaultInjector *const injector;
+        Phase phase = Phase::Poll;
+        Exit exit = Exit::Stop;
+        std::uint64_t idlePolls = 0;
 
-        if (injector) {
-            if (injector->fire(fault::Site::ResponderNeverWake)) {
-                // Park for good: requesters see a saturated channel
-                // until the channel (or the engine) stops — or, under
-                // Sentinel, until a respawn retires this fiber.
-                // Stepped so the stopAtCycle backstop can still fire.
-                while (!stopRequested_ && !engine.stopRequested() &&
-                       epoch == responderEpoch_) {
-                    injector->pollStop();
-                    engine.advance(sdk::kPauseCycles * 16);
-                    engine.yield();
-                }
-                continue;
-            }
-            if (injector->fire(fault::Site::ResponderOversleep)) {
-                engine.advance(
-                    injector->delay(fault::Site::ResponderOversleep));
-            }
+        Poll(HotCallService &s, std::uint64_t e)
+            : svc(s), epoch(e), injector(s.machine_.fault())
+        {
         }
 
-        // Try the lock; on failure just PAUSE and retry.
-        touchChannel(true);
-        if (!lockWord_) {
-            lock();
-            touchChannel(false); // check the busy/"go" flag
-            if (!go_) {
-                ++idle_polls;
-                unlock();
-            } else {
-                idle_polls = 0;
-                touchChannel(false); // read call_ID and *data
-                if (guard_ && abandoned_) {
-                    // The publisher gave up on this request and
-                    // reissued it on the SDK path; its staging is
-                    // gone. Discard: drop the poison marker and the
-                    // busy flag together without dereferencing the
-                    // stale request pointer.
-                    discard();
-                    unlock(); // channel clean again
-                } else {
-                    // Commit host-atomically with the abandoned_
-                    // check above (no advance in between): the
-                    // publisher only abandons while !requestServed_,
-                    // so a request is either discarded or served,
-                    // never both.
-                    requestServed_ = true;
-                    if (protocol_)
-                        protocol_->onServe();
-                    unlock(); // release before executing
-                    serve(*request_, stagingSlot(0));
-                    go_ = false;
-                    if (protocol_)
-                        protocol_->onComplete();
-                    touchChannel(true); // busy cleared (completion)
-                    afterServe();
-                }
-            }
+        Cycles end(Exit why)
+        {
+            exit = why;
+            return sim::kSpinDone;
         }
-        pause();
 
-        if (config_.responderSleep &&
-            idle_polls > config_.idlePollsBeforeSleep &&
-            !stopRequested_) {
+        Cycles pause()
+        {
+            phase = Phase::Rest;
+            return svc.pauseCycles();
+        }
+
+        Cycles step() override
+        {
+            switch (phase) {
+              case Phase::Rest: // after a PAUSE: conserve the core?
+                if (svc.config_.responderSleep &&
+                    idlePolls > svc.config_.idlePollsBeforeSleep &&
+                    !svc.stopRequested_)
+                    return end(Exit::Sleep);
+                [[fallthrough]];
+              case Phase::Poll:
+                if (svc.stopRequested_ || epoch != svc.responderEpoch_)
+                    return end(Exit::Stop);
+                ++svc.stats_.responderPolls;
+                if (svc.guard_)
+                    svc.guard_->heartbeat(svc.machine_.now());
+                if (injector) {
+                    if (injector->fire(fault::Site::ResponderNeverWake))
+                        return end(Exit::Wedge);
+                    if (injector->fire(fault::Site::ResponderOversleep))
+                        return end(Exit::Oversleep);
+                }
+                [[fallthrough]];
+              case Phase::Probe: // try the lock
+                phase = Phase::Lock;
+                return svc.probeChannel(true);
+              case Phase::Lock:
+                if (svc.lockWord_)
+                    return pause(); // taken: PAUSE and retry
+                svc.lock();
+                phase = Phase::Go;
+                return svc.probeChannel(false); // the busy/"go" flag
+              case Phase::Go:
+                if (svc.go_)
+                    return end(Exit::Serve);
+                ++idlePolls;
+                svc.release();
+                phase = Phase::Pause;
+                return svc.probeChannel(true); // the unlock's RFO
+              case Phase::Pause:
+                return pause();
+            }
+            return end(Exit::Stop);
+        }
+    };
+
+    Poll poll(*this, epoch);
+    for (engine.spin(poll); poll.exit != Exit::Stop; engine.spin(poll)) {
+        switch (poll.exit) {
+          case Exit::Serve:
+            poll.idlePolls = 0;
+            serveRequest();
+            poll.phase = Phase::Pause;
+            break;
+          case Exit::Sleep:
             // Conserve the core: park on the condition variable until
             // a requester (or stop()) signals. Commit to parking only
             // under sleepMutex_, re-checking the busy flag and the
@@ -327,7 +367,29 @@ HotCallService::responderLoop(std::uint64_t epoch)
                 touchChannel(true);
             }
             sleepMutex_.unlock();
-            idle_polls = 0;
+            poll.idlePolls = 0;
+            poll.phase = Phase::Poll;
+            break;
+          case Exit::Wedge:
+            // Park for good: requesters see a saturated channel until
+            // the channel (or the engine) stops — or, under Sentinel,
+            // until a respawn retires this fiber. Stepped so the
+            // stopAtCycle backstop can still fire.
+            while (!stopRequested_ && !engine.stopRequested() &&
+                   epoch == responderEpoch_) {
+                poll.injector->pollStop();
+                engine.advance(sdk::kPauseCycles * 16);
+                engine.yield();
+            }
+            poll.phase = Phase::Poll;
+            break;
+          case Exit::Oversleep:
+            engine.advance(
+                poll.injector->delay(fault::Site::ResponderOversleep));
+            poll.phase = Phase::Probe;
+            break;
+          case Exit::Stop:
+            break;
         }
     }
 

@@ -74,8 +74,13 @@ class HotCallService : public Channel
 
   private:
     /** The responder thread body (@p epoch: retirement generation —
-     *  the loop exits once a respawn supersedes it). */
+     *  the loop exits once a respawn supersedes it). Its idle polling
+     *  is a sim::Spin; the fiber serves, sleeps and takes faults. */
     void responderLoop(std::uint64_t epoch);
+
+    /** Serve (or discard, when abandoned) the request the responder
+     *  found published, holding the lock. */
+    void serveRequest();
 
     /** Retire the wedged responder fiber and spawn a replacement on
      *  the same core. */
@@ -93,9 +98,21 @@ class HotCallService : public Channel
         machine_.memory().accessWord(channelLine_, write);
     }
 
-    /** Take / release the spin-lock word (release: one RFO). */
+    /** The same access, priced but not charged (a Spin step). */
+    Cycles probeChannel(bool write)
+    {
+        return probeLine(channelLine_, write);
+    }
+
+    /** Take the spin-lock word; release it without (release()) or with
+     *  its RFO on the line (unlock()). */
     void lock();
-    void unlock();
+    void release();
+    void unlock()
+    {
+        release();
+        touchChannel(true);
+    }
 
     /** Drop an abandoned request without serving it. */
     void discard();

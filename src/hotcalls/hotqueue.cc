@@ -181,16 +181,17 @@ HotQueue::call(int id, const edl::Args &args)
 
         // Wait for completion: a responder marks the slot done once
         // it has executed the call and filled the response.
-        const Cycles wait_start = machine_.now();
-        for (;;) {
-            touchSlot(idx, false);
-            if (slot.state == SlotState::Done)
-                break;
-            if (aborted())
-                return 0;
-            if (guard_ && reclaimStuck(idx, my_epoch, wait_start))
-                return fallback(id, args, adm);
-            pause();
+        const WaitEnd end = awaitCompletion(
+            [&] { return probeLine(slot.line, false); },
+            [&] { return slot.state == SlotState::Done; },
+            [&](Cycles wait_start) {
+                return guard_ && reclaimDue(idx, my_epoch, wait_start);
+            });
+        if (end == WaitEnd::Aborted)
+            return 0;
+        if (end == WaitEnd::Stuck) {
+            reclaim(idx);
+            return fallback(id, args, adm);
         }
         // A fast call copies its results out of the slot staging
         // BEFORE the slot is released: the arenas (and the recycled
@@ -232,25 +233,30 @@ HotQueue::claimVoided(std::size_t index, std::uint64_t epoch)
 }
 
 bool
-HotQueue::reclaimStuck(std::size_t index, std::uint64_t epoch,
-                       Cycles wait_start)
+HotQueue::reclaimDue(std::size_t index, std::uint64_t epoch,
+                     Cycles wait_start) const
 {
-    Slot &slot = slots_[index];
+    const Slot &slot = slots_[index];
+    if (slot.epoch != epoch)
+        return false;
     const Cycles now = machine_.now();
     // Ready-reclaim: published, but no responder ever grabbed it and
     // none shows a heartbeat within the liveness window.
-    const bool ready = slot.state == SlotState::Ready &&
-                       slot.epoch == epoch &&
-                       now - wait_start > guard_->unservedDeadline() &&
-                       guard_->responderLate(now);
+    if (slot.state == SlotState::Ready)
+        return now - wait_start > guard_->unservedDeadline() &&
+               guard_->responderLate(now);
     // Serving-reclaim: grabbed, but the server never started executing
     // it (wedged mid-batch; a dispatched handler always completes, so
     // only undispatched grabs are reclaimable).
-    const bool serving = slot.state == SlotState::Serving &&
-                         slot.epoch == epoch && !slot.dispatched &&
-                         now - slot.servingSince > guard_->servingLeash();
-    if (!ready && !serving)
-        return false;
+    return slot.state == SlotState::Serving && !slot.dispatched &&
+           now - slot.servingSince > guard_->servingLeash();
+}
+
+void
+HotQueue::reclaim(std::size_t index)
+{
+    Slot &slot = slots_[index];
+    const bool ready = slot.state == SlotState::Ready;
     // Retire the request to an ownerless Zombie and reissue it on the
     // SDK path. The epoch bump voids a wedged server's grab, and a
     // resumed server only epoch-checks (never writes): the head scan
@@ -273,7 +279,6 @@ HotQueue::reclaimStuck(std::size_t index, std::uint64_t epoch,
         guard_->noteReclaimServing();
     }
     touchSlot(index, true);
-    return true;
 }
 
 void
@@ -295,10 +300,6 @@ int
 HotQueue::tryServeBatch(std::vector<Grab> &batch)
 {
     auto &engine = machine_.engine();
-
-    touchTail(false); // one producer-cursor read per poll
-    if (pending() == 0)
-        return 0;
 
     // Grab every contiguous Ready slot from the head in one go (no
     // time charged mid-grab on the healthy path: the acquisition is
@@ -500,48 +501,114 @@ HotQueue::responderLoop(int index)
     if (index >= config_.minResponders)
         parkResponder(false);
 
-    // Sliding occupancy window driving the scale-down decision. The
-    // occupancy is measured in busy TIME, not busy polls: idle polls
-    // are far shorter than served batches, so a poll-count fraction
-    // would look idle even on a saturated ring.
-    auto *injector = machine_.fault();
+    // The poll loop as spin phases: one producer-cursor read per poll,
+    // PAUSE when nothing is pending, then the scale-down window. It
+    // ends where the fiber has work: pending entries to grab, a surplus
+    // responder to park, an injected cursor stall, or the loop's exit.
+    //
+    // The window measures occupancy in busy TIME, not busy polls: idle
+    // polls are far shorter than served batches, so a poll-count
+    // fraction would look idle even on a saturated ring.
+    enum class Phase { Poll, Probe, Tail, Pause, Window };
+    enum class Exit { Stop, Grab, Park, Stall };
+    struct Poll final : sim::Spin {
+        HotQueue &queue;
+        fault::FaultInjector *const injector;
+        Phase phase = Phase::Poll;
+        Exit exit = Exit::Stop;
+        Cycles pollStart = 0;
+        std::uint64_t windowPolls = 0;
+        Cycles windowBusy = 0;
+        Cycles windowStart;
+
+        explicit Poll(HotQueue &q)
+            : queue(q), injector(q.machine_.fault()),
+              windowStart(q.machine_.now())
+        {
+        }
+
+        Cycles end(Exit why)
+        {
+            exit = why;
+            return sim::kSpinDone;
+        }
+
+        Cycles step() override
+        {
+            switch (phase) {
+              case Phase::Window: // after a PAUSE or a batch
+                if (windowPolls >= queue.config_.scaleWindowPolls) {
+                    const Cycles elapsed =
+                        queue.machine_.now() - windowStart;
+                    const double busy_frac =
+                        elapsed > 0 ? static_cast<double>(windowBusy) /
+                                          static_cast<double>(elapsed)
+                                    : 0.0;
+                    windowPolls = 0;
+                    windowBusy = 0;
+                    // Occupancy stayed low for a whole window: this
+                    // responder is surplus; park until load returns.
+                    if (busy_frac < queue.config_.scaleDownOccupancy &&
+                        queue.activeResponders() >
+                            queue.config_.minResponders)
+                        return end(Exit::Park);
+                    // Fresh window.
+                    windowStart = queue.machine_.now();
+                }
+                [[fallthrough]];
+              case Phase::Poll:
+                if (queue.stopRequested_)
+                    return end(Exit::Stop);
+                ++queue.stats_.responderPolls;
+                if (queue.guard_)
+                    queue.guard_->heartbeat(queue.machine_.now());
+                if (injector && injector->fire(fault::Site::CursorStall))
+                    return end(Exit::Stall);
+                [[fallthrough]];
+              case Phase::Probe:
+                pollStart = queue.machine_.now();
+                phase = Phase::Tail;
+                return queue.probeLine(queue.tailLine_, false);
+              case Phase::Tail:
+                if (queue.pending() > 0)
+                    return end(Exit::Grab);
+                ++windowPolls;
+                [[fallthrough]];
+              case Phase::Pause:
+                phase = Phase::Window;
+                return queue.pauseCycles();
+            }
+            return end(Exit::Stop);
+        }
+    };
+
     std::vector<Grab> batch; // reused by every poll
     batch.reserve(static_cast<std::size_t>(config_.maxBatch));
-    std::uint64_t window_polls = 0;
-    Cycles window_busy = 0;
-    Cycles window_start = machine_.now();
-    while (!stopRequested_) {
-        ++stats_.responderPolls;
-        if (guard_)
-            guard_->heartbeat(machine_.now());
-        if (injector && injector->fire(fault::Site::CursorStall)) {
+    Poll poll(*this);
+    for (engine.spin(poll); poll.exit != Exit::Stop; engine.spin(poll)) {
+        switch (poll.exit) {
+          case Exit::Grab: {
+            const int served = tryServeBatch(batch);
+            ++poll.windowPolls;
+            if (served > 0)
+                poll.windowBusy += machine_.now() - poll.pollStart;
+            poll.phase = served > 0 ? Phase::Window : Phase::Pause;
+            break;
+          }
+          case Exit::Park:
+            parkResponder(true);
+            // Fresh window — never spanning time spent parked.
+            poll.windowStart = machine_.now();
+            poll.phase = Phase::Poll;
+            break;
+          case Exit::Stall:
             // The consumer cursor goes quiet for a while: the ring
             // fills, requesters hit the claim timeout and fall back.
-            engine.advance(injector->delay(fault::Site::CursorStall));
-        }
-        const Cycles poll_start = machine_.now();
-        const int served = tryServeBatch(batch);
-        ++window_polls;
-        if (served > 0)
-            window_busy += machine_.now() - poll_start;
-        else
-            pause();
-        if (window_polls >= config_.scaleWindowPolls) {
-            const Cycles elapsed = machine_.now() - window_start;
-            const double busy_frac =
-                elapsed > 0 ? static_cast<double>(window_busy) /
-                                  static_cast<double>(elapsed)
-                            : 0.0;
-            window_polls = 0;
-            window_busy = 0;
-            if (busy_frac < config_.scaleDownOccupancy &&
-                activeResponders() > config_.minResponders) {
-                // Occupancy stayed low for a whole window: this
-                // responder is surplus; park it until load returns.
-                parkResponder(true);
-            }
-            // Fresh window — never spanning time spent parked.
-            window_start = machine_.now();
+            engine.advance(poll.injector->delay(fault::Site::CursorStall));
+            poll.phase = Phase::Probe;
+            break;
+          case Exit::Stop:
+            break;
         }
     }
 

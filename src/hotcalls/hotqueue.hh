@@ -129,7 +129,8 @@ class HotQueue : public Channel
     };
 
     /** The responder thread body (pool member @p index; respawned
-     *  members carry index -1: they never start parked). */
+     *  members carry index -1: they never start parked). Its idle
+     *  polling is a sim::Spin; the fiber grabs, serves and parks. */
     void responderLoop(int index);
 
     /** A slot taken for serving, with the epoch it was taken at. */
@@ -138,9 +139,10 @@ class HotQueue : public Channel
         std::uint64_t epoch;
     };
 
-    /** Serve up to maxBatch pending slots, collected in @p batch (the
-     *  calling responder's scratch, cleared here: responders share the
-     *  queue and a batch spans suspensions). @return slots served. */
+    /** Once a poll saw pending entries: serve up to maxBatch of them,
+     *  collected in @p batch (the calling responder's scratch, cleared
+     *  here: responders share the queue and a batch spans
+     *  suspensions). @return slots served. */
     int tryServeBatch(std::vector<Grab> &batch);
 
     /** Publisher side: @return true when the head scan retired slot
@@ -148,11 +150,15 @@ class HotQueue : public Channel
      *  publisher — the claim is void, the Zombie retired. */
     bool claimVoided(std::size_t index, std::uint64_t epoch);
 
-    /** Requester side: reclaim published slot @p index (claimed at
-     *  @p epoch) when it is stuck Ready or undispatched Serving past
-     *  its deadline. @return true when the call must reissue. */
-    bool reclaimStuck(std::size_t index, std::uint64_t epoch,
-                      Cycles wait_start);
+    /** Requester side: @return true when published slot @p index
+     *  (claimed at @p epoch, waited on since @p wait_start) is stuck
+     *  Ready or undispatched Serving past its deadline. */
+    bool reclaimDue(std::size_t index, std::uint64_t epoch,
+                    Cycles wait_start) const;
+
+    /** Retire stuck slot @p index (reclaimDue() just held) to an
+     *  ownerless Zombie; its call reissues on the SDK path. */
+    void reclaim(std::size_t index);
 
     /** Return a Zombie slot to Free (fields cleared, line touched). */
     void retireZombie(std::size_t index);

@@ -199,24 +199,26 @@ MemoryModel::accessWord(Addr addr, bool write, bool charge_time)
         check_->onWordAccess(addr, write);
     const bool epc = space_.isEpc(addr);
     const CoreId core = currentCore();
-    double cost = static_cast<double>(touchPages(addr, 8, write));
+    // Every outcome but the EPC load miss is a whole number of cycles:
+    // summed exactly, with no rounding (see roundCost()).
+    Cycles cycles = epc ? touchPages(addr, 8, write) : 0;
 
     const auto result = cache_.access(core, addr, write);
     handleEviction(result);
     switch (result.outcome) {
       case CacheOutcome::OwnedHit:
-        cost += static_cast<double>(params_.ownedHit);
+        cycles += params_.ownedHit;
         break;
       case CacheOutcome::SharedHit:
-        cost += static_cast<double>(params_.cacheToCache);
+        cycles += params_.cacheToCache;
         break;
       case CacheOutcome::Miss:
         if (write) {
-            cost += static_cast<double>(params_.plainStoreMiss);
+            cycles += params_.plainStoreMiss;
             if (epc)
-                cost += static_cast<double>(params_.meeWritePipeline);
+                cycles += params_.meeWritePipeline;
         } else {
-            cost += static_cast<double>(params_.plainLoadMiss);
+            cycles += params_.plainLoadMiss;
             if (epc) {
                 verifyFetched(addr & ~(kCacheLineSize - 1));
                 const int walk_misses =
@@ -229,17 +231,18 @@ MemoryModel::accessWord(Addr addr, bool write, bool charge_time)
                     params_.meeSpeculativeLoading
                         ? params_.speculativeWalkFactor
                         : 1.0;
+                double cost = static_cast<double>(cycles);
                 cost += static_cast<double>(params_.meeReadPipeline) *
                         spec_pipe;
                 cost += static_cast<double>(walk_misses) *
                         static_cast<double>(params_.treeNodeFetch) *
                         spec_walk;
+                cycles = roundCost(cost);
             }
         }
         break;
     }
 
-    const Cycles cycles = roundCost(cost);
     if (charge_time)
         charge(cycles);
     return cycles;

@@ -126,15 +126,21 @@ class MemoryModel
     /**
      * The single double→Cycles rounding point.
      *
-     * Costs accumulate as doubles because several per-line parameters
-     * are calibrated to fractional cycles (seqReadPerLine = 22.7,
-     * meeStreamOverlap = 7.42, ...); rounding per line would distort
-     * large transfers by up to half a cycle per line. Accumulation
-     * order is fixed (page-touch extra first, then strictly ascending
-     * line order, then flushes) and every operation rounds exactly
-     * once, here — keeping results bit-identical across runs and
-     * refactors. Do not round anywhere else, and do not reassociate
-     * the additions: both would shift Table 1/Fig 6-8 outputs.
+     * Span costs accumulate as doubles because several per-line
+     * parameters are calibrated to fractional cycles (seqReadPerLine =
+     * 22.7, meeStreamOverlap = 7.42, ...); rounding per line would
+     * distort large transfers by up to half a cycle per line.
+     * Accumulation order is fixed (page-touch extra first, then
+     * strictly ascending line order, then flushes) and every span
+     * operation rounds exactly once, here — keeping results
+     * bit-identical across runs and refactors. accessWord() sums its
+     * whole-cycle outcomes as Cycles and comes here only for an EPC
+     * load miss, whose MEE factors are fractional: the integer part is
+     * converted once, then the fractional terms are added in the same
+     * order. (The llround of an integer-valued double is that integer,
+     * so the integer sum is the same result.) Do not round anywhere
+     * else, and do not reassociate the additions: both would shift
+     * Table 1/Fig 6-8 outputs.
      */
     static Cycles roundCost(double cost);
 
@@ -144,7 +150,8 @@ class MemoryModel
     /** Verify integrity of a line fetched from DRAM. */
     void verifyFetched(Addr line);
 
-    /** Apply the page-touch hook over the pages of a range. */
+    /** Apply the page-touch hook over the pages of a range.
+     *  @return the extra cycles; 0 for a range outside the EPC */
     Cycles touchPages(Addr addr, std::uint64_t len, bool write);
 
     /** @return number of lines [addr, addr+len) overlaps (len > 0).

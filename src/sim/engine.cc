@@ -42,6 +42,7 @@ Engine::Engine(Config config) : config_(config), rng_(config.seed)
 {
     hc_assert(config_.numCores > 0);
     cores_.resize(static_cast<std::size_t>(config_.numCores));
+    lanes_.reserve(cores_.size());
     if (config_.interruptMeanCycles > 0) {
         for (auto &core : cores_) {
             core.nextInterrupt = static_cast<Cycles>(
@@ -76,6 +77,7 @@ Engine::unwindStranded()
         // the time teardown unwinds the threads parked on them.
         t->waitingOn_ = nullptr;
         t->hasTimeout_ = false;
+        t->spin_ = nullptr;
         running_ = t;
         t->fiber_->switchTo();
         running_ = nullptr;
@@ -98,6 +100,7 @@ Engine::current()
 Thread *
 Engine::spawn(std::string name, CoreId core, std::function<void()> body)
 {
+    hc_assert(!stepping_);
     hc_assert(core >= 0 && core < numCores());
     std::unique_ptr<Thread> thread(new Thread(
         *this, std::move(name), core, std::move(body), nextThreadId_++));
@@ -117,10 +120,13 @@ Engine::makeReady(Thread *thread, Cycles when)
     thread->readyTime_ = when;
     Core &core = cores_[static_cast<std::size_t>(thread->core_)];
     // Strict `<`: an earlier arrival keeps a tie (FIFO).
-    if (core.ready.empty() ||
-        when < core.ready[core.candidate]->readyTime_)
-        core.candidate = core.ready.size();
+    if (!core.first || when < core.firstTime) {
+        core.candidate = static_cast<std::uint32_t>(core.ready.size());
+        core.first = thread;
+        core.firstTime = when;
+    }
     core.ready.push_back(thread);
+    core.lane = core.ready.size() == 1 && thread->spin_;
     // A new candidate may precede the running thread's horizon.
     if (running_)
         nextEventTime_ = std::min(nextEventTime_, when);
@@ -132,38 +138,55 @@ Engine::popCandidate(Core &core)
     auto &ready = core.ready;
     ready.erase(ready.begin() +
                 static_cast<std::ptrdiff_t>(core.candidate));
+    core.first = nullptr;
+    core.lane = false;
+    if (ready.empty())
+        return;
     // Earliest eligibility, first arrival on ties.
     core.candidate = 0;
-    for (std::size_t i = 1; i < ready.size(); ++i) {
+    for (std::uint32_t i = 1; i < ready.size(); ++i) {
         if (ready[i]->readyTime_ < ready[core.candidate]->readyTime_)
             core.candidate = i;
     }
+    core.first = ready[core.candidate];
+    core.firstTime = core.first->readyTime_;
+    core.lane = ready.size() == 1 && core.first->spin_;
 }
 
 Engine::Selection
-Engine::selectNext() const
+Engine::selectNext()
 {
-    Selection sel;
-    // Globally minimal runnable candidate; `<` keeps the first core
-    // on ties. Candidate times of every losing core accumulate into
-    // otherMin so a post-dispatch horizon refresh only has to rescan
-    // the winning core.
+    // Globally minimal runnable candidate among non-lanes; `<` keeps
+    // the first core on ties. Candidate times of every losing core
+    // accumulate into other_min so a post-dispatch horizon refresh
+    // only has to rescan the winning core. (Locals, not sel's fields:
+    // the lane stores could alias those and keep them in memory.)
+    lanes_.clear();
+    Thread *best = nullptr;
+    Cycles best_time = kNever;
+    std::size_t best_core = 0;
+    Cycles other_min = kNever;
     for (std::size_t c = 0; c < cores_.size(); ++c) {
         const Core &core = cores_[c];
-        if (core.ready.empty())
+        if (!core.first)
             continue;
-        Thread *th = core.ready[core.candidate];
-        const Cycles t = std::max(core.clock, th->readyTime_);
-        if (t < sel.time) {
-            if (sel.thread)
-                sel.otherMin = std::min(sel.otherMin, sel.time);
-            sel.time = t;
-            sel.thread = th;
-            sel.coreIdx = c;
+        const Cycles t = std::max(core.clock, core.firstTime);
+        if (core.lane) {
+            lanes_.push_back({c, t});
+        } else if (t < best_time) {
+            other_min = std::min(other_min, best_time);
+            best_time = t;
+            best = core.first;
+            best_core = c;
         } else {
-            sel.otherMin = std::min(sel.otherMin, t);
+            other_min = std::min(other_min, t);
         }
     }
+    Selection sel;
+    sel.thread = best;
+    sel.time = best_time;
+    sel.coreIdx = best_core;
+    sel.otherMin = other_min;
     // Earliest pending waitUntil() deadline; ties resolve by spawn id
     // so the result matches a scan of threads_ in spawn order.
     for (Thread *t : timedWaiters_) {
@@ -189,11 +212,8 @@ Engine::dispatch(const Selection &sel)
     // removed, clock moved); every other core's candidate and the
     // timeout minimum were already gathered by selectNext().
     Cycles next = std::min(sel.otherMin, sel.timeoutTime);
-    if (!core.ready.empty()) {
-        next = std::min(next, std::max(core.clock,
-                                       core.ready[core.candidate]
-                                           ->readyTime_));
-    }
+    if (core.first)
+        next = std::min(next, std::max(core.clock, core.firstTime));
     nextEventTime_ = next;
 }
 
@@ -213,12 +233,25 @@ Engine::run()
     g_current_engine = this;
 
     while (!stopRequested_ && liveThreads_ > 0) {
-        const Selection sel = selectNext();
-
-        // Fire any expired waitUntil() timeout that precedes every
-        // runnable candidate: once its deadline is the global minimum,
-        // no earlier notify can still happen.
-        if (sel.expiresTimeout()) {
+        Selection sel = selectNext();
+        Thread *next = launch(sel);
+        if (!next) {
+            // An inline spinner may have been running.
+            running_ = nullptr;
+            if (stopRequested_)
+                continue;
+            if (!sel.timeoutThread) {
+                std::string live;
+                for (const auto &thread : threads_) {
+                    if (thread->state_ != ThreadState::Done)
+                        live += " " + thread->name_;
+                }
+                fatal("simulation deadlock: no runnable thread among:%s",
+                      live.c_str());
+            }
+            // Fire the expired waitUntil() timeout that precedes every
+            // runnable candidate: once its deadline is the global
+            // minimum, no earlier notify can still happen.
             Thread *timeout_thread = sel.timeoutThread;
             // Expire the wait: detach from its queue and make it ready.
             WaitQueue *queue = timeout_thread->waitingOn_;
@@ -239,18 +272,7 @@ Engine::run()
             continue;
         }
 
-        if (!sel.thread) {
-            std::string live;
-            for (const auto &thread : threads_) {
-                if (thread->state_ != ThreadState::Done)
-                    live += " " + thread->name_;
-            }
-            fatal("simulation deadlock: no runnable thread among:%s",
-                  live.c_str());
-        }
-
-        dispatch(sel);
-        sel.thread->fiber_->switchTo();
+        next->fiber_->switchTo();
         // One swap in and one back; handoffs in between are counted
         // by reschedule().
         fiberSwitches_ += 2;
@@ -281,6 +303,84 @@ Engine::coreNow(CoreId core) const
     return cores_[static_cast<std::size_t>(core)].clock;
 }
 
+Thread *
+Engine::launch(Selection &sel)
+{
+    if (!lanes_.empty())
+        return stepSpinners(sel);
+    if (!sel.thread || sel.expiresTimeout())
+        return nullptr;
+    dispatch(sel);
+    return sel.thread;
+}
+
+Thread *
+Engine::stepSpinners(Selection &other)
+{
+    for (;;) {
+        // selectNext()'s rule over lanes and the other candidate:
+        // earliest time, then lowest core (lanes are in core order, so
+        // `<` keeps the lower one). The rest bound the lane's run.
+        Lane *lane = &lanes_.front();
+        Cycles rest = kNever;
+        for (Lane &l : lanes_) {
+            if (l.time < lane->time) {
+                rest = std::min(rest, lane->time);
+                lane = &l;
+            } else if (&l != lane) {
+                rest = std::min(rest, l.time);
+            }
+        }
+        if (other.timeoutThread &&
+            other.timeoutTime < std::min(lane->time, other.time))
+            return nullptr; // run() expires the timeout
+        if (other.time < lane->time ||
+            (other.time == lane->time && other.coreIdx < lane->coreIdx)) {
+            other.otherMin = std::min(other.otherMin, lane->time);
+            dispatch(other);
+            return other.thread;
+        }
+
+        // Run the lane's spinner until its clock reaches the next
+        // event. It stays queued on its otherwise empty core, so only
+        // its time moves; dispatch() would pop and re-push it.
+        Core &core = cores_[lane->coreIdx];
+        Thread *spinner = core.first;
+        core.clock = lane->time;
+        spinner->state_ = ThreadState::Running;
+        running_ = spinner;
+        const Cycles horizon =
+            std::min({rest, other.time, other.timeoutTime});
+        nextEventTime_ = horizon;
+        for (;;) {
+            const Cycles cycles = step(*spinner->spin_);
+            ++inlineSteps_;
+            if (cycles == kSpinDone) {
+                // Dispatched after all: off the ready queue. spin()
+                // returns on resumption.
+                core.ready.clear();
+                core.first = nullptr;
+                core.lane = false;
+                spinner->spin_ = nullptr;
+                return spinner;
+            }
+            // advance(cycles), minus the suspension.
+            core.clock += cycles;
+            if (core.clock >= core.nextInterrupt)
+                deliverInterrupts(core);
+            if (core.clock >= horizon)
+                break;
+        }
+        // Ready again at its clock, as advance() would make it.
+        spinner->state_ = ThreadState::Ready;
+        spinner->readyTime_ = core.clock;
+        core.firstTime = core.clock;
+        lane->time = core.clock;
+        if (stopRequested_)
+            return nullptr;
+    }
+}
+
 void
 Engine::reschedule()
 {
@@ -289,15 +389,20 @@ Engine::reschedule()
     // anyone, and is the only place that expires timeouts and reports
     // deadlock; only a plain dispatch happens here. Either way the
     // decision is selectNext() on the same state.
-    const Selection sel =
-        stopRequested_ ? Selection{} : selectNext();
-    if (sel.thread && !sel.expiresTimeout()) {
-        dispatch(sel);
-        if (sel.thread == self)
-            return; // re-picked: keep running, no swap
+    Thread *next = nullptr;
+    if (!stopRequested_) {
+        Selection sel = selectNext();
+        next = launch(sel);
+    }
+    if (next == self)
+        return; // re-picked: keep running, no swap
+    if (next) {
         ++fiberSwitches_;
-        self->fiber_->handoff(*sel.thread->fiber_);
+        self->fiber_->handoff(*next->fiber_);
     } else {
+        // run() reads running_ as the thread that switched back; an
+        // inline spinner may have been running since.
+        running_ = self;
         self->fiber_->switchBack();
     }
     // Resumed by whoever dispatched us (bookkeeping already done) —
@@ -331,6 +436,7 @@ Engine::deliverInterrupts(Core &core)
 void
 Engine::advance(Cycles cycles)
 {
+    hc_assert(!stepping_);
     // Destructors running during a forced unwind must not suspend:
     // a second ForcedUnwind mid-unwind would std::terminate.
     if (unwinding_)
@@ -352,6 +458,7 @@ Engine::advance(Cycles cycles)
 void
 Engine::yield()
 {
+    hc_assert(!stepping_);
     if (unwinding_)
         return;
     Thread *self = running_;
@@ -366,6 +473,7 @@ Engine::yield()
 void
 Engine::sleepUntil(Cycles when)
 {
+    hc_assert(!stepping_);
     if (unwinding_)
         return;
     Thread *self = running_;
@@ -377,6 +485,7 @@ Engine::sleepUntil(Cycles when)
 void
 Engine::wait(WaitQueue &queue)
 {
+    hc_assert(!stepping_);
     if (unwinding_)
         return;
     Thread *self = running_;
@@ -392,6 +501,7 @@ Engine::wait(WaitQueue &queue)
 bool
 Engine::waitUntil(WaitQueue &queue, Cycles deadline)
 {
+    hc_assert(!stepping_);
     if (unwinding_)
         return false; // report as a timeout
     Thread *self = running_;
@@ -410,6 +520,7 @@ Engine::waitUntil(WaitQueue &queue, Cycles deadline)
 void
 Engine::notifyOne(WaitQueue &queue)
 {
+    hc_assert(!stepping_);
     if (queue.waiters_.empty())
         return;
     Thread *woken = queue.waiters_.front();
@@ -428,8 +539,22 @@ Engine::notifyOne(WaitQueue &queue)
 void
 Engine::notifyAll(WaitQueue &queue)
 {
+    hc_assert(!stepping_);
     while (!queue.waiters_.empty())
         notifyOne(queue);
+}
+
+void
+Engine::spin(Spin &loop)
+{
+    Thread *self = running_;
+    hc_assert(self && !self->spin_);
+    self->spin_ = &loop;
+    // While we are parked in advance(), the scheduler may step the
+    // loop inline; it clears spin_ when one of those steps ends it.
+    for (Cycles c; self->spin_ && (c = step(loop)) != kSpinDone;)
+        advance(c);
+    self->spin_ = nullptr;
 }
 
 void

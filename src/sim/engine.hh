@@ -38,6 +38,7 @@
 namespace hc::sim {
 
 class Engine;
+class Spin;
 
 /** States a simulated thread moves through. */
 enum class ThreadState {
@@ -88,7 +89,35 @@ class Thread
     bool hasTimeout_ = false;
     bool timedOut_ = false;
     class WaitQueue *waitingOn_ = nullptr;
+    /** The loop this thread is parked in (Engine::spin()), or null. */
+    Spin *spin_ = nullptr;
     std::unique_ptr<Fiber> fiber_;
+};
+
+/** Spin::step()'s result when the polling loop exits. */
+constexpr Cycles kSpinDone = std::numeric_limits<Cycles>::max();
+
+/**
+ * A polling loop written as phases, run by Engine::spin().
+ *
+ * Each step() runs host logic at the current clock and ends in at most
+ * one priced operation: a memory access priced with charge_time off, or
+ * a PAUSE. It returns that operation's cycles instead of charging them;
+ * spin() charges them. The logic that reads the access's result belongs
+ * to the next step, which runs after the charge, exactly where the
+ * straight-line loop would run it. A step must not suspend: advance(),
+ * yield(), sleepUntil(), wait(), waitUntil(), notify*() and spawn()
+ * assert. That is what lets the engine run it on any stack.
+ */
+class Spin
+{
+  public:
+    virtual ~Spin() = default;
+
+    /** Run one phase. @return the cycles of its priced access or
+     *  PAUSE, or kSpinDone when the loop exits (then it charged
+     *  nothing). */
+    virtual Cycles step() = 0;
 };
 
 /**
@@ -272,6 +301,22 @@ class Engine
     /** Terminate the current thread immediately. */
     [[noreturn]] void exitThread();
 
+    /**
+     * Run @p loop until a step returns kSpinDone. The result is exactly
+     * that of
+     *
+     *     for (Cycles c; (c = loop.step()) != kSpinDone;) advance(c);
+     *
+     * but while the thread is parked in advance() here and alone on its
+     * core, the scheduler steps the loop inline: running_ names the
+     * spinner, interrupts arrive as advance() delivers them, and the
+     * engine moves between such spinners by the scan's rule (earliest
+     * time, then lowest core). The fiber is resumed only when a step
+     * ends the loop, or when its core is shared (then the fiber steps
+     * its own loop).
+     */
+    void spin(Spin &loop);
+
     // ------------------------------------------------------------------
     // Interrupt (AEX source) model.
     // ------------------------------------------------------------------
@@ -292,6 +337,11 @@ class Engine
      *  simulated state depends on it. */
     std::uint64_t fiberSwitches() const { return fiberSwitches_; }
 
+    /** @return Spin steps the scheduler ran inline, without resuming
+     *  the spinning thread's fiber. Host-side only, like
+     *  fiberSwitches(). */
+    std::uint64_t inlineSteps() const { return inlineSteps_; }
+
     /** Install the scheduler event sink (null to detach). The
      *  observer must outlive the engine or be detached first. */
     void setObserver(EngineObserver *observer) { observer_ = observer; }
@@ -303,24 +353,31 @@ class Engine
     int numCores() const { return static_cast<int>(cores_.size()); }
 
   private:
-    struct Core {
+    /** One cache line per core; a scan reads its first four fields. */
+    struct alignas(64) Core {
         Cycles clock = 0;
-        /** Ready threads in arrival order. */
-        std::vector<Thread *> ready;
-        /** Index in ready of the core's candidate: the earliest
-         *  readyTime_, the first arrival on ties. Valid while ready is
-         *  non-empty (queued readyTime_s never change). */
-        std::size_t candidate = 0;
+        /** The candidate: the earliest readyTime_ in ready, the first
+         *  arrival on ties; null while ready is empty. */
+        Thread *first = nullptr;
+        Cycles firstTime = 0; //!< its readyTime_ (queued ones never change)
+        /** first is a lane: a spinner alone on the core (a queued
+         *  thread's spin_ never changes). */
+        bool lane = false;
+        std::uint32_t candidate = 0; //!< first's index in ready
         /** Next timer interrupt; stays at the maximum when interrupts
          *  are off, so the due test in advance() never fires. */
         Cycles nextInterrupt = std::numeric_limits<Cycles>::max();
+        /** Ready threads in arrival order. */
+        std::vector<Thread *> ready;
     };
 
     /**
-     * One deterministic scheduling decision: the globally minimal
-     * runnable candidate, the earliest pending waitUntil() deadline,
-     * and the minimum candidate time over every *other* core (used to
-     * refresh the horizon incrementally after dispatch).
+     * One deterministic scheduling scan: the earliest runnable
+     * candidate that is not a lane (ties to the lower core), the
+     * minimum candidate time over every *other* such core (used to
+     * refresh the horizon incrementally after dispatch), and the
+     * earliest pending waitUntil() deadline. Lanes, the spinners
+     * alone on their cores, go to lanes_ beside it.
      */
     struct Selection {
         Thread *thread = nullptr; //!< winning candidate (may be null)
@@ -337,6 +394,13 @@ class Engine
         }
     };
 
+    /** A spinner alone on its core: the core's index and the time the
+     *  spinner can run. */
+    struct Lane {
+        std::size_t coreIdx;
+        Cycles time;
+    };
+
     /** Move @p thread to Ready on its core, runnable at @p when. */
     void makeReady(Thread *thread, Cycles when);
 
@@ -344,18 +408,49 @@ class Engine
      *  next one. */
     void popCandidate(Core &core);
 
-    /** Compute the next scheduling decision (shared by the scheduler
-     *  loop and reschedule(), so they cannot diverge). */
-    Selection selectNext() const;
+    /** Scan for the next scheduling decision (shared by the scheduler
+     *  loop and reschedule(), so they cannot diverge); fills lanes_. */
+    Selection selectNext();
 
     /**
      * Make @p sel's winner the running thread: take it off its core's
      * ready queue, move the core clock to its start time and refresh
-     * the horizon. The only dispatch routine; the caller then
-     * transfers control (the loop by switchTo(), a suspending thread
-     * by handoff() unless it won itself). Emits no observer events.
+     * the horizon. The only dispatch routine for fibers; the caller
+     * then transfers control (the loop by switchTo(), a suspending
+     * thread by handoff() unless it won itself). Emits no observer
+     * events.
      */
     void dispatch(const Selection &sel);
+
+    /**
+     * Act on a scan: dispatch @p sel's candidate, or, when there are
+     * lanes, let stepSpinners() decide.
+     * @return the dispatched thread, whose fiber runs next; null when
+     *         a timeout expires first, nothing is runnable, or a stop
+     *         request ended the inline steps
+     */
+    Thread *launch(Selection &sel);
+
+    /**
+     * The inline spin loop over lanes_ and @p other, the earliest
+     * other candidate. While a lane is the earliest (ties to the lower
+     * core), run its steps until its clock reaches the next event; it
+     * stays queued on its core, only its time moves. Stops at @p other
+     * (dispatched here, with no second scan), a timed-waiter deadline
+     * or a stop request (null, for run()), or a step that ends its
+     * loop (that spinner, dispatched). Steps cannot make any thread
+     * ready, so nothing else changes on the way.
+     */
+    Thread *stepSpinners(Selection &other);
+
+    /** One Spin step, with suspension calls locked out. */
+    Cycles step(Spin &loop)
+    {
+        stepping_ = true;
+        const Cycles cycles = loop.step();
+        stepping_ = false;
+        return cycles;
+    }
 
     /**
      * End a suspension point. The running thread has re-queued itself
@@ -364,6 +459,7 @@ class Engine
      * self keeps running; another winner is dispatched here and
      * resumed by a direct fiber handoff. A pending stop, a winning
      * timeout expiry or nothing runnable returns to the loop in run().
+     * Spinners may be stepped inline on the way (launch()).
      */
     void reschedule();
 
@@ -387,8 +483,12 @@ class Engine
     bool stopRequested_ = false;
     bool inRun_ = false;
     bool unwinding_ = false;
+    bool stepping_ = false; //!< inside a Spin::step()
     std::uint64_t interruptCount_ = 0;
     std::uint64_t fiberSwitches_ = 0;
+    std::uint64_t inlineSteps_ = 0;
+    /** The last scan's lanes, in core order. */
+    std::vector<Lane> lanes_;
     InterruptHandler interruptHandler_;
     EngineObserver *observer_ = nullptr;
 

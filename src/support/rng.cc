@@ -61,10 +61,13 @@ Rng::nextBelow(std::uint64_t bound)
 {
     hc_assert(bound > 0);
     // Rejection sampling to avoid modulo bias.
-    const std::uint64_t threshold = (0 - bound) % bound;
+    if (bound != lastBound_) {
+        lastBound_ = bound;
+        lastThreshold_ = (0 - bound) % bound;
+    }
     for (;;) {
         std::uint64_t r = next();
-        if (r >= threshold)
+        if (r >= lastThreshold_)
             return r % bound;
     }
 }

@@ -49,6 +49,11 @@ class Rng
 
   private:
     std::uint64_t s_[4];
+    /** nextBelow()'s last bound and its rejection threshold: callers
+     *  draw with one bound in long runs (poll jitter), so the threshold's
+     *  division is paid once per change of bound. */
+    std::uint64_t lastBound_ = 1;
+    std::uint64_t lastThreshold_ = 0;
 };
 
 } // namespace hc

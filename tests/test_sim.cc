@@ -1,13 +1,14 @@
 /**
  * @file
  * Tests for the discrete-event engine: fibers, virtual-time
- * scheduling, blocking, timeouts, determinism, interrupts, and the
- * direct fiber handoff between threads.
+ * scheduling, blocking, timeouts, determinism, interrupts, the
+ * direct fiber handoff between threads, and spin loops stepped inline.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -708,4 +709,380 @@ TEST(Handoff, LeapfrogCostsOneSwapPerInterleaving)
     // One swap per interleaving plus one per thread start and exit;
     // a detour through the scheduler would cost two per interleaving.
     EXPECT_LE(engine.fiberSwitches(), interleavings + 2 * 2);
+}
+
+// ----------------------------------------------------------------------
+// Spin phases: Engine::spin() against the straight-line loop it is
+// defined as, step by step.
+// ----------------------------------------------------------------------
+
+namespace {
+
+/** One step as observed: who ran it, at which clock, and what it drew
+ *  from the engine RNG. */
+struct Tick {
+    std::string name;
+    Cycles at;
+    std::uint64_t draw;
+
+    bool operator==(const Tick &) const = default;
+};
+
+/** A polling loop as phases: each step records a Tick, draws a jitter
+ *  in [0, jitter] and returns base + jitter. It ends after @p steps
+ *  steps (never when negative); from @p stopAt on, every step also
+ *  requests a stop. */
+class Ticker final : public Spin
+{
+  public:
+    Ticker(Engine &engine, std::vector<Tick> &trace, Cycles base,
+           Cycles jitter, int steps, Cycles stop_at = 0)
+        : engine_(engine), trace_(trace), base_(base), jitter_(jitter),
+          steps_(steps), stopAt_(stop_at)
+    {
+    }
+
+    Cycles step() override
+    {
+        if (steps_ == 0)
+            return kSpinDone;
+        if (steps_ > 0)
+            --steps_;
+        const std::uint64_t draw = engine_.rng().nextBelow(jitter_ + 1);
+        trace_.push_back(
+            {engine_.currentThread()->name(), engine_.now(), draw});
+        if (stopAt_ != 0 && engine_.now() >= stopAt_)
+            engine_.stop();
+        return base_ + draw;
+    }
+
+  private:
+    Engine &engine_;
+    std::vector<Tick> &trace_;
+    Cycles base_;
+    Cycles jitter_;
+    int steps_;
+    Cycles stopAt_;
+};
+
+/** Run the spinners through Engine::spin(), or through the reference
+ *  loop the test writes out. */
+enum class Mode { Spin, Reference };
+
+void
+runLoop(Engine &engine, Spin &loop, Mode mode)
+{
+    if (mode == Mode::Spin) {
+        engine.spin(loop);
+        return;
+    }
+    for (Cycles c; (c = loop.step()) != kSpinDone;)
+        engine.advance(c);
+}
+
+/** Everything a scenario must reproduce, plus the host counters. */
+struct SpinRun {
+    std::vector<Tick> trace;
+    std::vector<Cycles> clocks; //!< every core's final clock
+    std::uint64_t interrupts = 0;
+    std::uint64_t switches = 0;
+    std::uint64_t inlineSteps = 0;
+};
+
+/** A scenario spawns its threads into the engine; spinners run their
+ *  loops with runLoop(..., mode). */
+using Scenario =
+    std::function<void(Engine &, std::vector<Tick> &, Mode)>;
+
+SpinRun
+runSpinScenario(Engine::Config config, Mode mode, const Scenario &scenario)
+{
+    Engine engine(config);
+    engine.setInterruptHandler([](CoreId, Cycles) { return Cycles{37}; });
+    SpinRun run;
+    scenario(engine, run.trace, mode);
+    engine.run();
+    for (int c = 0; c < engine.numCores(); ++c)
+        run.clocks.push_back(engine.coreNow(c));
+    run.interrupts = engine.interruptCount();
+    run.switches = engine.fiberSwitches();
+    run.inlineSteps = engine.inlineSteps();
+    return run;
+}
+
+/** Spawn a spinner stepping a Ticker. */
+void
+spawnTicker(Engine &engine, std::vector<Tick> &trace, Mode mode,
+            const std::string &name, CoreId core, Cycles base, int steps,
+            Cycles jitter = 9)
+{
+    engine.spawn(name, core, [&engine, &trace, mode, base, steps, jitter] {
+        Ticker ticker(engine, trace, base, jitter, steps);
+        runLoop(engine, ticker, mode);
+    });
+}
+
+/** Spawn a plain thread: record a Tick, advance @p chunk, @p count
+ *  times. */
+void
+spawnChunky(Engine &engine, std::vector<Tick> &trace,
+            const std::string &name, CoreId core, Cycles chunk, int count)
+{
+    engine.spawn(name, core, [&engine, &trace, name, chunk, count] {
+        for (int i = 0; i < count; ++i) {
+            trace.push_back({name, engine.now(), 0});
+            engine.advance(chunk);
+        }
+    });
+}
+
+/** Run @p scenario both ways and compare every step. */
+void
+expectSpinMatchesReference(Engine::Config config, const Scenario &scenario)
+{
+    const SpinRun spin = runSpinScenario(config, Mode::Spin, scenario);
+    const SpinRun ref = runSpinScenario(config, Mode::Reference, scenario);
+    ASSERT_FALSE(ref.trace.empty());
+    EXPECT_EQ(spin.trace.size(), ref.trace.size());
+    const std::size_t n = std::min(spin.trace.size(), ref.trace.size());
+    for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(spin.trace[i], ref.trace[i])
+            << "step " << i << ": " << spin.trace[i].name << "@"
+            << spin.trace[i].at << " vs " << ref.trace[i].name << "@"
+            << ref.trace[i].at;
+    }
+    EXPECT_EQ(spin.clocks, ref.clocks);
+    EXPECT_EQ(spin.interrupts, ref.interrupts);
+    EXPECT_EQ(ref.inlineSteps, 0u);
+    EXPECT_GT(spin.inlineSteps, 0u);
+    EXPECT_LT(spin.switches, ref.switches);
+}
+
+} // anonymous namespace
+
+TEST(Spin, SpinnersBesideAChunkyThread)
+{
+    Engine::Config config;
+    config.numCores = 4;
+    expectSpinMatchesReference(
+        config, [](Engine &engine, std::vector<Tick> &trace, Mode mode) {
+            spawnChunky(engine, trace, "chunky", 0, 1'000, 12);
+            spawnTicker(engine, trace, mode, "a", 1, 30, 300);
+            spawnTicker(engine, trace, mode, "b", 2, 41, 250);
+            spawnTicker(engine, trace, mode, "c", 3, 57, 200);
+        });
+}
+
+TEST(Spin, TiesBreakByCoreIndex)
+{
+    // Equal fixed steps keep every clock tied. Spawned out of core
+    // order, so only the core index can order them; the plain thread
+    // on core 2 ties with spinners on either side of it.
+    Engine::Config config;
+    config.numCores = 5;
+    expectSpinMatchesReference(
+        config, [](Engine &engine, std::vector<Tick> &trace, Mode mode) {
+            spawnTicker(engine, trace, mode, "e", 4, 50, 120, 0);
+            spawnTicker(engine, trace, mode, "b", 1, 50, 120, 0);
+            spawnChunky(engine, trace, "plain", 2, 50, 100);
+            spawnTicker(engine, trace, mode, "d", 3, 50, 120, 0);
+            spawnTicker(engine, trace, mode, "a", 0, 50, 120, 0);
+        });
+}
+
+TEST(Spin, InterruptsArriveAsAdvanceDeliversThem)
+{
+    Engine::Config config;
+    config.numCores = 4;
+    config.seed = 5;
+    config.interruptMeanCycles = 400;
+    expectSpinMatchesReference(
+        config, [](Engine &engine, std::vector<Tick> &trace, Mode mode) {
+            spawnChunky(engine, trace, "chunky", 0, 700, 20);
+            spawnTicker(engine, trace, mode, "a", 1, 30, 300);
+            spawnTicker(engine, trace, mode, "b", 2, 45, 300);
+            spawnTicker(engine, trace, mode, "c", 3, 45, 300);
+        });
+}
+
+TEST(Spin, TimeoutExpiresMidRun)
+{
+    Engine::Config config;
+    config.numCores = 4;
+    WaitQueue never_notified;
+    expectSpinMatchesReference(
+        config, [&never_notified](Engine &engine, std::vector<Tick> &trace,
+                                  Mode mode) {
+            spawnTicker(engine, trace, mode, "a", 0, 30, 200);
+            spawnTicker(engine, trace, mode, "b", 1, 43, 200);
+            spawnTicker(engine, trace, mode, "c", 2, 29, 200);
+            engine.spawn("waiter", 3, [&engine, &trace, &never_notified] {
+                const bool notified =
+                    engine.waitUntil(never_notified, 1'234);
+                trace.push_back({"waiter", engine.now(), notified});
+                engine.advance(500);
+                trace.push_back({"waiter", engine.now(), 0});
+            });
+        });
+}
+
+TEST(Spin, SpinnerSharingItsCoreStepsOnItsFiber)
+{
+    // "a" shares core 0 with a plain thread until that one exits; "b"
+    // has core 1 to itself throughout.
+    Engine::Config config;
+    config.numCores = 2;
+    expectSpinMatchesReference(
+        config, [](Engine &engine, std::vector<Tick> &trace, Mode mode) {
+            spawnTicker(engine, trace, mode, "a", 0, 30, 300);
+            engine.spawn("sharer", 0, [&engine, &trace] {
+                for (int i = 0; i < 20; ++i) {
+                    trace.push_back({"sharer", engine.now(), 0});
+                    engine.advance(90);
+                    engine.yield();
+                }
+            });
+            spawnTicker(engine, trace, mode, "b", 1, 41, 300);
+        });
+}
+
+TEST(Spin, StopWhileSteppedInlineUnwindsTheLoops)
+{
+    struct Local {
+        int &destroyed;
+        ~Local() { ++destroyed; }
+    };
+    std::vector<Tick> traces[2];
+    for (const Mode mode : {Mode::Spin, Mode::Reference}) {
+        std::vector<Tick> &trace = traces[mode == Mode::Spin ? 0 : 1];
+        int destroyed = 0;
+        ExitCounter observer; // outlives the engine
+        Engine::Config config;
+        config.numCores = 3;
+        Engine engine(config);
+        engine.setObserver(&observer);
+        std::vector<Thread *> threads;
+        for (int c = 0; c < 3; ++c) {
+            threads.push_back(engine.spawn(
+                std::string(1, static_cast<char>('a' + c)), c,
+                [&, c, mode] {
+                    Local local{destroyed};
+                    // Endless loops; "b" requests the stop from a step.
+                    Ticker ticker(engine, trace, 40 + c, 5, -1,
+                                  c == 1 ? 20'000 : 0);
+                    runLoop(engine, ticker, mode);
+                }));
+        }
+        engine.run();
+        // run() returned through the fiber that switched back; every
+        // loop is still parked, queued at its own clock.
+        EXPECT_TRUE(engine.stopRequested());
+        EXPECT_EQ(engine.currentThread(), nullptr);
+        EXPECT_EQ(engine.liveThreads(), 3u);
+        EXPECT_TRUE(observer.exits.empty());
+        for (Thread *t : threads)
+            EXPECT_EQ(t->state(), ThreadState::Ready) << t->name();
+        EXPECT_EQ(destroyed, 0);
+        if (mode == Mode::Spin) {
+            EXPECT_GT(engine.inlineSteps(), 0u);
+        }
+        engine.unwindStranded();
+        EXPECT_EQ(destroyed, 3);
+        EXPECT_EQ(engine.liveThreads(), 0u);
+        for (Thread *t : threads)
+            EXPECT_EQ(observer.exits[t->name()], 1) << t->name();
+    }
+    // Both stop at the same step.
+    EXPECT_EQ(traces[0], traces[1]);
+}
+
+TEST(Spin, SpinnersCostConstantFiberSwitches)
+{
+    // Two spinners step N phases each while a third thread sleeps
+    // through them: the straight-line loops swap fibers at every
+    // interleaving, spin() only to start and end the loops.
+    constexpr int kSteps = 2'000;
+    const Scenario scenario = [](Engine &engine, std::vector<Tick> &trace,
+                                 Mode mode) {
+        spawnTicker(engine, trace, mode, "a", 0, 100, kSteps, 0);
+        spawnTicker(engine, trace, mode, "b", 1, 100, kSteps, 0);
+        engine.spawn("sleeper", 2,
+                     [&engine] { engine.sleepFor(10'000'000); });
+    };
+    Engine::Config config;
+    config.numCores = 3;
+    const SpinRun spin = runSpinScenario(config, Mode::Spin, scenario);
+    const SpinRun ref = runSpinScenario(config, Mode::Reference, scenario);
+    EXPECT_EQ(spin.trace, ref.trace);
+    EXPECT_GE(ref.switches, static_cast<std::uint64_t>(kSteps));
+    EXPECT_LE(spin.switches, 12u);
+    EXPECT_GE(spin.inlineSteps, 2u * kSteps - 4);
+}
+
+namespace {
+
+/** Two spinners on their own cores; from its third step (inline by
+ *  then) "a" calls @p forbidden. */
+void
+stepCalls(const std::function<void(Engine &, WaitQueue &)> &forbidden)
+{
+    struct Caller final : Spin {
+        Engine &engine;
+        WaitQueue &queue;
+        std::function<void(Engine &, WaitQueue &)> call;
+        int steps = 0;
+
+        Caller(Engine &e, WaitQueue &q,
+               std::function<void(Engine &, WaitQueue &)> f)
+            : engine(e), queue(q), call(std::move(f))
+        {
+        }
+
+        Cycles step() override
+        {
+            if (++steps == 3)
+                call(engine, queue);
+            return steps < 10 ? 100 : kSpinDone;
+        }
+    };
+    Engine engine;
+    WaitQueue queue;
+    engine.spawn("a", 0, [&] {
+        Caller caller(engine, queue, forbidden);
+        engine.spin(caller);
+    });
+    engine.spawn("b", 1, [&] {
+        Caller caller(engine, queue, [](Engine &, WaitQueue &) {});
+        engine.spin(caller);
+    });
+    engine.run();
+}
+
+} // anonymous namespace
+
+TEST(SpinDeathTest, StepMustNotSuspend)
+{
+    const char *tripped = "stepping_";
+    EXPECT_DEATH(stepCalls([](Engine &e, WaitQueue &) { e.advance(1); }),
+                 tripped);
+    EXPECT_DEATH(stepCalls([](Engine &e, WaitQueue &) { e.yield(); }),
+                 tripped);
+    EXPECT_DEATH(
+        stepCalls([](Engine &e, WaitQueue &) { e.sleepUntil(1'000); }),
+        tripped);
+    EXPECT_DEATH(stepCalls([](Engine &e, WaitQueue &q) { e.wait(q); }),
+                 tripped);
+    EXPECT_DEATH(
+        stepCalls([](Engine &e, WaitQueue &q) { e.waitUntil(q, 1'000); }),
+        tripped);
+    EXPECT_DEATH(stepCalls([](Engine &e, WaitQueue &q) { e.notifyOne(q); }),
+                 tripped);
+    EXPECT_DEATH(stepCalls([](Engine &e, WaitQueue &q) { e.notifyAll(q); }),
+                 tripped);
+    EXPECT_DEATH(stepCalls([](Engine &e, WaitQueue &) {
+                     e.spawn("child", 2, [] {});
+                 }),
+                 tripped);
+    // The same loop without the forbidden call runs to its end.
+    stepCalls([](Engine &, WaitQueue &) {});
 }

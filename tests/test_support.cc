@@ -49,6 +49,28 @@ TEST(Rng, NextBelowInRange)
     }
 }
 
+TEST(Rng, NextBelowMatchesTheReferenceAcrossBoundChanges)
+{
+    // The cached rejection threshold must follow every change of
+    // bound: each draw equals the uncached formula applied to a twin
+    // generator's raw stream. The huge bound rejects about half its
+    // raw values, so a stale threshold would show.
+    Rng rng(11), raw(11);
+    const std::uint64_t huge = (std::uint64_t{1} << 63) + 1;
+    const std::uint64_t bounds[] = {23, 23, 7, 23, huge, 1, huge, 23};
+    for (int round = 0; round < 200; ++round) {
+        for (std::uint64_t bound : bounds) {
+            const std::uint64_t threshold = (0 - bound) % bound;
+            std::uint64_t r;
+            do {
+                r = raw.next();
+            } while (r < threshold);
+            ASSERT_EQ(rng.nextBelow(bound), r % bound)
+                << "round " << round << ", bound " << bound;
+        }
+    }
+}
+
 TEST(Rng, NextRangeInclusive)
 {
     Rng rng(7);
