@@ -22,52 +22,63 @@ StagedCall::scalar(int index) const
     return args_[static_cast<std::size_t>(index)].scalar;
 }
 
+const StagedCall::Slot &
+StagedCall::slot(int index) const
+{
+    hc_assert(index >= 0 &&
+              static_cast<std::size_t>(index) < slots_.size());
+    return slots_[static_cast<std::size_t>(index)];
+}
+
 std::uint8_t *
 StagedCall::data(int index)
 {
-    hc_assert(index >= 0 &&
-              static_cast<std::size_t>(index) < args_.size());
-    auto &slot = slots_[static_cast<std::size_t>(index)];
-    if (slot.staging)
-        return slot.staging->data();
-    if (slot.fastData)
-        return slot.fastData;
-    return args_[static_cast<std::size_t>(index)].data;
+    return slot(index).data;
 }
 
 std::uint64_t
 StagedCall::size(int index) const
 {
-    hc_assert(index >= 0 &&
-              static_cast<std::size_t>(index) < args_.size());
-    return slots_[static_cast<std::size_t>(index)].bytes;
+    return slot(index).bytes;
 }
 
 Addr
 StagedCall::addr(int index) const
 {
-    hc_assert(index >= 0 &&
-              static_cast<std::size_t>(index) < args_.size());
-    const auto &slot = slots_[static_cast<std::size_t>(index)];
-    if (slot.staging)
-        return slot.staging->addr();
-    if (slot.fastData)
-        return slot.fastAddr;
-    return args_[static_cast<std::size_t>(index)].addr;
+    return slot(index).addr;
 }
 
-void
-StagedCall::reset()
+CallPlan::CallPlan(const EdgeFunction &function)
+    : fn(&function), ecall(function.trusted)
 {
-    fn_ = nullptr;
-    plan_ = nullptr;
-    retval_ = 0;
-    finished_ = false;
-    for (auto &slot : slots_) {
-        slot.staging.reset();
-        slot.fastData = nullptr;
-        slot.fastAddr = 0;
-        slot.bytes = 0;
+    params.reserve(function.params.size());
+    for (const auto &param : function.params) {
+        ParamPlan pp;
+        pp.direction = param.direction;
+        pp.isPointer = param.isPointer();
+        pp.isString = param.isString;
+        pp.noCopy = param.direction == Direction::UserCheck &&
+                    !param.isString;
+        pp.copyOut = param.direction == Direction::Out ||
+                     param.direction == Direction::InOut;
+        pp.sizeParamIndex = param.sizeParamIndex;
+        pp.elemBytes = param.sizeIsCount ? param.elementSize() : 1;
+        if (pp.isPointer && !pp.isString && pp.sizeParamIndex < 0 &&
+            param.sizeLiteral >= 0) {
+            // Literal size expression: resolve it once, here.
+            const auto units =
+                static_cast<std::uint64_t>(param.sizeLiteral);
+            if (units >
+                std::numeric_limits<std::uint64_t>::max() / pp.elemBytes) {
+                throw EdlError(function.name + ": parameter '" +
+                               param.name +
+                               "' count*size overflows a 64-bit byte "
+                               "length");
+            }
+            pp.fixedBytes = units * pp.elemBytes;
+        }
+        anyCopy |= pp.isPointer && !pp.noCopy;
+        params.push_back(pp);
     }
 }
 
@@ -111,15 +122,16 @@ Marshaller::zeroVisible(Addr dst_addr, std::uint64_t bytes)
 }
 
 std::uint64_t
-Marshaller::resolveBytes(const EdgeFunction &fn, const Args &args,
-                         int index) const
+Marshaller::bytesOf(const CallPlan &plan, std::size_t index,
+                    const Args &args) const
 {
-    const auto &param = fn.params[static_cast<std::size_t>(index)];
-    const Arg &arg = args[static_cast<std::size_t>(index)];
-    if (!param.isPointer() || arg.data == nullptr)
+    const ParamPlan &pp = plan.params[index];
+    const Arg &arg = args[index];
+    if (!pp.isPointer || arg.data == nullptr)
         return 0;
 
-    if (param.isString) {
+    const auto &param = plan.fn->params[index];
+    if (pp.isString) {
         // [string]: length is taken from the NUL terminator, bounded
         // by the caller buffer capacity (edger8r emits strlen too).
         const auto *p =
@@ -133,323 +145,15 @@ Marshaller::resolveBytes(const EdgeFunction &fn, const Args &args,
         return n + 1;
     }
 
-    std::uint64_t units = 0;
-    if (param.sizeParamIndex >= 0) {
-        units = args[static_cast<std::size_t>(param.sizeParamIndex)]
-                    .scalar;
-    } else if (param.sizeLiteral >= 0) {
-        units = static_cast<std::uint64_t>(param.sizeLiteral);
-    } else {
-        // user_check without a size: no copies are made.
-        return 0;
-    }
-    if (!param.sizeIsCount)
-        return units;
+    if (pp.sizeParamIndex < 0)
+        return pp.fixedBytes; // literal (or unsized user_check)
+    const std::uint64_t units =
+        args[static_cast<std::size_t>(pp.sizeParamIndex)].scalar;
     // count= scaling: a caller-controlled count must not wrap the
     // 64-bit byte length (a wrapped small value would sail through
     // the capacity check and under-copy).
-    const std::uint64_t elem = param.elementSize();
-    if (elem != 0 &&
-        units > std::numeric_limits<std::uint64_t>::max() / elem) {
-        throw EdlError(fn.name + ": parameter '" + param.name +
-                       "' count*size overflows a 64-bit byte length");
-    }
-    return units * elem;
-}
-
-void
-Marshaller::validate(const EdgeFunction &fn, const Args &args,
-                     bool ecall) const
-{
-    if (args.size() != fn.params.size()) {
-        throw EdlError(fn.name + ": expected " +
-                       std::to_string(fn.params.size()) +
-                       " arguments, got " + std::to_string(args.size()));
-    }
-    for (std::size_t i = 0; i < fn.params.size(); ++i) {
-        const auto &param = fn.params[i];
-        const Arg &arg = args[i];
-        if (!param.isPointer())
-            continue;
-        if (param.direction == Direction::UserCheck && !param.isString)
-            continue; // zero copy: deliberately unchecked
-        if (arg.data == nullptr)
-            continue; // NULL pointers marshal as NULL
-        const std::uint64_t bytes =
-            resolveBytes(fn, args, static_cast<int>(i));
-        if (bytes > arg.capacity) {
-            throw EdlError(fn.name + ": parameter '" + param.name +
-                           "' declares " + std::to_string(bytes) +
-                           " bytes but the buffer holds only " +
-                           std::to_string(arg.capacity));
-        }
-        // Boundary checks (Section 3.2.1): ecall input structures
-        // must lie entirely outside the enclave; ocall buffers must
-        // lie entirely inside it.
-        const mem::Domain required =
-            ecall ? mem::Domain::Untrusted : mem::Domain::Epc;
-        if (!machine_.space().rangeInDomain(arg.addr, bytes, required)) {
-            throw EdlError(fn.name + ": parameter '" + param.name +
-                           "' crosses the enclave boundary (" +
-                           directionName(param.direction) +
-                           " buffer must be entirely " +
-                           (ecall ? "outside" : "inside") +
-                           " the enclave)");
-        }
-    }
-}
-
-StagedCall
-Marshaller::stageEcall(const EdgeFunction &fn, const Args &args)
-{
-    hc_assert(fn.trusted);
-    validate(fn, args, /*ecall=*/true);
-
-    StagedCall call;
-    call.fn_ = &fn;
-    call.args_ = args;
-    call.slots_.resize(args.size());
-
-    double cost = 0.0;
-    for (std::size_t i = 0; i < fn.params.size(); ++i) {
-        const auto &param = fn.params[i];
-        auto &slot = call.slots_[i];
-        const Arg &arg = args[i];
-        if (!param.isPointer() || arg.data == nullptr)
-            continue;
-        slot.bytes = resolveBytes(fn, args, static_cast<int>(i));
-        if (param.direction == Direction::UserCheck && !param.isString)
-            continue;
-        if (slot.bytes == 0)
-            continue;
-
-        // Allocate the staging buffer on the enclave heap.
-        slot.staging = std::make_unique<mem::Buffer>(
-            machine_, mem::Domain::Epc, slot.bytes);
-        cost += static_cast<double>(params_.ecallAllocFixed);
-
-        switch (param.direction) {
-          case Direction::In:
-          case Direction::InOut:
-            std::memcpy(slot.staging->data(), arg.data, slot.bytes);
-            copyVisible(arg.addr, slot.staging->addr(), slot.bytes);
-            cost += static_cast<double>(slot.bytes) *
-                    params_.ecallCopyInPerByte;
-            break;
-          case Direction::Out: {
-            // Zero the enclave-side buffer so stale heap secrets
-            // cannot leak back out (always kept; see MarshalOptions).
-            std::memset(slot.staging->data(), 0, slot.bytes);
-            zeroVisible(slot.staging->addr(), slot.bytes);
-            const double per_byte = options_.wordWiseMemset
-                                        ? params_.memsetWordWisePerByte
-                                        : params_.ecallMemsetPerByte;
-            cost += static_cast<double>(slot.bytes) * per_byte;
-            break;
-          }
-          case Direction::UserCheck:
-            // [string] handled as In above; plain user_check skipped.
-            std::memcpy(slot.staging->data(), arg.data, slot.bytes);
-            copyVisible(arg.addr, slot.staging->addr(), slot.bytes);
-            cost += static_cast<double>(slot.bytes) *
-                    params_.ecallCopyInPerByte;
-            break;
-        }
-    }
-    charge(cost);
-    return call;
-}
-
-void
-Marshaller::finishEcall(StagedCall &call)
-{
-    hc_assert(!call.finished_);
-    call.finished_ = true;
-
-    double cost = 0.0;
-    const auto &fn = *call.fn_;
-    for (std::size_t i = 0; i < fn.params.size(); ++i) {
-        const auto &param = fn.params[i];
-        auto &slot = call.slots_[i];
-        Arg &arg = call.args_[i];
-        if (!slot.staging || arg.data == nullptr)
-            continue;
-        if (param.direction == Direction::Out ||
-            param.direction == Direction::InOut) {
-            std::memcpy(arg.data, slot.staging->data(), slot.bytes);
-            copyVisible(slot.staging->addr(), arg.addr, slot.bytes);
-            cost += static_cast<double>(slot.bytes) *
-                    params_.ecallCopyOutPerByte;
-        }
-        slot.staging.reset();
-    }
-    charge(cost);
-}
-
-StagedCall
-Marshaller::stageOcall(const EdgeFunction &fn, const Args &args)
-{
-    hc_assert(!fn.trusted);
-    validate(fn, args, /*ecall=*/false);
-
-    StagedCall call;
-    call.fn_ = &fn;
-    call.args_ = args;
-    call.slots_.resize(args.size());
-
-    double cost = 0.0;
-    for (std::size_t i = 0; i < fn.params.size(); ++i) {
-        const auto &param = fn.params[i];
-        auto &slot = call.slots_[i];
-        const Arg &arg = args[i];
-        if (!param.isPointer() || arg.data == nullptr)
-            continue;
-        slot.bytes = resolveBytes(fn, args, static_cast<int>(i));
-        if (param.direction == Direction::UserCheck && !param.isString)
-            continue;
-        if (slot.bytes == 0)
-            continue;
-
-        // Untrusted staging is carved from the insecure stack (no
-        // malloc; freed by unwinding on re-entry).
-        slot.staging = std::make_unique<mem::Buffer>(
-            machine_, mem::Domain::Untrusted, slot.bytes);
-        cost += static_cast<double>(params_.ocallAllocFixed);
-
-        switch (param.direction) {
-          case Direction::In:
-          case Direction::InOut:
-          case Direction::UserCheck: // [string]
-            // "into the ocall": enclave -> untrusted copy.
-            std::memcpy(slot.staging->data(), arg.data, slot.bytes);
-            copyVisible(arg.addr, slot.staging->addr(), slot.bytes);
-            cost += static_cast<double>(slot.bytes) *
-                    params_.ocallCopyToPerByte;
-            break;
-          case Direction::Out:
-            // "out of the ocall": the SDK zeroes the *untrusted*
-            // buffer — no security value (the untrusted side can read
-            // that memory anyway); No-Redundant-Zeroing removes it.
-            if (!options_.noRedundantZeroing) {
-                std::memset(slot.staging->data(), 0, slot.bytes);
-                zeroVisible(slot.staging->addr(), slot.bytes);
-                const double per_byte =
-                    options_.wordWiseMemset
-                        ? params_.memsetWordWisePerByte
-                        : params_.ocallMemsetPerByte;
-                cost += static_cast<double>(slot.bytes) * per_byte;
-            }
-            break;
-        }
-    }
-    charge(cost);
-    return call;
-}
-
-void
-Marshaller::finishOcall(StagedCall &call)
-{
-    hc_assert(!call.finished_);
-    call.finished_ = true;
-
-    double cost = 0.0;
-    const auto &fn = *call.fn_;
-    for (std::size_t i = 0; i < fn.params.size(); ++i) {
-        const auto &param = fn.params[i];
-        auto &slot = call.slots_[i];
-        Arg &arg = call.args_[i];
-        if (!slot.staging || arg.data == nullptr)
-            continue;
-        if (param.direction == Direction::Out ||
-            param.direction == Direction::InOut) {
-            // Copy back into the enclave.
-            std::memcpy(arg.data, slot.staging->data(), slot.bytes);
-            copyVisible(slot.staging->addr(), arg.addr, slot.bytes);
-            cost += static_cast<double>(slot.bytes) *
-                    params_.ocallCopyBackPerByte;
-        }
-        slot.staging.reset();
-    }
-    charge(cost);
-}
-
-// ----------------------------------------------------------------------
-// FastPath data plane.
-// ----------------------------------------------------------------------
-
-const CallPlan &
-Marshaller::plan(const EdgeFunction &fn)
-{
-    auto it = plans_.find(&fn);
-    if (it != plans_.end())
-        return it->second;
-
-    CallPlan plan;
-    plan.fn = &fn;
-    plan.ecall = fn.trusted;
-    plan.params.reserve(fn.params.size());
-    for (const auto &param : fn.params) {
-        ParamPlan pp;
-        pp.direction = param.direction;
-        pp.isPointer = param.isPointer();
-        pp.isString = param.isString;
-        pp.noCopy = param.direction == Direction::UserCheck &&
-                    !param.isString;
-        pp.copyOut = param.direction == Direction::Out ||
-                     param.direction == Direction::InOut;
-        pp.sizeParamIndex = param.sizeParamIndex;
-        pp.elemBytes = param.sizeIsCount ? param.elementSize() : 1;
-        if (pp.isPointer && !pp.isString && pp.sizeParamIndex < 0 &&
-            param.sizeLiteral >= 0) {
-            // Literal size expression: resolve it once, here.
-            std::uint64_t units =
-                static_cast<std::uint64_t>(param.sizeLiteral);
-            if (pp.elemBytes != 0 &&
-                units > std::numeric_limits<std::uint64_t>::max() /
-                            pp.elemBytes) {
-                throw EdlError(fn.name + ": parameter '" + param.name +
-                               "' count*size overflows a 64-bit byte "
-                               "length");
-            }
-            pp.fixedBytes = units * pp.elemBytes;
-        }
-        plan.anyCopy |= pp.isPointer && !pp.noCopy;
-        plan.params.push_back(pp);
-    }
-    return plans_.emplace(&fn, std::move(plan)).first->second;
-}
-
-std::uint64_t
-Marshaller::planBytes(const CallPlan &plan, std::size_t index,
-                      const Args &args) const
-{
-    const ParamPlan &pp = plan.params[index];
-    const Arg &arg = args[index];
-    if (!pp.isPointer || arg.data == nullptr)
-        return 0;
-
-    const auto &param = plan.fn->params[index];
-    if (pp.isString) {
-        // [string]: the NUL scan is inherently per-call.
-        const auto *p =
-            static_cast<const char *>(static_cast<void *>(arg.data));
-        std::uint64_t n = 0;
-        while (n < arg.capacity && p[n] != '\0')
-            ++n;
-        if (n == arg.capacity)
-            throw EdlError("[string] parameter '" + param.name +
-                           "' is not NUL-terminated within its buffer");
-        return n + 1;
-    }
-
-    if (pp.sizeParamIndex < 0)
-        return pp.fixedBytes; // literal (or unsized user_check): cached
-    const std::uint64_t units =
-        args[static_cast<std::size_t>(pp.sizeParamIndex)].scalar;
-    if (pp.elemBytes <= 1)
-        return units;
-    if (units >
-        std::numeric_limits<std::uint64_t>::max() / pp.elemBytes) {
+    if (pp.elemBytes > 1 &&
+        units > std::numeric_limits<std::uint64_t>::max() / pp.elemBytes) {
         throw EdlError(plan.fn->name + ": parameter '" + param.name +
                        "' count*size overflows a 64-bit byte length");
     }
@@ -457,7 +161,7 @@ Marshaller::planBytes(const CallPlan &plan, std::size_t index,
 }
 
 void
-Marshaller::validatePlan(const CallPlan &plan, const Args &args) const
+Marshaller::validate(const CallPlan &plan, const Args &args) const
 {
     const auto &fn = *plan.fn;
     if (args.size() != plan.params.size()) {
@@ -466,13 +170,13 @@ Marshaller::validatePlan(const CallPlan &plan, const Args &args) const
                        " arguments, got " + std::to_string(args.size()));
     }
     for (std::size_t i = 0; i < plan.params.size(); ++i) {
+        // Every size must resolve, user_check's included; NULL and
+        // zero-length buffers copy nothing and need no further check.
+        const std::uint64_t bytes = bytesOf(plan, i, args);
         const ParamPlan &pp = plan.params[i];
+        if (pp.noCopy || bytes == 0)
+            continue; // user_check: zero copy, deliberately unchecked
         const Arg &arg = args[i];
-        if (!pp.isPointer || pp.noCopy)
-            continue;
-        if (arg.data == nullptr)
-            continue; // NULL pointers marshal as NULL
-        const std::uint64_t bytes = planBytes(plan, i, args);
         const auto &param = fn.params[i];
         if (bytes > arg.capacity) {
             throw EdlError(fn.name + ": parameter '" + param.name +
@@ -480,8 +184,10 @@ Marshaller::validatePlan(const CallPlan &plan, const Args &args) const
                            " bytes but the buffer holds only " +
                            std::to_string(arg.capacity));
         }
-        // Same boundary checks as the legacy path (Section 3.2.1):
-        // the fast plane removes allocations, not security checks.
+        // Boundary checks (Section 3.2.1): ecall input structures
+        // must lie entirely outside the enclave; ocall buffers must
+        // lie entirely inside it. FastPath removes allocations, not
+        // these checks.
         const mem::Domain required =
             plan.ecall ? mem::Domain::Untrusted : mem::Domain::Epc;
         if (!machine_.space().rangeInDomain(arg.addr, bytes, required)) {
@@ -496,175 +202,139 @@ Marshaller::validatePlan(const CallPlan &plan, const Args &args) const
 }
 
 void
-Marshaller::stageFast(const CallPlan &plan, const Args &args,
-                      FastStaging &staging, StagedCall &call)
+Marshaller::stage(const CallPlan &plan, const Args &args,
+                  FastStaging *lent, StagedCall &call)
 {
-    validatePlan(plan, args);
+    validate(plan, args);
 
-    // Recycle the channel staging: every piece of the previous call
-    // on this slot is released at once. The owning channel reports
+    // Recycle the lent staging: every piece of the previous call on
+    // this slot is released at once. The owning channel reports
     // onArenaRecycle to SimCheck before calling in here.
-    if (staging.inlineArena)
-        staging.inlineArena->reset();
-    if (staging.spill)
-        staging.spill->reset();
-    staging.usedInline = false;
-    staging.usedSpill = false;
-    staging.usedHeap = false;
+    if (lent) {
+        if (lent->inlineArena)
+            lent->inlineArena->reset();
+        if (lent->spill)
+            lent->spill->reset();
+        lent->usedInline = false;
+        lent->usedSpill = false;
+        lent->usedHeap = false;
+    }
 
-    call.reset();
-    call.fn_ = plan.fn;
+    // Drop what an unfinished previous call left in @p call, all of it
+    // before this call allocates; the slot vector keeps its capacity.
+    for (auto &slot : call.slots_)
+        slot.heap.reset();
     call.plan_ = &plan;
     call.args_ = args;
     call.slots_.resize(args.size());
+    call.retval_ = 0;
+    call.finished_ = false;
 
     const bool ecall = plan.ecall;
     double cost = 0.0;
     bool any_staged = false;
     for (std::size_t i = 0; i < plan.params.size(); ++i) {
         const ParamPlan &pp = plan.params[i];
-        auto &slot = call.slots_[i];
         const Arg &arg = args[i];
-        if (!pp.isPointer || arg.data == nullptr)
-            continue;
-        slot.bytes = planBytes(plan, i, args);
-        if (pp.noCopy || slot.bytes == 0)
+        auto &slot = call.slots_[i];
+        slot.data = arg.data;
+        slot.addr = arg.addr;
+        slot.bytes = bytesOf(plan, i, args);
+        slot.staged = !pp.noCopy && slot.bytes > 0;
+        if (!slot.staged)
             continue;
         any_staged = true;
 
         // Placement: inline in the slot's own lines first, then the
-        // per-slot spill arena, and only past both a fresh heap
-        // buffer — the legacy staging path with its legacy costs.
+        // per-slot spill arena, and only past both (or with nothing
+        // lent) a fresh heap buffer at the SDK's costs.
         mem::StagingArena::Piece piece;
         bool fast = false;
-        if (staging.inlineArena &&
-            staging.inlineArena->tryAlloc(slot.bytes, piece)) {
-            fast = true;
-            staging.usedInline = true;
-        } else if (staging.spill &&
-                   staging.spill->tryAlloc(slot.bytes, piece)) {
-            fast = true;
-            staging.usedSpill = true;
+        if (lent && lent->inlineArena &&
+            lent->inlineArena->tryAlloc(slot.bytes, piece)) {
+            fast = lent->usedInline = true;
+        } else if (lent && lent->spill &&
+                   lent->spill->tryAlloc(slot.bytes, piece)) {
+            fast = lent->usedSpill = true;
         }
         if (fast) {
-            slot.fastData = piece.data;
-            slot.fastAddr = piece.addr;
+            slot.data = piece.data;
+            slot.addr = piece.addr;
         } else {
-            slot.staging = std::make_unique<mem::Buffer>(
-                machine_,
-                ecall ? mem::Domain::Epc : mem::Domain::Untrusted,
-                slot.bytes);
-            staging.usedHeap = true;
+            // Enclave heap for an ecall; an ocall's untrusted staging
+            // is carved from the insecure stack.
+            slot.heap.emplace(machine_,
+                              ecall ? mem::Domain::Epc
+                                    : mem::Domain::Untrusted,
+                              slot.bytes);
+            slot.data = slot.heap->data();
+            slot.addr = slot.heap->addr();
+            if (lent)
+                lent->usedHeap = true;
             cost += static_cast<double>(ecall ? params_.ecallAllocFixed
                                               : params_.ocallAllocFixed);
         }
-        std::uint8_t *dst = fast ? slot.fastData : slot.staging->data();
-        const Addr dst_addr =
-            fast ? slot.fastAddr : slot.staging->addr();
 
         switch (pp.direction) {
           case Direction::In:
           case Direction::InOut:
           case Direction::UserCheck: // [string]
-            std::memcpy(dst, arg.data, slot.bytes);
-            copyVisible(arg.addr, dst_addr, slot.bytes);
+            std::memcpy(slot.data, arg.data, slot.bytes);
+            copyVisible(arg.addr, slot.addr, slot.bytes);
             cost += static_cast<double>(slot.bytes) *
                     (fast ? params_.fastpathCopyPerByte
                           : (ecall ? params_.ecallCopyInPerByte
                                    : params_.ocallCopyToPerByte));
             break;
-          case Direction::Out: {
-            // Zeroing policy: enclave-side `out` staging is always
-            // scrubbed — arena recycling makes the previous call's
-            // payload exactly the stale data the zeroing contains.
-            // Untrusted `out` staging keeps the NRZ switch (zeroing
-            // it never had security value). The fast plane always
-            // uses the word-wise rate; heap spills follow the
-            // configured legacy rate.
-            const bool zero = ecall || !options_.noRedundantZeroing;
-            if (zero) {
-                std::memset(dst, 0, slot.bytes);
-                zeroVisible(dst_addr, slot.bytes);
-                double per_byte = params_.memsetWordWisePerByte;
-                if (!fast && !options_.wordWiseMemset) {
-                    per_byte = ecall ? params_.ecallMemsetPerByte
-                                     : params_.ocallMemsetPerByte;
-                }
+          case Direction::Out:
+            // Enclave-side `out` staging is always zeroed (see
+            // MarshalOptions). Zeroing untrusted staging never had
+            // security value, so No-Redundant-Zeroing may drop it.
+            if (ecall || !options_.noRedundantZeroing) {
+                std::memset(slot.data, 0, slot.bytes);
+                zeroVisible(slot.addr, slot.bytes);
+                const double per_byte =
+                    fast || options_.wordWiseMemset
+                        ? params_.memsetWordWisePerByte
+                        : (ecall ? params_.ecallMemsetPerByte
+                                 : params_.ocallMemsetPerByte);
                 cost += static_cast<double>(slot.bytes) * per_byte;
             }
             break;
-          }
         }
     }
-    if (any_staged)
+    if (lent && any_staged)
         cost += static_cast<double>(params_.fastpathStageFixed);
     charge(cost);
 }
 
 void
-Marshaller::finishFast(StagedCall &call)
+Marshaller::finish(StagedCall &call)
 {
     hc_assert(!call.finished_);
-    hc_assert(call.plan_);
     call.finished_ = true;
 
     const CallPlan &plan = *call.plan_;
-    const bool ecall = plan.ecall;
     double cost = 0.0;
     for (std::size_t i = 0; i < plan.params.size(); ++i) {
-        const ParamPlan &pp = plan.params[i];
         auto &slot = call.slots_[i];
-        Arg &arg = call.args_[i];
-        if ((!slot.staging && !slot.fastData) || arg.data == nullptr)
+        const Arg &arg = call.args_[i];
+        if (!slot.staged)
             continue;
-        if (pp.copyOut) {
-            const std::uint8_t *src =
-                slot.staging ? slot.staging->data() : slot.fastData;
-            std::memcpy(arg.data, src, slot.bytes);
-            copyVisible(slot.staging ? slot.staging->addr()
-                                     : slot.fastAddr,
-                        arg.addr, slot.bytes);
+        if (plan.params[i].copyOut) {
+            std::memcpy(arg.data, slot.data, slot.bytes);
+            copyVisible(slot.addr, arg.addr, slot.bytes);
             cost += static_cast<double>(slot.bytes) *
-                    (slot.staging
-                         ? (ecall ? params_.ecallCopyOutPerByte
-                                  : params_.ocallCopyBackPerByte)
-                         : params_.fastpathCopyPerByte);
+                    (!slot.heap ? params_.fastpathCopyPerByte
+                     : plan.ecall ? params_.ecallCopyOutPerByte
+                                  : params_.ocallCopyBackPerByte);
         }
-        slot.staging.reset();
-        slot.fastData = nullptr;
-        slot.fastAddr = 0;
+        slot.heap.reset();
+        slot.data = arg.data;
+        slot.addr = arg.addr;
+        slot.staged = false;
     }
     charge(cost);
-}
-
-void
-Marshaller::stageOcallFast(const CallPlan &plan, const Args &args,
-                           FastStaging &staging, StagedCall &call)
-{
-    hc_assert(!plan.fn->trusted);
-    stageFast(plan, args, staging, call);
-}
-
-void
-Marshaller::finishOcallFast(StagedCall &call)
-{
-    hc_assert(call.plan_ && !call.plan_->ecall);
-    finishFast(call);
-}
-
-void
-Marshaller::stageEcallFast(const CallPlan &plan, const Args &args,
-                           FastStaging &staging, StagedCall &call)
-{
-    hc_assert(plan.fn->trusted);
-    stageFast(plan, args, staging, call);
-}
-
-void
-Marshaller::finishEcallFast(StagedCall &call)
-{
-    hc_assert(call.plan_ && call.plan_->ecall);
-    finishFast(call);
 }
 
 } // namespace hc::edl

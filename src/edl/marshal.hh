@@ -8,18 +8,23 @@
  * ranges, size validation), and the calibrated SDK costs are charged
  * (memcpy, the infamous byte-wise memset, allocation).
  *
- * HotCalls reuse exactly this code (paper Sections 4.2 and 5): only
- * the transport underneath (context switch vs. shared-memory channel)
- * differs. The No-Redundant-Zeroing optimization (Section 3.3) and
- * the word-wise memset (Section 3.5) are options here.
+ * Every call path runs one walk over a CallPlan, the function's spec
+ * resolved once: stage() validates and copies in, the callee runs,
+ * finish() copies back. Only the placement of the staging differs.
+ * The SDK path lends none, so each payload gets a fresh heap buffer
+ * at the SDK's rates; a FastPath channel lends its slot's recycled
+ * arenas (FastStaging). HotCalls reuse exactly this code (paper
+ * Sections 4.2 and 5): only the transport underneath (context switch
+ * vs. shared-memory channel) differs. The No-Redundant-Zeroing
+ * optimization (Section 3.3) and the word-wise memset (Section 3.5)
+ * are options here.
  */
 
 #ifndef HC_EDL_MARSHAL_HH
 #define HC_EDL_MARSHAL_HH
 
 #include <cstdint>
-#include <memory>
-#include <unordered_map>
+#include <optional>
 #include <vector>
 
 #include "edl/edl_spec.hh"
@@ -74,10 +79,10 @@ struct Arg {
 using Args = std::vector<Arg>;
 
 /**
- * One precomputed marshalling step of a FastPath call plan: the
- * direction, staging policy, and size expression of one parameter,
- * resolved from the EDL spec once at plan-build time. Only a runtime
- * length lookup (sizeParamIndex) or a [string] scan remains per call.
+ * One parameter's marshalling step in a CallPlan: the direction,
+ * staging policy, and size expression, resolved from the EDL spec once
+ * when the plan is built. Only a runtime length lookup
+ * (sizeParamIndex) or a [string] scan remains per call.
  */
 struct ParamPlan {
     Direction direction = Direction::UserCheck;
@@ -96,26 +101,29 @@ struct ParamPlan {
 };
 
 /**
- * A cached per-EdgeFunction marshalling plan. Built once (the
- * EnclaveRuntime builds every plan at registration) and looked up by
- * function identity afterwards, so the fast call path never re-walks
- * the EDL spec: per-call work drops to bounds checks and copies.
+ * One EdgeFunction's marshalling plan: its spec resolved once, so no
+ * call re-walks it. The EnclaveRuntime builds every plan at
+ * construction and hands them out by dispatch id.
  */
 struct CallPlan {
+    /** Resolve @p fn, which must outlive the plan.
+     *  @throw EdlError when a literal count*size overflows */
+    explicit CallPlan(const EdgeFunction &fn);
+
     const EdgeFunction *fn = nullptr;
     bool ecall = false;
     /** Any parameter can ever touch staging (false for scalar-only
-     *  functions, whose fast path charges nothing at all). */
+     *  functions, which a channel never lends its staging). */
     bool anyCopy = false;
     std::vector<ParamPlan> params;
 };
 
 /**
- * The staging resources a channel slot lends to the fast plane:
- * recycled arenas instead of per-call allocations. Payloads are
- * placed inline first (the slot's own cache lines), then in the
- * per-slot spill arena, and only past both into a fresh heap buffer
- * (the legacy staging path, with its legacy costs).
+ * The staging a FastPath channel slot lends to stage(): recycled
+ * arenas instead of per-call allocations. Payloads are placed inline
+ * first (the slot's own cache lines), then in the per-slot spill
+ * arena, and only past both into a fresh heap buffer at the SDK's
+ * costs.
  */
 struct FastStaging {
     mem::StagingArena *inlineArena = nullptr; //!< slot's own lines
@@ -136,7 +144,7 @@ struct FastStaging {
 class StagedCall
 {
   public:
-    /** An empty staged call (filled in by a Marshaller). */
+    /** An empty staged call (filled in by Marshaller::stage()). */
     StagedCall() = default;
 
     StagedCall(StagedCall &&) = default;
@@ -161,25 +169,23 @@ class StagedCall
     std::uint64_t retval() const { return retval_; }
 
     /** @return the function being called. */
-    const EdgeFunction &fn() const { return *fn_; }
+    const EdgeFunction &fn() const { return *plan_->fn; }
 
   private:
     friend class Marshaller;
 
     struct Slot {
-        std::unique_ptr<mem::Buffer> staging; //!< heap staging (legacy
-                                              //!< path or arena spill)
-        std::uint8_t *fastData = nullptr;     //!< arena staging bytes
-        Addr fastAddr = 0;                    //!< arena staging addr
-        std::uint64_t bytes = 0;              //!< resolved length
+        std::uint8_t *data = nullptr;    //!< callee-visible bytes
+        Addr addr = 0;                   //!< callee-visible address
+        std::uint64_t bytes = 0;         //!< resolved length
+        bool staged = false;             //!< data is a staging copy
+        std::optional<mem::Buffer> heap; //!< owned heap staging
     };
 
-    /** Drop per-call state but keep the slot vector's capacity, so a
-     *  channel-owned StagedCall is recycled without reallocation. */
-    void reset();
+    /** Locate a checked slot. */
+    const Slot &slot(int index) const;
 
-    const EdgeFunction *fn_ = nullptr;
-    const CallPlan *plan_ = nullptr; //!< set by the fast entry points
+    const CallPlan *plan_ = nullptr;
     Args args_;
     std::vector<Slot> slots_;
     std::uint64_t retval_ = 0;
@@ -193,95 +199,63 @@ class Marshaller
     /**
      * @param machine  platform for staging allocation and charging
      * @param params   SDK cost constants
-     * @param options  policy switches (NRZ, word-wise memset)
+     * @param options  policy switches (NRZ, word-wise memset), fixed
+     *                 for the marshaller's lifetime
      */
     Marshaller(mem::Machine &machine, const sgx::SgxCostParams &params,
                MarshalOptions options = {});
 
     /**
-     * Stage an ecall: validate and copy caller (untrusted) buffers
-     * into enclave staging per the declared directions.
+     * Check @p args against @p plan: the argument count; each copied
+     * buffer's declared length against its capacity, where count*size
+     * must not overflow and a [string] must hold its NUL; and the
+     * enclave boundary (Section 3.2.1: ecall buffers lie entirely
+     * outside the enclave, ocall buffers entirely inside). Charges no
+     * cycles and draws no RNG, so a call path runs it before it takes
+     * a TCS, a lock or a slot, and a rejected call leaves nothing
+     * behind.
+     * @throw EdlError naming the first violation
      */
-    StagedCall stageEcall(const EdgeFunction &fn, const Args &args);
-
-    /** Copy-out phase after the trusted function returned. */
-    void finishEcall(StagedCall &call);
+    void validate(const CallPlan &plan, const Args &args) const;
 
     /**
-     * Stage an ocall: validate and copy caller (enclave) buffers to
-     * untrusted staging per the declared directions.
+     * Stage a call: validate(), then give every copied payload its
+     * callee-side copy (copy-in for in, in&out and [string]; zeroing
+     * for out). @p call is reset and refilled in place, keeping its
+     * slot vector's capacity.
+     *
+     * Placement is the only thing that varies. With @p lent null
+     * (the SDK path, and hot channels with FastPath off) each payload
+     * gets a fresh heap buffer at the SDK's rates: enclave heap for an
+     * ecall, untrusted stack for an ocall. A FastPath channel lends
+     * its slot's staging, which is recycled here (the channel must own
+     * the slot; SimCheck's HotQueueProtocol::onArenaRecycle checks);
+     * payloads then go inline, else into the spill arena, else to the
+     * heap, arena copies run at the fast per-byte rate, and
+     * fastpathStageFixed is charged once when any payload moved.
+     *
+     * `out` staging in enclave memory is always zeroed: it keeps stale
+     * heap secrets from leaking out, and with recycled arenas the
+     * previous call's payload is exactly such data. Arena zeroing
+     * runs at the word-wise rate; heap zeroing follows the options.
      */
-    StagedCall stageOcall(const EdgeFunction &fn, const Args &args);
-
-    /** Copy-back phase after the untrusted function returned. */
-    void finishOcall(StagedCall &call);
-
-    // ------------------------------------------------------------------
-    // FastPath data plane: cached plans + recycled channel staging.
-    // ------------------------------------------------------------------
+    void stage(const CallPlan &plan, const Args &args, FastStaging *lent,
+               StagedCall &call);
 
     /**
-     * @return the cached marshalling plan of @p fn, built on first
-     * use (the EnclaveRuntime requests every plan at registration, so
-     * hot calls always hit the cache). The reference stays valid for
-     * the Marshaller's lifetime; @p fn must outlive it.
+     * Copy out and in&out results back to the caller and release the
+     * heap staging. With staging lent this MUST run before the channel
+     * releases the slot: the slot's next claimant recycles the arenas
+     * this reads.
      */
-    const CallPlan &plan(const EdgeFunction &fn);
-
-    /**
-     * FastPath ocall staging: validation (bounds + boundary checks)
-     * stays, but staging goes into the recycled channel arenas of
-     * @p staging and the copy runs at the fast per-byte rate. The
-     * channel-owned @p call is reset and refilled in place. The
-     * channel must only recycle @p staging for a slot it owns
-     * (SimCheck's HotQueueProtocol::onArenaRecycle enforces this).
-     */
-    void stageOcallFast(const CallPlan &plan, const Args &args,
-                        FastStaging &staging, StagedCall &call);
-
-    /**
-     * FastPath copy-back. Unlike the legacy finish, this MUST run
-     * before the slot is released: the arenas it reads are recycled
-     * by the slot's next claimant.
-     */
-    void finishOcallFast(StagedCall &call);
-
-    /** FastPath ecall staging (responder side, inside the enclave).
-     *  `out` staging in EPC arenas is always zeroed — recycling makes
-     *  the previous call's payload the stale data that the zeroing
-     *  exists to contain — but at the word-wise rate: a fast plane
-     *  has no reason to keep the SDK's byte-wise memset. */
-    void stageEcallFast(const CallPlan &plan, const Args &args,
-                        FastStaging &staging, StagedCall &call);
-
-    /** FastPath ecall copy-out (before the slot is released). */
-    void finishEcallFast(StagedCall &call);
-
-    const MarshalOptions &options() const { return options_; }
-    void setOptions(MarshalOptions options) { options_ = options; }
+    void finish(StagedCall &call);
 
   private:
-    /** Resolve the byte length of pointer param @p index. */
-    std::uint64_t resolveBytes(const EdgeFunction &fn, const Args &args,
-                               int index) const;
-
-    /** Plan-driven equivalent of resolveBytes (no spec walk). */
-    std::uint64_t planBytes(const CallPlan &plan, std::size_t index,
-                            const Args &args) const;
-
-    /** Validate counts, capacities, and domain placement. */
-    void validate(const EdgeFunction &fn, const Args &args,
-                  bool ecall) const;
-
-    /** Plan-driven validation (same checks and messages). */
-    void validatePlan(const CallPlan &plan, const Args &args) const;
-
-    /** Shared body of the two fast stage entry points. */
-    void stageFast(const CallPlan &plan, const Args &args,
-                   FastStaging &staging, StagedCall &call);
-
-    /** Shared body of the two fast finish entry points. */
-    void finishFast(StagedCall &call);
+    /** @return the byte length of pointer param @p index (0 for NULL
+     *  and unsized user_check). @throw EdlError on count*size overflow
+     *  or a [string] without its NUL */
+    std::uint64_t bytesOf(const CallPlan &plan, std::size_t index,
+                          const Args &args) const;
 
     void charge(double cycles);
 
@@ -301,8 +275,7 @@ class Marshaller
 
     mem::Machine &machine_;
     const sgx::SgxCostParams &params_;
-    MarshalOptions options_;
-    std::unordered_map<const EdgeFunction *, CallPlan> plans_;
+    const MarshalOptions options_;
 };
 
 } // namespace hc::edl

@@ -165,31 +165,36 @@ Channel::call(const std::string &name, const edl::Args &args)
                 args);
 }
 
+bool
+Channel::marshal(StagingSlot *slot, const edl::CallPlan &plan,
+                 const edl::Args &args, edl::StagedCall &own)
+{
+    auto &marshaller = runtime_.marshaller();
+    // Scalar-only functions stage nothing: the SDK placement is
+    // already copy-free and charge-free for them, so the fast plane
+    // only engages when payload moves.
+    if (!slot || !plan.anyCopy) {
+        marshaller.stage(plan, args, nullptr, own);
+        return false;
+    }
+    if (slot->shadow)
+        slot->shadow->onArenaRecycle(slot->index);
+    marshaller.stage(plan, args, &slot->staging, slot->scratch);
+    countStaged(slot->staging);
+    return true;
+}
+
 void
 Channel::stage(Request &req, int id, const edl::Args &args,
                StagingSlot *slot)
 {
     req.id = id;
     req.ecall.args = &args;
-    if (kind_ == Kind::HotEcall)
+    if (kind_ == Kind::HotEcall ||
+        !marshal(slot, runtime_.ocallPlan(id), args, req.staged))
         return;
-    const auto &fn =
-        runtime_.edlFile().untrusted[static_cast<std::size_t>(id)];
-    auto &marshaller = runtime_.marshaller();
-    // Scalar-only functions stage nothing: the legacy path is already
-    // copy-free and charge-free for them, so the fast plane only
-    // engages when payload moves.
-    if (!slot || !marshaller.plan(fn).anyCopy) {
-        req.staged = marshaller.stageOcall(fn, args);
-        return;
-    }
-    if (slot->shadow)
-        slot->shadow->onArenaRecycle(slot->index);
-    marshaller.stageOcallFast(marshaller.plan(fn), args, slot->staging,
-                              slot->scratch);
     if (slot->staging.usedSpill)
         touchArena(*slot, true); // hand the payload lines over
-    countStaged(slot->staging);
     req.fast = slot;
 }
 
@@ -199,7 +204,7 @@ Channel::finishFast(Request &req)
     StagingSlot &slot = *req.fast;
     if (slot.staging.usedSpill)
         touchArena(slot, false); // read the results back
-    runtime_.marshaller().finishOcallFast(slot.scratch);
+    runtime_.marshaller().finish(slot.scratch);
     return slot.scratch.retval();
 }
 
@@ -209,7 +214,7 @@ Channel::finish(Request &req)
     if (kind_ == Kind::HotEcall)
         return req.ecall.retval;
     // Back "inside": copy out-buffers into the enclave.
-    runtime_.marshaller().finishOcall(req.staged);
+    runtime_.marshaller().finish(req.staged);
     return req.staged.retval();
 }
 
@@ -229,27 +234,17 @@ Channel::serve(Request &req, StagingSlot *slot)
         if (arena_handoff)
             touchArena(*req.fast, true); // results written back
     } else {
-        const auto &fn =
-            runtime_.edlFile().trusted[static_cast<std::size_t>(req.id)];
-        auto &marshaller = runtime_.marshaller();
-        if (slot && marshaller.plan(fn).anyCopy) {
-            // FastPath: stage into the recycled EPC arena, which the
-            // protocol lends this responder until the completion.
-            if (slot->shadow)
-                slot->shadow->onArenaRecycle(slot->index);
-            marshaller.stageEcallFast(marshaller.plan(fn),
-                                      *req.ecall.args, slot->staging,
-                                      slot->scratch);
-            countStaged(slot->staging);
-            runtime_.dispatchEcallDirect(req.id, slot->scratch);
-            marshaller.finishEcallFast(slot->scratch);
-            req.ecall.retval = slot->scratch.retval();
-        } else {
-            auto staged = marshaller.stageEcall(fn, *req.ecall.args);
-            runtime_.dispatchEcallDirect(req.id, staged);
-            marshaller.finishEcall(staged);
-            req.ecall.retval = staged.retval();
-        }
+        // Under FastPath the staging goes into the slot's recycled EPC
+        // arena, which the protocol lends this responder until the
+        // completion.
+        edl::StagedCall own;
+        edl::StagedCall &call =
+            marshal(slot, runtime_.ecallPlan(req.id), *req.ecall.args, own)
+                ? slot->scratch
+                : own;
+        runtime_.dispatchEcallDirect(req.id, call);
+        runtime_.marshaller().finish(call);
+        req.ecall.retval = call.retval();
     }
 
     counters_->responderBusyCycles += machine_.now() - start;

@@ -226,12 +226,14 @@ class Channel
     // ------------------------------------------------------------------
 
     /**
-     * Enforce HotOcall enclave mode, route through Sentinel, charge
-     * the requester glue and fix the attempt budget.
+     * Enforce HotOcall enclave mode, validate call @p id against its
+     * EDL (before any lock or slot is taken, so a rejected call leaves
+     * the channel as it was), route through Sentinel, charge the
+     * requester glue and fix the attempt budget.
      * @return false when the call is shed, or the channel's stop was
      *         requested (already counted; answer it with sdkCall())
      */
-    bool admit(Admission &adm);
+    bool admit(int id, const edl::Args &args, Admission &adm);
 
     /** The conventional SDK call (Section 4.2's fallback). */
     std::uint64_t sdkCall(int id, const edl::Args &args)
@@ -299,10 +301,9 @@ class Channel
     /**
      * Marshal call @p id into @p req before publication. A HotOcall
      * runs the same edger8r-generated trusted wrapper the SDK would
-     * (Sections 4.2, 5): into @p slot's recycled staging when FastPath
-     * is on and payload moves, else into the legacy heap staging. A
-     * HotEcall hands its arguments over as they are; its responder
-     * marshals inside the enclave.
+     * (Sections 4.2, 5), through marshal(). A HotEcall hands its
+     * arguments over as they are; its responder marshals inside the
+     * enclave.
      */
     void stage(Request &req, int id, const edl::Args &args,
                StagingSlot *slot);
@@ -372,6 +373,16 @@ class Channel
     std::vector<sim::Thread *> responders_;
 
   private:
+    /**
+     * Stage a call of @p plan: into @p slot's recycled staging when
+     * there is a slot (FastPath on) and payload moves, telling the
+     * slot's shadow of the recycle and counting the placement; else
+     * with no staging lent, into @p own.
+     * @return true when the call is staged in `slot->scratch`
+     */
+    bool marshal(StagingSlot *slot, const edl::CallPlan &plan,
+                 const edl::Args &args, edl::StagedCall &own);
+
     /** Count one call's FastPath placement. */
     void countStaged(const edl::FastStaging &staging);
 
@@ -390,13 +401,17 @@ class Channel
 };
 
 inline bool
-Channel::admit(Admission &adm)
+Channel::admit(int id, const edl::Args &args, Admission &adm)
 {
     hc_assert(!responders_.empty());
     if (kind_ == Kind::HotOcall &&
         !runtime_.platform().inEnclave(machine_.currentCore())) {
         throw sgx::SgxFault("HotOcall issued outside enclave mode");
     }
+    runtime_.marshaller().validate(kind_ == Kind::HotOcall
+                                       ? runtime_.ocallPlan(id)
+                                       : runtime_.ecallPlan(id),
+                                   args);
     // A stopped channel's responders have exited or are leaving: no
     // one would ever serve a request published now. Send the call
     // straight to the SDK, counted as a fallback with zero attempts.

@@ -106,7 +106,7 @@ std::uint64_t
 HotCallService::call(int id, const edl::Args &args)
 {
     Admission adm;
-    if (!admit(adm))
+    if (!admit(id, args, adm))
         return sdkCall(id, args);
     auto &engine = machine_.engine();
     auto *injector = machine_.fault();

@@ -82,7 +82,7 @@ std::uint64_t
 HotQueue::call(int id, const edl::Args &args)
 {
     Admission adm;
-    if (!admit(adm))
+    if (!admit(id, args, adm))
         return sdkCall(id, args);
     auto &engine = machine_.engine();
     auto *injector = machine_.fault();

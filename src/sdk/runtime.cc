@@ -32,13 +32,15 @@ EnclaveRuntime::EnclaveRuntime(sgx::SgxPlatform &platform,
     ecallCount_.assign(edl_.trusted.size(), 0);
     ocallCount_.assign(edl_.untrusted.size(), 0);
 
-    // FastPath: build every edge function's marshalling plan once,
-    // here at registration; the hot channels look plans up by
-    // function identity and never re-walk the spec per call.
+    // Build every edge function's marshalling plan once, here: every
+    // call path looks its plan up by dispatch id and never re-walks
+    // the spec.
+    ecallPlans_.reserve(edl_.trusted.size());
     for (const auto &fn : edl_.trusted)
-        marshaller_.plan(fn);
+        ecallPlans_.emplace_back(fn);
+    ocallPlans_.reserve(edl_.untrusted.size());
     for (const auto &fn : edl_.untrusted)
-        marshaller_.plan(fn);
+        ocallPlans_.emplace_back(fn);
 
     // Trusted-runtime ocall frame (marshalling scratch in the EPC).
     const int frame_lines = 1;
@@ -142,6 +144,10 @@ EnclaveRuntime::ecall(int id, const edl::Args &args)
     if (!impl)
         fatal("ecall '%s' has no registered implementation",
               fn.name.c_str());
+    // Reject a call that breaks its EDL contract before it is counted
+    // or takes a TCS (the check costs no cycles and draws no RNG).
+    const auto &plan = ecallPlans_[static_cast<std::size_t>(id)];
+    marshaller_.validate(plan, args);
     ++ecallCount_[static_cast<std::size_t>(id)];
 
     // Untrusted wrapper: find the enclave, take the reader lock, pick
@@ -157,9 +163,10 @@ EnclaveRuntime::ecall(int id, const edl::Args &args)
     // buffers into the enclave (copies happen inside).
     platform_.chargeStage(platform_.params().sdkTrustedDispatch, {},
                           /*write=*/false);
-    auto staged = marshaller_.stageEcall(fn, args);
+    edl::StagedCall staged;
+    marshaller_.stage(plan, args, nullptr, staged);
     impl(staged);
-    marshaller_.finishEcall(staged);
+    marshaller_.finish(staged);
 
     platform_.eexit();
     enclave_->releaseTcs(tcs);
@@ -184,13 +191,16 @@ EnclaveRuntime::ocall(int id, const edl::Args &args)
     if (!impl)
         fatal("ocall '%s' has no registered landing function",
               fn.name.c_str());
+    const auto &plan = ocallPlans_[static_cast<std::size_t>(id)];
+    marshaller_.validate(plan, args); // as in ecall()
     ++ocallCount_[static_cast<std::size_t>(id)];
 
     // Trusted wrapper: marshal outgoing buffers (inside the enclave),
     // push the ocall frame.
     platform_.chargeStage(platform_.params().sdkOcallSoftware,
                           ocallFrameLines_, /*write=*/true);
-    auto staged = marshaller_.stageOcall(fn, args);
+    edl::StagedCall staged;
+    marshaller_.stage(plan, args, nullptr, staged);
 
     platform_.eexitForOcall();
 
@@ -203,7 +213,7 @@ EnclaveRuntime::ocall(int id, const edl::Args &args)
     platform_.eresume();
 
     // Back inside: copy `out` buffers into the enclave, pop frame.
-    marshaller_.finishOcall(staged);
+    marshaller_.finish(staged);
     return staged.retval();
 }
 

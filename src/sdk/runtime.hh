@@ -27,6 +27,7 @@
 #include "edl/marshal.hh"
 #include "edl/parser.hh"
 #include "sgx/platform.hh"
+#include "support/logging.hh"
 
 namespace hc::sdk {
 
@@ -112,6 +113,22 @@ class EnclaveRuntime
     edl::Marshaller &marshaller() { return marshaller_; }
     const edl::EdlFile &edlFile() const { return edl_; }
 
+    /** @return the marshalling plan of ecall @p id. */
+    const edl::CallPlan &ecallPlan(int id) const
+    {
+        hc_assert(id >= 0 &&
+                  static_cast<std::size_t>(id) < ecallPlans_.size());
+        return ecallPlans_[static_cast<std::size_t>(id)];
+    }
+
+    /** @return the marshalling plan of ocall @p id. */
+    const edl::CallPlan &ocallPlan(int id) const
+    {
+        hc_assert(id >= 0 &&
+                  static_cast<std::size_t>(id) < ocallPlans_.size());
+        return ocallPlans_[static_cast<std::size_t>(id)];
+    }
+
     /** Per-ecall invocation counts (index = dispatch id). */
     const std::vector<std::uint64_t> &ecallCounts() const
     {
@@ -141,6 +158,9 @@ class EnclaveRuntime
     mem::Machine &machine_;
     edl::EdlFile edl_;
     edl::Marshaller marshaller_;
+    /** Marshalling plans by dispatch id (they point into edl_). */
+    std::vector<edl::CallPlan> ecallPlans_;
+    std::vector<edl::CallPlan> ocallPlans_;
     sgx::Enclave *enclave_ = nullptr;
 
     std::vector<TrustedFn> trustedImpl_;

@@ -8,8 +8,10 @@
 
 #include <cstring>
 #include <functional>
+#include <stdexcept>
 
 #include "edl/marshal.hh"
+#include "mem/arena.hh"
 #include "edl/parser.hh"
 #include "mem/buffer.hh"
 #include "sgx/sgx_cost_params.hh"
@@ -176,6 +178,11 @@ struct MarshalFixture {
     sgx::SgxCostParams params;
     Marshaller marshaller;
     EdlFile edl;
+    std::vector<CallPlan> plans;
+    /** Staging as a FastPath channel slot lends it. */
+    mem::StagingArena inlineArena{machine, mem::Domain::Untrusted, 64};
+    mem::StagingArena spill{machine, mem::Domain::Untrusted, 4096};
+    FastStaging lent{&inlineArena, &spill};
 
     explicit MarshalFixture(MarshalOptions options = {})
         : marshaller(machine, params, options),
@@ -201,6 +208,18 @@ struct MarshalFixture {
             };
           )"))
     {
+        for (const auto *fns : {&edl.trusted, &edl.untrusted})
+            for (const auto &fn : *fns)
+                plans.emplace_back(fn);
+    }
+
+    /** @return the plan of edge function @p name. */
+    const CallPlan &plan(const std::string &name) const
+    {
+        for (const auto &p : plans)
+            if (p.fn->name == name)
+                return p;
+        throw std::out_of_range(name);
     }
 
     void run(std::function<void()> body)
@@ -208,7 +227,37 @@ struct MarshalFixture {
         machine.engine().spawn("test", 0, std::move(body));
         machine.engine().run();
     }
+
+    /**
+     * Stage @p name with @p args in both placements, with no staging
+     * lent and with the inline + spill arenas lent, expecting stage()
+     * to reject the call the same way in both.
+     * @return the EdlError message
+     */
+    std::string rejection(const std::string &name, const Args &args)
+    {
+        std::string seen[2];
+        FastStaging *placements[] = {nullptr, &lent};
+        for (int i = 0; i < 2; ++i) {
+            StagedCall call;
+            try {
+                marshaller.stage(plan(name), args, placements[i], call);
+                ADD_FAILURE() << name << " staged, lent=" << i;
+            } catch (const EdlError &e) {
+                seen[i] = e.what();
+            }
+        }
+        EXPECT_EQ(seen[0], seen[1]) << name;
+        return seen[0];
+    }
 };
+
+/** @return whether @p text contains @p part. */
+bool
+mentions(const std::string &text, const char *part)
+{
+    return text.find(part) != std::string::npos;
+}
 
 } // anonymous namespace
 
@@ -218,9 +267,9 @@ TEST(Marshal, EcallInCopiesIntoEnclaveStaging)
     f.run([&] {
         mem::Buffer src(f.machine, mem::Domain::Untrusted, 64);
         std::memcpy(src.data(), "hello-marshalling", 17);
-        auto call = f.marshaller.stageEcall(
-            *f.edl.findTrusted("t_in"),
-            {Arg::buffer(src), Arg::value(17)});
+        StagedCall call;
+        f.marshaller.stage(f.plan("t_in"), {Arg::buffer(src), Arg::value(17)},
+                           nullptr, call);
         // The callee sees a staged EPC copy, not the caller memory.
         EXPECT_NE(call.data(0), src.data());
         EXPECT_TRUE(f.machine.space().isEpc(call.addr(0)));
@@ -229,7 +278,7 @@ TEST(Marshal, EcallInCopiesIntoEnclaveStaging)
         EXPECT_EQ(call.size(0), 17u);
         // Callee writes are NOT copied back for `in`.
         call.data(0)[0] = 'X';
-        f.marshaller.finishEcall(call);
+        f.marshaller.finish(call);
         EXPECT_EQ(src.data()[0], 'h');
     });
 }
@@ -240,14 +289,14 @@ TEST(Marshal, EcallOutZeroesAndCopiesBack)
     f.run([&] {
         mem::Buffer dst(f.machine, mem::Domain::Untrusted, 32);
         std::memset(dst.data(), 0xee, 32);
-        auto call = f.marshaller.stageEcall(
-            *f.edl.findTrusted("t_out"),
-            {Arg::buffer(dst), Arg::value(32)});
+        StagedCall call;
+        f.marshaller.stage(f.plan("t_out"), {Arg::buffer(dst), Arg::value(32)},
+                           nullptr, call);
         // Staging starts zeroed (no heap-secret leakage).
         for (int i = 0; i < 32; ++i)
             ASSERT_EQ(call.data(0)[i], 0);
         std::memcpy(call.data(0), "result", 6);
-        f.marshaller.finishEcall(call);
+        f.marshaller.finish(call);
         EXPECT_EQ(std::memcmp(dst.data(), "result", 6), 0);
         EXPECT_EQ(dst.data()[10], 0); // zeroed tail copied back
     });
@@ -259,12 +308,12 @@ TEST(Marshal, EcallInOutRoundtrips)
     f.run([&] {
         mem::Buffer buf(f.machine, mem::Domain::Untrusted, 16);
         std::memcpy(buf.data(), "ping", 4);
-        auto call = f.marshaller.stageEcall(
-            *f.edl.findTrusted("t_inout"),
-            {Arg::buffer(buf), Arg::value(16)});
+        StagedCall call;
+        f.marshaller.stage(f.plan("t_inout"),
+                           {Arg::buffer(buf), Arg::value(16)}, nullptr, call);
         EXPECT_EQ(std::memcmp(call.data(0), "ping", 4), 0);
         std::memcpy(call.data(0), "pong", 4);
-        f.marshaller.finishEcall(call);
+        f.marshaller.finish(call);
         EXPECT_EQ(std::memcmp(buf.data(), "pong", 4), 0);
     });
 }
@@ -274,11 +323,12 @@ TEST(Marshal, UserCheckIsZeroCopy)
     MarshalFixture f;
     f.run([&] {
         mem::Buffer buf(f.machine, mem::Domain::Untrusted, 16);
-        auto call = f.marshaller.stageEcall(
-            *f.edl.findTrusted("t_check"), {Arg::buffer(buf)});
+        StagedCall call;
+        f.marshaller.stage(f.plan("t_check"), {Arg::buffer(buf)},
+                           nullptr, call);
         EXPECT_EQ(call.data(0), buf.data()); // same memory
         EXPECT_EQ(call.addr(0), buf.addr());
-        f.marshaller.finishEcall(call);
+        f.marshaller.finish(call);
     });
 }
 
@@ -286,11 +336,11 @@ TEST(Marshal, NullPointerPassesThrough)
 {
     MarshalFixture f;
     f.run([&] {
-        auto call = f.marshaller.stageEcall(
-            *f.edl.findTrusted("t_in"),
-            {Arg::null(), Arg::value(0)});
+        StagedCall call;
+        f.marshaller.stage(f.plan("t_in"), {Arg::null(), Arg::value(0)},
+                           nullptr, call);
         EXPECT_EQ(call.data(0), nullptr);
-        f.marshaller.finishEcall(call);
+        f.marshaller.finish(call);
     });
 }
 
@@ -300,10 +350,9 @@ TEST(Marshal, EcallRejectsEnclaveBuffer)
     f.run([&] {
         // An ecall input structure must lie outside the enclave.
         mem::Buffer inside(f.machine, mem::Domain::Epc, 64);
-        EXPECT_THROW(f.marshaller.stageEcall(
-                         *f.edl.findTrusted("t_in"),
-                         {Arg::buffer(inside), Arg::value(64)}),
-                     EdlError);
+        EXPECT_TRUE(mentions(
+            f.rejection("t_in", {Arg::buffer(inside), Arg::value(64)}),
+            "must be entirely outside the enclave"));
     });
 }
 
@@ -313,10 +362,9 @@ TEST(Marshal, OcallRejectsUntrustedBuffer)
     f.run([&] {
         // Ocall buffers must come from inside the enclave.
         mem::Buffer outside(f.machine, mem::Domain::Untrusted, 64);
-        EXPECT_THROW(f.marshaller.stageOcall(
-                         *f.edl.findUntrusted("u_to"),
-                         {Arg::buffer(outside), Arg::value(64)}),
-                     EdlError);
+        EXPECT_TRUE(mentions(
+            f.rejection("u_to", {Arg::buffer(outside), Arg::value(64)}),
+            "must be entirely inside the enclave"));
     });
 }
 
@@ -325,10 +373,9 @@ TEST(Marshal, RejectsSizeBeyondCapacity)
     MarshalFixture f;
     f.run([&] {
         mem::Buffer small(f.machine, mem::Domain::Untrusted, 16);
-        EXPECT_THROW(f.marshaller.stageEcall(
-                         *f.edl.findTrusted("t_in"),
-                         {Arg::buffer(small), Arg::value(17)}),
-                     EdlError);
+        EXPECT_TRUE(mentions(
+            f.rejection("t_in", {Arg::buffer(small), Arg::value(17)}),
+            "declares 17 bytes but the buffer holds only 16"));
     });
 }
 
@@ -336,9 +383,8 @@ TEST(Marshal, RejectsArgumentCountMismatch)
 {
     MarshalFixture f;
     f.run([&] {
-        EXPECT_THROW(f.marshaller.stageEcall(
-                         *f.edl.findTrusted("t_in"), {Arg::value(1)}),
-                     EdlError);
+        EXPECT_TRUE(mentions(f.rejection("t_in", {Arg::value(1)}),
+                             "expected 2 arguments, got 1"));
     });
 }
 
@@ -352,12 +398,12 @@ TEST(Marshal, ZeroLengthBufferIsZeroCopy)
         mem::Buffer buf(f.machine, mem::Domain::Untrusted, 16);
         std::memset(buf.data(), 0xab, 16);
         for (const char *name : {"t_in", "t_out", "t_inout"}) {
-            auto call = f.marshaller.stageEcall(
-                *f.edl.findTrusted(name),
-                {Arg::buffer(buf), Arg::value(0)});
+            StagedCall call;
+            f.marshaller.stage(f.plan(name), {Arg::buffer(buf), Arg::value(0)},
+                               nullptr, call);
             EXPECT_EQ(call.size(0), 0u) << name;
             EXPECT_EQ(call.data(0), buf.data()) << name;
-            f.marshaller.finishEcall(call);
+            f.marshaller.finish(call);
             EXPECT_EQ(buf.data()[0], 0xab) << name;
         }
     });
@@ -370,17 +416,17 @@ TEST(Marshal, NullOutAndInOutPointersPassThrough)
         // NULL marshals as NULL even for out/inout: nothing is
         // staged, zeroed, or copied back.
         for (const char *name : {"t_out", "t_inout"}) {
-            auto call = f.marshaller.stageEcall(
-                *f.edl.findTrusted(name),
-                {Arg::null(), Arg::value(64)});
+            StagedCall call;
+            f.marshaller.stage(f.plan(name), {Arg::null(), Arg::value(64)},
+                               nullptr, call);
             EXPECT_EQ(call.data(0), nullptr) << name;
-            f.marshaller.finishEcall(call);
+            f.marshaller.finish(call);
         }
-        auto ocall = f.marshaller.stageOcall(
-            *f.edl.findUntrusted("u_from"),
-            {Arg::null(), Arg::value(64)});
+        StagedCall ocall;
+        f.marshaller.stage(f.plan("u_from"), {Arg::null(), Arg::value(64)},
+                           nullptr, ocall);
         EXPECT_EQ(ocall.data(0), nullptr);
-        f.marshaller.finishOcall(ocall);
+        f.marshaller.finish(ocall);
     });
 }
 
@@ -392,16 +438,9 @@ TEST(Marshal, CountTimesSizeOverflowRejected)
         // wrap to a small byte length that passes the bounds check.
         mem::Buffer buf(f.machine, mem::Domain::Epc, 64);
         const std::uint64_t count = UINT64_MAX / 4;
-        try {
-            f.marshaller.stageOcall(
-                *f.edl.findUntrusted("u_count"),
-                {Arg::buffer(buf), Arg::value(count)});
-            FAIL() << "expected EdlError";
-        } catch (const EdlError &e) {
-            EXPECT_NE(std::string(e.what()).find("overflows"),
-                      std::string::npos)
-                << e.what();
-        }
+        EXPECT_TRUE(mentions(
+            f.rejection("u_count", {Arg::buffer(buf), Arg::value(count)}),
+            "overflows"));
     });
 }
 
@@ -411,13 +450,13 @@ TEST(Marshal, OcallStagesIntoUntrustedMemory)
     f.run([&] {
         mem::Buffer src(f.machine, mem::Domain::Epc, 64);
         std::memcpy(src.data(), "secretless-copy", 15);
-        auto call = f.marshaller.stageOcall(
-            *f.edl.findUntrusted("u_to"),
-            {Arg::buffer(src), Arg::value(15)});
+        StagedCall call;
+        f.marshaller.stage(f.plan("u_to"), {Arg::buffer(src), Arg::value(15)},
+                           nullptr, call);
         EXPECT_FALSE(f.machine.space().isEpc(call.addr(0)));
         EXPECT_EQ(std::memcmp(call.data(0), "secretless-copy", 15),
                   0);
-        f.marshaller.finishOcall(call);
+        f.marshaller.finish(call);
     });
 }
 
@@ -427,11 +466,12 @@ TEST(Marshal, StringLengthFromNul)
     f.run([&] {
         mem::Buffer s(f.machine, mem::Domain::Epc, 32);
         std::strcpy(reinterpret_cast<char *>(s.data()), "path");
-        auto call = f.marshaller.stageOcall(
-            *f.edl.findUntrusted("u_str"), {Arg::buffer(s)});
+        StagedCall call;
+        f.marshaller.stage(f.plan("u_str"), {Arg::buffer(s)}, nullptr,
+                           call);
         EXPECT_EQ(call.size(0), 5u); // includes NUL
         EXPECT_STREQ(reinterpret_cast<char *>(call.data(0)), "path");
-        f.marshaller.finishOcall(call);
+        f.marshaller.finish(call);
     });
 }
 
@@ -441,10 +481,8 @@ TEST(Marshal, StringWithoutNulRejected)
     f.run([&] {
         mem::Buffer s(f.machine, mem::Domain::Epc, 8);
         std::memset(s.data(), 'a', 8); // no terminator
-        EXPECT_THROW(f.marshaller.stageOcall(
-                         *f.edl.findUntrusted("u_str"),
-                         {Arg::buffer(s)}),
-                     EdlError);
+        EXPECT_TRUE(mentions(f.rejection("u_str", {Arg::buffer(s)}),
+                             "is not NUL-terminated"));
     });
 }
 
@@ -453,13 +491,14 @@ TEST(Marshal, OcallFromZeroesUntrustedStaging)
     MarshalFixture f;
     f.run([&] {
         mem::Buffer dst(f.machine, mem::Domain::Epc, 32);
-        auto call = f.marshaller.stageOcall(
-            *f.edl.findUntrusted("u_from"),
-            {Arg::buffer(dst), Arg::value(32)});
+        StagedCall call;
+        f.marshaller.stage(f.plan("u_from"),
+                           {Arg::buffer(dst), Arg::value(32)}, nullptr,
+                           call);
         for (int i = 0; i < 32; ++i)
             ASSERT_EQ(call.data(0)[i], 0);
         std::memcpy(call.data(0), "filled", 6);
-        f.marshaller.finishOcall(call);
+        f.marshaller.finish(call);
         EXPECT_EQ(std::memcmp(dst.data(), "filled", 6), 0);
     });
 }
@@ -472,21 +511,23 @@ TEST(Marshal, NoRedundantZeroingSkipsCostButStaysFunctional)
     plain.run([&] {
         mem::Buffer dst(plain.machine, mem::Domain::Epc, 4096);
         const Cycles t0 = plain.machine.now();
-        auto call = plain.marshaller.stageOcall(
-            *plain.edl.findUntrusted("u_from"),
-            {Arg::buffer(dst), Arg::value(4096)});
+        StagedCall call;
+        plain.marshaller.stage(plain.plan("u_from"),
+                               {Arg::buffer(dst), Arg::value(4096)},
+                               nullptr, call);
         with_zero = plain.machine.now() - t0;
-        plain.marshaller.finishOcall(call);
+        plain.marshaller.finish(call);
     });
     nrz.run([&] {
         mem::Buffer dst(nrz.machine, mem::Domain::Epc, 4096);
         const Cycles t0 = nrz.machine.now();
-        auto call = nrz.marshaller.stageOcall(
-            *nrz.edl.findUntrusted("u_from"),
-            {Arg::buffer(dst), Arg::value(4096)});
+        StagedCall call;
+        nrz.marshaller.stage(nrz.plan("u_from"),
+                             {Arg::buffer(dst), Arg::value(4096)},
+                             nullptr, call);
         without_zero = nrz.machine.now() - t0;
         std::memcpy(call.data(0), "data", 4);
-        nrz.marshaller.finishOcall(call);
+        nrz.marshaller.finish(call);
     });
     // The byte-wise memset of 4 KiB costs ~1.23 cycles/B.
     EXPECT_GT(with_zero, without_zero + 4'000);
@@ -501,21 +542,23 @@ TEST(Marshal, WordWiseMemsetIsCheaper)
         mem::Buffer dst(bytewise.machine, mem::Domain::Untrusted,
                         4096);
         const Cycles t0 = bytewise.machine.now();
-        auto call = bytewise.marshaller.stageEcall(
-            *bytewise.edl.findTrusted("t_out"),
-            {Arg::buffer(dst), Arg::value(4096)});
+        StagedCall call;
+        bytewise.marshaller.stage(bytewise.plan("t_out"),
+                                  {Arg::buffer(dst), Arg::value(4096)},
+                                  nullptr, call);
         slow = bytewise.machine.now() - t0;
-        bytewise.marshaller.finishEcall(call);
+        bytewise.marshaller.finish(call);
     });
     wordwise.run([&] {
         mem::Buffer dst(wordwise.machine, mem::Domain::Untrusted,
                         4096);
         const Cycles t0 = wordwise.machine.now();
-        auto call = wordwise.marshaller.stageEcall(
-            *wordwise.edl.findTrusted("t_out"),
-            {Arg::buffer(dst), Arg::value(4096)});
+        StagedCall call;
+        wordwise.marshaller.stage(wordwise.plan("t_out"),
+                                  {Arg::buffer(dst), Arg::value(4096)},
+                                  nullptr, call);
         fast = wordwise.machine.now() - t0;
-        wordwise.marshaller.finishEcall(call);
+        wordwise.marshaller.finish(call);
     });
     EXPECT_GT(slow, fast + 2'000);
 }
@@ -538,12 +581,12 @@ TEST_P(MarshalRoundtrip, InOutPreservesPayload)
         std::vector<std::uint8_t> original(buf.data(),
                                            buf.data() + len);
 
-        auto call = f.marshaller.stageEcall(
-            *f.edl.findTrusted("t_inout"),
-            {Arg::buffer(buf), Arg::value(len)});
+        StagedCall call;
+        f.marshaller.stage(f.plan("t_inout"),
+                           {Arg::buffer(buf), Arg::value(len)}, nullptr, call);
         for (std::uint64_t i = 0; i < len; ++i)
             call.data(0)[i] ^= 0x5a;
-        f.marshaller.finishEcall(call);
+        f.marshaller.finish(call);
         for (std::uint64_t i = 0; i < len; ++i)
             EXPECT_EQ(buf.data()[i], original[i] ^ 0x5a);
     });

@@ -319,97 +319,192 @@ struct Observed {
 
 enum class Path { Sdk, Line, Ring };
 
+/** A runtime serving the parity EDL, called through @p path. */
+struct ParityRig {
+    const Kind kind;
+    mem::Machine machine;
+    sgx::SgxPlatform platform;
+    sdk::EnclaveRuntime runtime;
+    std::unique_ptr<Channel> channel; //!< null on the SDK path
+    const ChannelStats *stats = nullptr;
+
+    ParityRig(Kind k, Path path, int fast_path)
+        : kind(k), machine([] {
+              mem::MachineConfig config;
+              config.engine.numCores = 8;
+              return config;
+          }()),
+          platform(machine), runtime(platform, "parity", kParityEdl, 4)
+    {
+        // The same bodies on both sides: in digests, out fills, in&out
+        // digests then transforms, scalar computes.
+        auto digest = [](edl::StagedCall &c) {
+            std::uint64_t h = 0xcbf29ce484222325ull;
+            for (std::uint64_t i = 0; i < c.size(0); ++i)
+                h = (h ^ c.data(0)[i]) * 0x100000001b3ull;
+            return h;
+        };
+        const std::pair<const char *,
+                        std::function<void(edl::StagedCall &)>>
+            bodies[] = {
+                {"in",
+                 [=](edl::StagedCall &c) { c.setRetval(digest(c)); }},
+                {"out",
+                 [](edl::StagedCall &c) {
+                     for (std::uint64_t i = 0; i < c.size(0); ++i)
+                         c.data(0)[i] =
+                             static_cast<std::uint8_t>(i * 131 + 7);
+                     c.setRetval(c.size(0));
+                 }},
+                {"inout",
+                 [=](edl::StagedCall &c) {
+                     c.setRetval(digest(c));
+                     for (std::uint64_t i = 0; i < c.size(0); ++i)
+                         c.data(0)[i] =
+                             static_cast<std::uint8_t>(~c.data(0)[i]);
+                 }},
+                {"scalar",
+                 [](edl::StagedCall &c) {
+                     c.setRetval(c.scalar(0) * 3 + 1);
+                 }},
+            };
+        for (const auto &[name, body] : bodies) {
+            runtime.registerEcall(std::string("ecall_") + name, body);
+            runtime.registerOcall(std::string("ocall_") + name, body);
+        }
+        if (path == Path::Line) {
+            HotCallConfig line;
+            line.fastPath = fast_path;
+            auto hot =
+                std::make_unique<HotCallService>(runtime, kind, 1, line);
+            stats = &hot->stats();
+            channel = std::move(hot);
+        } else if (path == Path::Ring) {
+            HotQueueConfig ring;
+            ring.responderCores = {1};
+            ring.fastPath = fast_path;
+            auto hot = std::make_unique<HotQueue>(runtime, kind, ring);
+            stats = &hot->stats();
+            channel = std::move(hot);
+        }
+    }
+
+    bool ocall() const { return kind == Kind::HotOcall; }
+
+    /** @return a kParityBytes caller buffer: on the requester's side
+     *  of the enclave boundary, or across it when @p wrong_side. */
+    mem::Buffer buffer(bool wrong_side = false)
+    {
+        return mem::Buffer(machine,
+                           ocall() != wrong_side ? mem::Domain::Epc
+                                                 : mem::Domain::Untrusted,
+                           kParityBytes);
+    }
+
+    /** Call `<ecall|ocall>_<name>` through the channel or the SDK. */
+    std::uint64_t issue(const char *name, const edl::Args &args)
+    {
+        const std::string fn =
+            std::string(ocall() ? "ocall_" : "ecall_") + name;
+        if (channel)
+            return channel->call(fn, args);
+        return ocall() ? runtime.ocall(fn, args) : runtime.ecall(fn, args);
+    }
+
+    /** Run @p calls as the requester on core 0 (in enclave mode for
+     *  HotOcall) between the channel's start and stop. */
+    void run(const std::function<void()> &calls)
+    {
+        machine.engine().spawn("app", 0, [&] {
+            if (channel)
+                channel->start();
+            if (ocall()) {
+                sgx::Tcs *tcs = runtime.enclave().acquireTcs();
+                platform.eenter(runtime.enclave(), *tcs);
+                calls();
+                platform.eexit();
+                runtime.enclave().releaseTcs(tcs);
+            } else {
+                calls();
+            }
+            if (channel)
+                channel->stop();
+            machine.engine().stop();
+        });
+        machine.engine().run();
+    }
+};
+
 /** Issue the in, out, in&out and scalar calls of direction @p kind
  *  through @p path with FastPath @p fast_path. */
 Observed
 observeParity(Kind kind, Path path, int fast_path)
 {
-    mem::MachineConfig config;
-    config.engine.numCores = 8;
-    mem::Machine machine(config);
-    sgx::SgxPlatform platform(machine);
-    sdk::EnclaveRuntime runtime(platform, "parity", kParityEdl, 4);
-    // The same bodies on both sides: in digests, out fills, in&out
-    // digests then transforms, scalar computes.
-    auto digest = [](edl::StagedCall &c) {
-        std::uint64_t h = 0xcbf29ce484222325ull;
-        for (std::uint64_t i = 0; i < c.size(0); ++i)
-            h = (h ^ c.data(0)[i]) * 0x100000001b3ull;
-        return h;
-    };
-    const std::pair<const char *, std::function<void(edl::StagedCall &)>>
-        bodies[] = {
-            {"in", [&](edl::StagedCall &c) { c.setRetval(digest(c)); }},
-            {"out",
-             [](edl::StagedCall &c) {
-                 for (std::uint64_t i = 0; i < c.size(0); ++i)
-                     c.data(0)[i] = static_cast<std::uint8_t>(i * 131 + 7);
-                 c.setRetval(c.size(0));
-             }},
-            {"inout",
-             [&](edl::StagedCall &c) {
-                 c.setRetval(digest(c));
-                 for (std::uint64_t i = 0; i < c.size(0); ++i)
-                     c.data(0)[i] = static_cast<std::uint8_t>(~c.data(0)[i]);
-             }},
-            {"scalar",
-             [](edl::StagedCall &c) { c.setRetval(c.scalar(0) * 3 + 1); }},
-        };
-    for (const auto &[name, body] : bodies) {
-        runtime.registerEcall(std::string("ecall_") + name, body);
-        runtime.registerOcall(std::string("ocall_") + name, body);
-    }
-
-    std::unique_ptr<Channel> channel;
-    if (path == Path::Line) {
-        HotCallConfig line;
-        line.fastPath = fast_path;
-        channel = std::make_unique<HotCallService>(runtime, kind, 1, line);
-    } else if (path == Path::Ring) {
-        HotQueueConfig ring;
-        ring.responderCores = {1};
-        ring.fastPath = fast_path;
-        channel = std::make_unique<HotQueue>(runtime, kind, ring);
-    }
-    const bool ocall = kind == Kind::HotOcall;
+    ParityRig rig(kind, path, fast_path);
     Observed seen;
-    auto calls = [&] {
-        mem::Buffer buf(machine,
-                        ocall ? mem::Domain::Epc : mem::Domain::Untrusted,
-                        kParityBytes);
-        auto issue = [&](const char *name, const edl::Args &args) {
-            const std::string fn = std::string(ocall ? "ocall_" : "ecall_") +
-                                   name;
-            if (channel)
-                return channel->call(fn, args);
-            return ocall ? runtime.ocall(fn, args) : runtime.ecall(fn, args);
-        };
+    rig.run([&] {
+        mem::Buffer buf = rig.buffer();
         for (const char *name : {"in", "out", "inout"}) {
             for (std::uint64_t i = 0; i < kParityBytes; ++i)
                 buf.data()[i] = static_cast<std::uint8_t>(i * 7 + 3);
-            seen.retvals.push_back(issue(
+            seen.retvals.push_back(rig.issue(
                 name, {edl::Arg::buffer(buf), edl::Arg::value(kParityBytes)}));
             seen.buffers.emplace_back(buf.data(), buf.data() + kParityBytes);
         }
-        seen.retvals.push_back(issue("scalar", {edl::Arg::value(41)}));
-    };
-    machine.engine().spawn("app", 0, [&] {
-        if (channel)
-            channel->start();
-        if (ocall) {
-            sgx::Tcs *tcs = runtime.enclave().acquireTcs();
-            platform.eenter(runtime.enclave(), *tcs);
-            calls();
-            platform.eexit();
-            runtime.enclave().releaseTcs(tcs);
-        } else {
-            calls();
-        }
-        if (channel)
-            channel->stop();
-        machine.engine().stop();
+        seen.retvals.push_back(rig.issue("scalar", {edl::Arg::value(41)}));
     });
-    machine.engine().run();
+    return seen;
+}
+
+/** What a requester sees after a call the EDL checks reject. */
+struct AfterRejection {
+    std::string error;       //!< the rejected call's EdlError
+    bool modeKept = false;   //!< requester still in its enclave mode
+    bool coreInEnclave = false; //!< any core in enclave mode at the end
+    std::string validError;  //!< what the valid call threw, if anything
+    std::uint64_t retval = 0; //!< the valid call's
+    Cycles latency = 0;       //!< the valid call's
+    ChannelStats stats;       //!< the channel's, at the end
+};
+
+/**
+ * Warm @p path with one valid [in] call, then (when @p reject) pass an
+ * [in] buffer from the wrong side of the enclave boundary, then time
+ * one more valid call. With @p reject false this is the control run.
+ */
+AfterRejection
+observeRejection(Kind kind, Path path, int fast_path, bool reject)
+{
+    ParityRig rig(kind, path, fast_path);
+    AfterRejection seen;
+    rig.run([&] {
+        mem::Buffer good = rig.buffer();
+        mem::Buffer wrong = rig.buffer(true);
+        const edl::Args valid = {edl::Arg::buffer(good),
+                                 edl::Arg::value(kParityBytes)};
+        rig.issue("in", valid);
+        if (reject) {
+            try {
+                rig.issue("in", {edl::Arg::buffer(wrong),
+                                 edl::Arg::value(kParityBytes)});
+            } catch (const edl::EdlError &e) {
+                seen.error = e.what();
+            }
+        }
+        seen.modeKept =
+            rig.platform.inEnclave(rig.machine.currentCore()) == rig.ocall();
+        const Cycles t0 = rig.machine.now();
+        try {
+            seen.retval = rig.issue("in", valid);
+        } catch (const std::exception &e) {
+            seen.validError = e.what();
+        }
+        seen.latency = rig.machine.now() - t0;
+    });
+    for (CoreId core = 0; core < 8; ++core)
+        seen.coreInEnclave |= rig.platform.inEnclave(core);
+    if (rig.stats)
+        seen.stats = *rig.stats;
     return seen;
 }
 
@@ -430,6 +525,45 @@ TEST(FastPath, EveryPathMatchesTheSdk)
                     << (kind == Kind::HotOcall ? "ocall" : "ecall")
                     << (path == Path::Line ? " line" : " ring")
                     << " fastPath=" << fast_path;
+            }
+        }
+    }
+}
+
+TEST(FastPath, RejectedCallLeavesNothingBehind)
+{
+    // Every path rejects the call before it takes a TCS, a lock or a
+    // slot, with the same error, so the next valid call runs exactly
+    // as if the rejected one had never been issued.
+    for (Kind kind : {Kind::HotEcall, Kind::HotOcall}) {
+        const bool ocall = kind == Kind::HotOcall;
+        const std::string want =
+            std::string(ocall ? "ocall_in" : "ecall_in") +
+            ": parameter 'buf' crosses the enclave boundary (in buffer "
+            "must be entirely " +
+            (ocall ? "inside" : "outside") + " the enclave)";
+        for (Path path : {Path::Sdk, Path::Line, Path::Ring}) {
+            for (int fast_path : {0, 1}) {
+                if (path == Path::Sdk && fast_path)
+                    continue; // no channel, no plane
+                SCOPED_TRACE(std::string(ocall ? "ocall" : "ecall") +
+                             (path == Path::Sdk    ? " sdk"
+                              : path == Path::Line ? " line"
+                                                   : " ring") +
+                             " fastPath=" + std::to_string(fast_path));
+                const AfterRejection control =
+                    observeRejection(kind, path, fast_path, false);
+                const AfterRejection seen =
+                    observeRejection(kind, path, fast_path, true);
+                EXPECT_EQ(seen.error, want);
+                EXPECT_TRUE(seen.modeKept);
+                EXPECT_FALSE(seen.coreInEnclave);
+                EXPECT_EQ(seen.validError, "");
+                EXPECT_EQ(seen.retval, control.retval);
+                EXPECT_EQ(seen.latency, control.latency);
+                // Both valid calls went through the channel.
+                EXPECT_EQ(seen.stats.calls, path == Path::Sdk ? 0u : 2u);
+                EXPECT_EQ(seen.stats.fallbacks, 0u);
             }
         }
     }

@@ -44,7 +44,7 @@ struct Fixture {
     sdk::EnclaveRuntime runtime;
     std::vector<std::uint8_t> consumed;
 
-    explicit Fixture(bool guard = true)
+    explicit Fixture(bool guard = true, edl::MarshalOptions options = {})
         : machine([&] {
               mem::MachineConfig config;
               config.engine.numCores = 8;
@@ -52,7 +52,7 @@ struct Fixture {
               return config;
           }()),
           platform(machine),
-          runtime(platform, "hot-test", kEdl, 4)
+          runtime(platform, "hot-test", kEdl, 4, options)
     {
         runtime.registerEcall("ecall_add", [](edl::StagedCall &c) {
             c.setRetval(c.scalar(0) + c.scalar(1));
@@ -612,9 +612,7 @@ TEST(HotOcall, NrzChangesCostNotData)
     // NRZ elides (the FastPath plane zeroes word-wise to begin with,
     // so the delta there is two orders of magnitude smaller).
     auto run_once = [](bool nrz) {
-        Fixture f;
-        f.runtime.marshaller().setOptions(
-            {.noRedundantZeroing = nrz});
+        Fixture f(true, {.noRedundantZeroing = nrz});
         HotCallConfig config;
         config.fastPath = 0;
         HotCallService hot(f.runtime, Kind::HotOcall, 2, config);
