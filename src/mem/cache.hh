@@ -14,7 +14,9 @@
 #ifndef HC_MEM_CACHE_HH
 #define HC_MEM_CACHE_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -92,14 +94,14 @@ class CacheModel
                 // ++useCounter_, dirty |= write, lastUse, ++hits_.
                 Result hit;
                 hit.outcome = CacheOutcome::OwnedHit;
-                Line *const *ways = memo.ways.data();
+                const Way *ways = memo.ways.data();
                 Addr line = first_line;
                 for (std::uint64_t i = 0; i < count;
                      ++i, line += lineSize_) {
-                    Line &way = *ways[i];
+                    const Way way = ways[i];
                     ++useCounter_;
-                    way.dirty = way.dirty || write;
-                    way.lastUse = useCounter_;
+                    dirty_[way] = dirty_[way] || write;
+                    lastUse_[way] = useCounter_;
                     on_line(line, hit);
                 }
                 hits_ += count;
@@ -119,7 +121,7 @@ class CacheModel
         const std::uint64_t span_bytes = count * lineSize_;
         Addr line = first_line;
         for (std::uint64_t i = 0; i < count; ++i, line += lineSize_) {
-            Line *way = nullptr;
+            Way way = 0;
             const Result result = accessImpl(core, line, write, way);
             if (memoizable) {
                 if (result.evicted &&
@@ -130,15 +132,8 @@ class CacheModel
             }
             on_line(line, result);
         }
-        if (memoizable) {
-            if (spanMemos_.size() >= kSpanMemoMaxEntries)
-                spanMemos_.clear();
-            SpanMemo &memo = spanMemos_[first_line];
-            memo.count = count;
-            memo.core = core;
-            memo.gen = modGen_;
-            memo.ways.assign(scratchWays_.begin(), scratchWays_.end());
-        }
+        if (memoizable)
+            recordSpan(first_line, core);
     }
 
     /**
@@ -158,20 +153,12 @@ class CacheModel
         if (it != spanMemos_.end() && it->second.count == count &&
             (it->second.gen == modGen_ ||
              revalidate(it->second, first_line, it->second.core))) {
-            SpanMemo &memo = it->second;
+            const Way *ways = it->second.ways.data();
             Addr line = first_line;
-            for (std::uint64_t i = 0; i < count;
-                 ++i, line += lineSize_) {
-                Line &way = *memo.ways[i];
-                const bool dirty = way.dirty;
-                way.valid = false;
-                way.dirty = false;
-                Set &set = setFor(line);
-                set.validMask &= ~(std::uint64_t{1}
-                                   << (&way - set.ways.data()));
-                on_line(line, dirty);
-            }
+            for (std::uint64_t i = 0; i < count; ++i, line += lineSize_)
+                on_line(line, invalidate(ways[i]));
             ++modGen_;
+            spanMemoLines_ -= count;
             spanMemos_.erase(it);
             return;
         }
@@ -194,54 +181,44 @@ class CacheModel
 
     std::uint64_t hits() const { return hits_; }
     std::uint64_t misses() const { return misses_; }
-    std::uint64_t numSets() const { return sets_.size(); }
 
   private:
-    struct Line {
-        Addr tag = 0; //!< line-aligned address
-        bool valid = false;
-        bool dirty = false;
-        CoreId owner = 0;
-        std::uint64_t lastUse = 0;
-    };
+    /**
+     * A way's index into the per-way arrays: set * ways + way. Ways
+     * never move, so an index stays bound to its way for the cache's
+     * lifetime.
+     */
+    using Way = std::uint32_t;
 
-    struct Set {
-        std::vector<Line> ways;
-        /**
-         * Bit i set iff ways[i].valid. Pure host-side acceleration:
-         * hit scans visit only valid ways (same candidates, same way
-         * order, so the same outcome as scanning everything) and the
-         * first-invalid victim pick reads one bit instead of walking
-         * way metadata. Caps associativity at 64 (asserted).
-         */
-        std::uint64_t validMask = 0;
-    };
+    /**
+     * The tag of an invalid way. Not line-aligned, so no line address
+     * equals it: a tag match alone proves a way valid.
+     */
+    static constexpr Addr kNoLine = ~Addr{0};
 
     /**
      * Per-core most-recently-used way. Spin-polling a HotCalls
      * channel or sweeping a buffer hits the same line back to back;
-     * the memo turns those accesses into one pointer validation
-     * (valid + tag match, so any eviction in between is caught)
-     * instead of a hash + way scan. Way storage never reallocates
-     * after construction, so the cached pointers stay stable.
+     * the memo turns those accesses into one tag compare (which also
+     * proves the way valid, so any eviction in between is caught)
+     * instead of a hash + way scan.
      */
     struct CoreMemo {
         Addr line = ~Addr{0};
-        Line *way = nullptr;
+        Way way = 0;
     };
 
     /**
      * One recorded span: proof that, as of generation gen, the count
      * lines from first were all resident and owned by core, at the
-     * recorded ways. Way storage never reallocates after
-     * construction, so the pointers stay stable; modGen_ equality is
-     * what certifies the residency/ownership claims are still true.
+     * recorded ways. modGen_ equality is what certifies the
+     * residency/ownership claims are still true.
      */
     struct SpanMemo {
         std::uint64_t count = 0;
         CoreId core = 0;
         std::uint64_t gen = 0;
-        std::vector<Line *> ways;
+        std::vector<Way> ways;
     };
 
     /** Spans shorter than this are not worth a memo entry. */
@@ -251,20 +228,20 @@ class CacheModel
 
     /**
      * Re-certify a stale span memo with a read-only walk: the memo's
-     * claims hold again iff every recorded way still holds its line,
-     * valid and owned by @p core. Way objects never move, a line is
-     * never resident in two ways at once, and a way found valid with
-     * a matching tag is necessarily in that line's set — so a
-     * successful walk proves a per-line probe of each line would be
-     * an OwnedHit on exactly the recorded way. Mutates nothing but
-     * memo.gen (on success), so a failed walk leaves the slow path's
-     * state evolution untouched.
+     * claims hold again iff every recorded way still holds its line
+     * and is owned by @p core. Ways never move, a line is never
+     * resident in two ways at once, and a way whose tag matches is
+     * valid and necessarily in that line's set — so a successful walk
+     * proves a per-line probe of each line would be an OwnedHit on
+     * exactly the recorded way. Mutates nothing but memo.gen (on
+     * success), so a failed walk leaves the slow path's state
+     * evolution untouched.
      */
     bool revalidate(SpanMemo &memo, Addr first_line, CoreId core)
     {
         Addr line = first_line;
-        for (Line *way : memo.ways) {
-            if (!way->valid || way->tag != line || way->owner != core)
+        for (const Way way : memo.ways) {
+            if (tags_[way] != line || owners_[way] != core)
                 return false;
             line += lineSize_;
         }
@@ -272,18 +249,54 @@ class CacheModel
         return true;
     }
 
-    Set &setFor(Addr addr);
-    const Set &setFor(Addr addr) const;
+    /**
+     * Store scratchWays_ as the memo of the span at @p first_line.
+     * The memos together hold at most one way per cache line: a
+     * record that would pass that, or the entry cap, clears them all
+     * first.
+     */
+    void recordSpan(Addr first_line, CoreId core);
+
+    std::uint64_t setIndex(Addr line) const;
     Addr lineAddr(Addr addr) const { return addr & ~(lineSize_ - 1); }
     /** Classify a hit on @p way and update its metadata. */
-    CacheOutcome touchHit(Line &way, CoreId core, bool write);
+    CacheOutcome touchHit(Way way, CoreId core, bool write);
+    /** Invalidate valid @p way. @return whether it was dirty. */
+    bool invalidate(Way way);
     /** access() with the touched/filled way reported to the caller. */
-    Result accessImpl(CoreId core, Addr addr, bool write,
-                      Line *&touched);
+    Result accessImpl(CoreId core, Addr addr, bool write, Way &touched);
 
     std::uint64_t lineSize_;
-    std::vector<Set> sets_;
+    Way ways_;                  //!< associativity
+    std::uint64_t numSets_ = 0;
     std::uint64_t setMask_ = 0; //!< sets-1 when a power of two, else 0
+    std::uint64_t fullMask_ = 0; //!< a set's valid mask, every way set
+
+    /**
+     * Per-way metadata, indexed by Way: four arrays carved from one
+     * allocation, wayStore_. One block rather than four keeps the
+     * allocator recycling it whole when machines are built and torn
+     * down in a loop, instead of mapping fresh pages for every cache.
+     * The arrays start uninitialised, so constructing a cache touches
+     * none of it: the fill that makes a way valid writes all four
+     * fields, and only valid ways, and ways a memo recorded while they
+     * were valid, are ever read. An invalidated way's tag is kNoLine;
+     * its other fields are stale until the next fill.
+     */
+    std::unique_ptr<std::byte[]> wayStore_;
+    Addr *tags_ = nullptr;
+    std::uint64_t *lastUse_ = nullptr;
+    CoreId *owners_ = nullptr; //!< core that touched the line last
+    bool *dirty_ = nullptr;
+    /**
+     * Per set, bit i set iff way i holds a line. Hit scans visit only
+     * valid ways (ascending, like a full scan with a valid check: same
+     * candidates, same first match) and the first-invalid victim pick
+     * reads one bit instead of walking way metadata. Caps associativity
+     * at 64 (asserted).
+     */
+    std::vector<std::uint64_t> validMask_;
+
     std::vector<CoreMemo> memo_; //!< indexed by core, grown on demand
     std::uint64_t useCounter_ = 0;
     std::uint64_t hits_ = 0;
@@ -301,7 +314,8 @@ class CacheModel
      */
     std::uint64_t modGen_ = 0;
     std::unordered_map<Addr, SpanMemo> spanMemos_;
-    std::vector<Line *> scratchWays_; //!< accessSpan slow-path scratch
+    std::uint64_t spanMemoLines_ = 0; //!< ways held by spanMemos_
+    std::vector<Way> scratchWays_;    //!< accessSpan slow-path scratch
 };
 
 } // namespace hc::mem

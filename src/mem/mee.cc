@@ -33,10 +33,6 @@ Mee::Mee(const CostParams &params, Addr epc_base, std::uint64_t epc_size,
     }
     if (treeLevels_ > 1)
         path_.reserve(static_cast<std::size_t>(treeLevels_ - 1));
-    // Pre-size the per-line metadata overlay: a buffer sweep's first
-    // flush materializes thousands of entries back to back, and
-    // paying the incremental rehashes there dominates its host cost.
-    lines_.reserve(1 << 8);
 }
 
 std::uint64_t
@@ -58,35 +54,21 @@ Mee::macFor(std::uint64_t line_index, std::uint64_t version) const
     return fastHash64(material, sizeof(material));
 }
 
-Mee::Chunk *
-Mee::chunkFor(std::uint64_t line_index, bool create) const
+Mee::Chunk &
+Mee::touch(std::uint64_t line_index)
 {
-    const std::uint64_t key = line_index >> kChunkShift;
-    if (key == chunkKey_)
-        return chunk_;
-    if (create) {
-        chunk_ = &lines_[key];
-    } else {
-        const auto it = lines_.find(key);
-        if (it == lines_.end())
-            return nullptr; // leave the cache on the last real chunk
-        chunk_ = &it->second;
+    if (chunks_.empty())
+        chunks_.resize((numLines_ + kChunkMask) >> kChunkShift);
+    std::unique_ptr<Chunk> &slot = chunks_[line_index >> kChunkShift];
+    if (!slot)
+        slot = std::make_unique<Chunk>();
+    const std::uint64_t bit = lineBit(line_index);
+    if (!(slot->touched & bit)) {
+        slot->touched |= bit;
+        slot->metas[line_index & kChunkMask].dramMac =
+            macFor(line_index, 0);
     }
-    chunkKey_ = key;
-    return chunk_;
-}
-
-Mee::LineMeta &
-Mee::metaFor(std::uint64_t line_index)
-{
-    Chunk &chunk = *chunkFor(line_index, /*create=*/true);
-    LineMeta &meta =
-        chunk.metas[line_index & ((1u << kChunkShift) - 1)];
-    if (!meta.touched) {
-        meta.touched = true;
-        meta.dramMac = macFor(line_index, 0);
-    }
-    return meta;
+    return *slot;
 }
 
 int
@@ -189,47 +171,52 @@ bool
 Mee::verifyLine(Addr line_addr) const
 {
     const std::uint64_t idx = lineIndex(line_addr);
-    Chunk *chunk = chunkFor(idx, /*create=*/false);
-    if (!chunk)
+    const Chunk *chunk =
+        chunks_.empty() ? nullptr : chunks_[idx >> kChunkShift].get();
+    const std::uint64_t bit = lineBit(idx);
+    if (!chunk || !(chunk->touched & bit) || (chunk->verified & bit))
         return true; // untouched line: version 0, MAC as initialised
-    LineMeta &meta = chunk->metas[idx & ((1u << kChunkShift) - 1)];
-    if (!meta.touched || meta.verified)
-        return true;
+    const LineMeta &meta = chunk->metas[idx & kChunkMask];
     if (meta.dramMac != macFor(idx, meta.dramVersion))
         return false; // forged/corrupted line or MAC
     if (meta.dramVersion != meta.trustedVersion)
         return false; // consistent but stale: rollback attack
-    meta.verified = true;
+    chunk->verified |= bit;
     return true;
 }
 
 void
 Mee::writebackLine(Addr line_addr)
 {
-    LineMeta &meta = metaFor(lineIndex(line_addr));
+    const std::uint64_t idx = lineIndex(line_addr);
+    Chunk &chunk = touch(idx);
+    LineMeta &meta = chunk.metas[idx & kChunkMask];
     ++meta.trustedVersion;
     meta.dramVersion = meta.trustedVersion;
-    meta.dramMac = macFor(lineIndex(line_addr), meta.dramVersion);
+    meta.dramMac = macFor(idx, meta.dramVersion);
     // The fresh pair matches the trusted counter by construction.
-    meta.verified = true;
+    chunk.verified |= lineBit(idx);
 }
 
 void
 Mee::tamperMac(Addr line_addr)
 {
-    LineMeta &meta = metaFor(lineIndex(line_addr));
-    meta.dramMac ^= 0x1;
-    meta.verified = false;
+    const std::uint64_t idx = lineIndex(line_addr);
+    Chunk &chunk = touch(idx);
+    chunk.metas[idx & kChunkMask].dramMac ^= 0x1;
+    chunk.verified &= ~lineBit(idx);
 }
 
 void
 Mee::rollbackLine(Addr line_addr)
 {
-    LineMeta &meta = metaFor(lineIndex(line_addr));
+    const std::uint64_t idx = lineIndex(line_addr);
+    Chunk &chunk = touch(idx);
+    LineMeta &meta = chunk.metas[idx & kChunkMask];
     hc_assert(meta.dramVersion > 0);
     --meta.dramVersion;
-    meta.dramMac = macFor(lineIndex(line_addr), meta.dramVersion);
-    meta.verified = false;
+    meta.dramMac = macFor(idx, meta.dramVersion);
+    chunk.verified &= ~lineBit(idx);
 }
 
 } // namespace hc::mem

@@ -20,11 +20,12 @@
  *    paper's observation that encrypted writes cost only ~6% extra
  *    (Fig 7) while reads pay up to 102%.
  *
- * Line metadata is a sparse overlay: a line with no entry is in its
+ * Line metadata is a sparse overlay: a line with no record is in its
  * freshly-initialised state (version 0 on both sides, MAC derivable
- * from the key). Materialising entries lazily keeps construction O(1)
- * in EPC size — the eager form hashed a MAC for each of the ~4M lines
- * of a 256 MiB EPC before the simulation could start.
+ * from the key). Records are materialised on first touch, so
+ * construction does no per-line work — the eager form hashed a MAC for
+ * each of the ~4M lines of a 256 MiB EPC before the simulation could
+ * start.
  */
 
 #ifndef HC_MEM_MEE_HH
@@ -32,7 +33,7 @@
 
 #include <array>
 #include <cstdint>
-#include <unordered_map>
+#include <memory>
 #include <vector>
 
 #include "mem/cost_params.hh"
@@ -121,27 +122,20 @@ class Mee
 
   private:
     /**
-     * Per-line protection state. An untouched entry (touched false,
-     * like a line absent from the old per-line map) means "never
-     * written back or attacked": version 0 everywhere, MAC =
-     * macFor(index, 0), trivially valid.
+     * Per-line protection state, meaningful once the line's chunk
+     * marks it touched. An untouched line is "never written back or
+     * attacked": version 0 everywhere, MAC = macFor(index, 0),
+     * trivially valid.
      */
     struct LineMeta {
         std::uint32_t trustedVersion = 0;
         std::uint32_t dramVersion = 0;
         std::uint64_t dramMac = 0;
-        /** Lazily initialised by metaFor() (sets dramMac). */
-        bool touched = false;
-        /** Memo: the (version, MAC) pair last passed verifyLine().
-         *  Purely an avoided re-hash — cleared by every mutation. */
-        bool verified = false;
     };
 
     std::uint64_t lineIndex(Addr line_addr) const;
     std::uint64_t macFor(std::uint64_t line_index,
                          std::uint64_t version) const;
-    /** Materialise (or fetch) the overlay entry for @p line_index. */
-    LineMeta &metaFor(std::uint64_t line_index);
 
     const CostParams &params_;
     Addr epcBase_;
@@ -187,23 +181,34 @@ class Mee
     NodeWay *leafWay_ = nullptr;
 
     /**
-     * Sparse per-line overlay (mutable: verifyLine memoises), stored
-     * in chunks of 64 consecutive lines so a sequential sweep pays
-     * one map lookup per chunk instead of per line: chunkFor() caches
-     * the most recent chunk, and the map's node-based storage keeps
-     * the cached pointer stable across inserts. Entries are lazily
-     * initialised via LineMeta::touched, preserving the "absent means
-     * never written back or attacked" semantics per line.
+     * The per-line overlay, in chunks of 64 consecutive lines: a
+     * directory with one slot per chunk of the EPC, indexed by line
+     * index >> kChunkShift, each chunk allocated on first touch. The
+     * directory itself is allocated at the first touch of any line,
+     * so a run that never writes an EPC line back builds none.
+     * Chunks never move, so a lookup is one directory load.
      */
     static constexpr unsigned kChunkShift = 6;
+    static constexpr std::uint64_t kChunkMask =
+        (std::uint64_t{1} << kChunkShift) - 1;
     struct Chunk {
         std::array<LineMeta, std::size_t{1} << kChunkShift> metas;
+        /** Bit i: metas[i] is materialised (dramMac set by touch()). */
+        std::uint64_t touched = 0;
+        /** Bit i: metas[i]'s (version, MAC) pair last passed
+         *  verifyLine(). Purely an avoided re-hash, cleared by every
+         *  mutation; verifyLine() is const and sets it. */
+        mutable std::uint64_t verified = 0;
     };
-    /** @return the chunk covering @p line_index, creating if asked. */
-    Chunk *chunkFor(std::uint64_t line_index, bool create) const;
-    mutable std::unordered_map<std::uint64_t, Chunk> lines_;
-    mutable std::uint64_t chunkKey_ = ~std::uint64_t{0};
-    mutable Chunk *chunk_ = nullptr; //!< entry for chunkKey_
+    /** @return the bit of @p line_index in its chunk's masks. */
+    static std::uint64_t lineBit(std::uint64_t line_index)
+    {
+        return std::uint64_t{1} << (line_index & kChunkMask);
+    }
+    /** The chunk of @p line_index with that line materialised,
+     *  allocating the chunk on first touch. */
+    Chunk &touch(std::uint64_t line_index);
+    std::vector<std::unique_ptr<Chunk>> chunks_;
 
     std::uint64_t nodeHits_ = 0;
     std::uint64_t nodeMisses_ = 0;

@@ -41,11 +41,15 @@
 
 #include "determinism_scenarios.hh"
 #include "support/hash.hh"
+#include "workloads/spec.hh"
 
 using namespace hc;
 using namespace hc::dtest;
 
 namespace {
+
+/** The pinned memory-pressure golden hash (see MemoryGoldenDigest). */
+constexpr std::uint64_t kMemoryGoldenHash = 410715964193674229ull;
 
 void
 maybePrint(const char *what, const std::string &text)
@@ -57,6 +61,97 @@ maybePrint(const char *what, const std::string &text)
                     static_cast<unsigned long long>(
                         fastHash64(text)));
     }
+}
+
+/**
+ * The memory hierarchy past the LLC's capacity, which the two goldens
+ * above never reach: scaled-down Fig 8 kernels over a 4 MiB physical
+ * EPC, then an EPC write sweep with flush_after. libquantum runs first
+ * and nothing flushes between kernel runs, so once its 12 MiB register
+ * has filled the 8 MiB LLC every later fill evicts a valid line (dirty
+ * EPC victims go through the MEE), and the register and the sweep
+ * both page the EPC. Freed regions are reused, so later runs verify
+ * lines an earlier run wrote back. Interrupts are off and nothing
+ * draws from libm, like the other goldens.
+ */
+Digest
+memoryPressureScenario()
+{
+    mem::MachineConfig config;
+    config.engine.seed = 42;
+    config.engine.interruptMeanCycles = 0;
+    config.mem.epcSize = 4_MiB;
+    mem::Machine machine(config);
+    sgx::SgxPlatform platform(machine);
+    auto &memory = machine.memory();
+    std::uint64_t integrity_failures = 0;
+    memory.setIntegrityFailureHook([&](Addr) { ++integrity_failures; });
+
+    workloads::SpecConfig spec;
+    spec.libqBytes = 12_MiB;
+    spec.libqSweeps = 2;
+    spec.mcfBytes = 12_MiB;
+    spec.mcfSteps = 30'000;
+    spec.astarBytes = 10_MiB;
+    spec.astarSteps = 20'000;
+    using Kernel = Cycles (*)(mem::Machine &, mem::Domain,
+                              const workloads::SpecConfig &);
+    const std::pair<const char *, Kernel> kernels[] = {
+        {"libquantum", &workloads::runLibquantum},
+        {"mcf", &workloads::runMcf},
+        {"astar", &workloads::runAstar},
+    };
+
+    Digest d;
+    const auto snapshot = [&](const std::string &run, Cycles cycles) {
+        d.add(run + ".cycles", cycles);
+        d.add(run + ".llc.hits", memory.cache().hits());
+        d.add(run + ".llc.misses", memory.cache().misses());
+        d.add(run + ".mee.nodeHits", memory.mee().nodeCacheHits());
+        d.add(run + ".mee.nodeMisses", memory.mee().nodeCacheMisses());
+        d.add(run + ".epc.faults", platform.epc().faults());
+        d.add(run + ".epc.evictions", platform.epc().evictions());
+        d.add(run + ".integrityFailures", integrity_failures);
+    };
+    machine.engine().spawn("pressure", 0, [&] {
+        for (const auto &[name, run] : kernels) {
+            for (const mem::Domain domain :
+                 {mem::Domain::Epc, mem::Domain::Untrusted}) {
+                const Cycles cycles = run(machine, domain, spec);
+                snapshot(std::string(name) +
+                             (domain == mem::Domain::Epc ? ".epc"
+                                                         : ".untrusted"),
+                         cycles);
+            }
+        }
+        // More misses than the LLC has lines, with nothing flushed:
+        // the kernels evicted valid lines.
+        EXPECT_GT(memory.cache().misses(),
+                  machine.memParams().llcSize / kCacheLineSize);
+
+        // Write sweep in 64 KiB chunks: write then clflush each chunk
+        // (span-memo flush of dirty lines, MEE write-back), read it
+        // back (verifies the new versions), rewrite it (span replay
+        // over resident lines), and evict the region at each pass end.
+        constexpr std::uint64_t kSweep = 6_MiB;
+        constexpr std::uint64_t kChunk = 64_KiB;
+        const Addr region = machine.space().allocEpc(kSweep, kPageSize);
+        for (int pass = 0; pass < 3; ++pass) {
+            const Cycles start = machine.now();
+            for (std::uint64_t off = 0; off < kSweep; off += kChunk) {
+                memory.writeBuffer(region + off, kChunk,
+                                   /*flush_after=*/true);
+                memory.readBuffer(region + off, kChunk);
+                memory.writeBuffer(region + off, kChunk);
+            }
+            memory.evictRange(region, kSweep);
+            snapshot("sweep" + std::to_string(pass),
+                     machine.now() - start);
+        }
+        machine.space().free(region);
+    });
+    machine.engine().run();
+    return d;
 }
 
 } // anonymous namespace
@@ -194,6 +289,24 @@ TEST(Determinism, FastPathGoldenDigest)
         << "FastPath scenario outputs drifted from the golden digest "
            "captured when FastPath marshalling was introduced. Rerun "
            "with HC_PRINT_DIGEST=1 to inspect; only a deliberate "
+           "model change may update the golden.\n"
+        << text;
+}
+
+// ----------------------------------------------------------------------
+// The memory-pressure golden: LLC victim choice among valid lines,
+// dirty EPC write-backs, MEE verification of written-back versions and
+// EPC paging. Pinned on the per-set LLC ways and hashed MEE overlay,
+// before both moved to flat, directly indexed arrays.
+// ----------------------------------------------------------------------
+
+TEST(Determinism, MemoryGoldenDigest)
+{
+    const std::string text = memoryPressureScenario().text();
+    maybePrint("memory-golden", text);
+    EXPECT_EQ(fastHash64(text), kMemoryGoldenHash)
+        << "Memory-pressure outputs drifted from the golden digest. "
+           "Rerun with HC_PRINT_DIGEST=1 to inspect; only a deliberate "
            "model change may update the golden.\n"
         << text;
 }

@@ -13,6 +13,7 @@
 #include "mem/buffer.hh"
 #include "mem/machine.hh"
 #include "mem/shared_var.hh"
+#include "support/hash.hh"
 #include "support/rng.hh"
 
 using namespace hc;
@@ -173,6 +174,211 @@ TEST(CacheModel, EvictionReportsDirtyVictim)
     EXPECT_TRUE(dirty_eviction);
 }
 
+namespace {
+
+/**
+ * A deliberately naive set-associative LLC, the reference for
+ * CacheModel: the same mix64 set index, then a linear scan of the
+ * set's ways, first-invalid-else-least-recently-used victim, and owner
+ * and dirty kept per way. No masks, no memos, no span paths.
+ */
+class ReferenceCache
+{
+  public:
+    ReferenceCache(std::uint64_t size, int ways)
+        : sets_(size / kCacheLineSize / static_cast<std::uint64_t>(ways),
+                std::vector<Way>(static_cast<std::size_t>(ways)))
+    {
+    }
+
+    CacheModel::Result access(CoreId core, Addr addr, bool write)
+    {
+        const Addr line = addr & ~(kCacheLineSize - 1);
+        ++clock_;
+        CacheModel::Result result;
+        std::vector<Way> &set = setOf(line);
+        for (Way &way : set) {
+            if (way.valid && way.tag == line) {
+                result.outcome = way.owner == core
+                                     ? CacheOutcome::OwnedHit
+                                     : CacheOutcome::SharedHit;
+                way.owner = core;
+                way.dirty = way.dirty || write;
+                way.lastUse = clock_;
+                ++hits_;
+                return result;
+            }
+        }
+        ++misses_;
+        Way *victim = nullptr;
+        for (Way &way : set) {
+            if (!way.valid) {
+                victim = &way;
+                break;
+            }
+        }
+        if (!victim) {
+            victim = &set[0];
+            for (Way &way : set)
+                if (way.lastUse < victim->lastUse)
+                    victim = &way;
+            result.evicted = true;
+            result.evictedDirty = victim->dirty;
+            result.evictedLine = victim->tag;
+        }
+        *victim = Way{line, true, write, core, clock_};
+        return result;
+    }
+
+    bool flushLine(Addr addr)
+    {
+        const Addr line = addr & ~(kCacheLineSize - 1);
+        for (Way &way : setOf(line)) {
+            if (way.valid && way.tag == line) {
+                way.valid = false;
+                return way.dirty;
+            }
+        }
+        return false;
+    }
+
+    void flushAll()
+    {
+        for (auto &set : sets_)
+            for (Way &way : set)
+                way.valid = false;
+    }
+
+    std::uint64_t hits() const { return hits_; }
+    std::uint64_t misses() const { return misses_; }
+
+  private:
+    struct Way {
+        Addr tag = 0;
+        bool valid = false;
+        bool dirty = false;
+        CoreId owner = 0;
+        std::uint64_t lastUse = 0;
+    };
+
+    std::vector<Way> &setOf(Addr line)
+    {
+        return sets_[mix64(line) % sets_.size()];
+    }
+
+    std::vector<std::vector<Way>> sets_;
+    std::uint64_t clock_ = 0;
+    std::uint64_t hits_ = 0;
+    std::uint64_t misses_ = 0;
+};
+
+/** Append one access outcome to @p trace. */
+void
+noteAccess(std::vector<std::uint64_t> &trace, Addr line,
+           const CacheModel::Result &result)
+{
+    trace.insert(trace.end(),
+                 {line, static_cast<std::uint64_t>(result.outcome),
+                  result.evicted, result.evictedDirty,
+                  result.evictedLine});
+}
+
+/**
+ * Drive CacheModel and ReferenceCache through @p ops seeded operations
+ * from four cores: reads and writes over a region four times the
+ * cache, repeated spans (so span memos record, replay and go stale),
+ * line and span flushes, and the odd flushAll. @return the first op
+ * after which any result, flushed dirty bit or hit/miss counter
+ * differs, or -1.
+ */
+int
+referenceDivergence(std::uint64_t size, int ways, std::uint64_t seed,
+                    int ops)
+{
+    CacheModel cache(size, ways);
+    ReferenceCache ref(size, ways);
+    Rng rng(seed);
+    constexpr Addr kBase = 0x200000;
+    const std::uint64_t region_lines = 4 * size / kCacheLineSize;
+    struct Span {
+        Addr first;
+        std::uint64_t count;
+    };
+    std::vector<Span> spans;
+    for (int i = 0; i < 6; ++i) {
+        spans.push_back(
+            {kBase + rng.nextBelow(region_lines - 96) * kCacheLineSize,
+             1 + rng.nextBelow(96)});
+    }
+    for (int op = 0; op < ops; ++op) {
+        std::vector<std::uint64_t> got, want;
+        const Span &s = spans[rng.nextBelow(spans.size())];
+        const auto core = static_cast<CoreId>(rng.nextBelow(4));
+        const bool write = rng.chance(0.5);
+        const std::uint64_t kind = rng.nextBelow(100);
+        if (kind < 40) { // one line anywhere in the region
+            const Addr line =
+                kBase + rng.nextBelow(region_lines) * kCacheLineSize;
+            noteAccess(got, line, cache.access(core, line, write));
+            noteAccess(want, line, ref.access(core, line, write));
+        } else if (kind < 50) { // one line out of a span
+            const Addr line =
+                s.first + rng.nextBelow(s.count) * kCacheLineSize;
+            noteAccess(got, line, cache.access(core, line, write));
+            noteAccess(want, line, ref.access(core, line, write));
+        } else if (kind < 80) { // a span, mostly from one core
+            const CoreId span_core = rng.chance(0.8) ? 0 : core;
+            cache.accessSpan(
+                span_core, s.first, s.count, write,
+                [&](Addr line, const CacheModel::Result &result) {
+                    noteAccess(got, line, result);
+                });
+            Addr line = s.first;
+            for (std::uint64_t i = 0; i < s.count;
+                 ++i, line += kCacheLineSize)
+                noteAccess(want, line, ref.access(span_core, line, write));
+        } else if (kind < 88) { // flush a span
+            cache.flushSpan(s.first, s.count, [&](Addr line, bool dirty) {
+                got.insert(got.end(), {line, dirty});
+            });
+            Addr line = s.first;
+            for (std::uint64_t i = 0; i < s.count;
+                 ++i, line += kCacheLineSize)
+                want.insert(want.end(), {line, ref.flushLine(line)});
+        } else if (kind < 99) { // flush one line of a span or anywhere
+            const Addr line =
+                kind < 94 ? s.first + rng.nextBelow(s.count) *
+                                          kCacheLineSize
+                          : kBase + rng.nextBelow(region_lines) *
+                                        kCacheLineSize;
+            got.push_back(cache.flushLine(line));
+            want.push_back(ref.flushLine(line));
+        } else {
+            cache.flushAll();
+            ref.flushAll();
+        }
+        got.insert(got.end(), {cache.hits(), cache.misses()});
+        want.insert(want.end(), {ref.hits(), ref.misses()});
+        if (got != want)
+            return op;
+    }
+    return -1;
+}
+
+} // anonymous namespace
+
+TEST(CacheModel, MatchesReferenceModel)
+{
+    // 256 power-of-two sets of 4 ways, and 48 sets (the modulo index)
+    // of 16 ways, the LLC's associativity.
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        EXPECT_EQ(referenceDivergence(64_KiB, 4, seed, 4'000), -1)
+            << "seed=" << seed;
+        EXPECT_EQ(referenceDivergence(48_KiB, 16, seed, 4'000), -1)
+            << "seed=" << seed;
+    }
+}
+
 // ----------------------------------------------------------------------
 // MEE.
 // ----------------------------------------------------------------------
@@ -239,6 +445,51 @@ TEST(Mee, WritebackRestoresConsistency)
     EXPECT_FALSE(mee.verifyLine(0));
     mee.writebackLine(0); // fresh write-back re-MACs
     EXPECT_TRUE(mee.verifyLine(0));
+}
+
+TEST(Mee, OverlayCoversTheWholeEpc)
+{
+    // Lines 0, 63 and 64 straddle the first chunk edge and the last
+    // line sits in the overlay directory's last slot: a full one for
+    // the default 256 MiB EPC, and a one-line one for an EPC whose
+    // line count is not a multiple of the chunk.
+    CostParams params;
+    constexpr Addr kBase = 0x1000000;
+    for (const std::uint64_t size :
+         {params.epcVirtualSize, 1_MiB + kCacheLineSize}) {
+        Mee mee(params, kBase, size, 99);
+        const std::uint64_t lines = size / kCacheLineSize;
+        const std::uint64_t edges[] = {0, 63, 64, lines - 1};
+        const auto at = [&](std::uint64_t idx) {
+            return kBase + idx * kCacheLineSize;
+        };
+        for (const std::uint64_t idx : edges) {
+            EXPECT_TRUE(mee.verifyLine(at(idx))) << "untouched " << idx;
+            mee.writebackLine(at(idx));
+            mee.writebackLine(at(idx));
+        }
+        // Attack one edge at a time: only it fails verification.
+        for (const std::uint64_t idx : edges) {
+            mee.tamperMac(at(idx));
+            for (const std::uint64_t other : edges)
+                EXPECT_EQ(mee.verifyLine(at(other)), other != idx)
+                    << "tampered " << idx << ", verified " << other;
+            mee.writebackLine(at(idx)); // a fresh write-back re-MACs
+            EXPECT_TRUE(mee.verifyLine(at(idx)));
+            mee.rollbackLine(at(idx));
+            for (const std::uint64_t other : edges)
+                EXPECT_EQ(mee.verifyLine(at(other)), other != idx)
+                    << "rolled back " << idx << ", verified " << other;
+            mee.writebackLine(at(idx));
+            EXPECT_TRUE(mee.verifyLine(at(idx)));
+        }
+        // Untouched lines: neighbours in touched chunks, and a line in
+        // a chunk nothing touched.
+        EXPECT_TRUE(mee.verifyLine(at(1)));
+        EXPECT_TRUE(mee.verifyLine(at(65)));
+        EXPECT_TRUE(mee.verifyLine(at(lines - 2)));
+        EXPECT_TRUE(mee.verifyLine(at(lines / 2)));
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -533,17 +784,6 @@ TEST(MemoryModel, EncryptedAlwaysCostsAtLeastPlain)
 // ----------------------------------------------------------------------
 
 namespace {
-
-/** Append one access outcome to @p trace. */
-void
-noteAccess(std::vector<std::uint64_t> &trace, Addr line,
-           const CacheModel::Result &result)
-{
-    trace.insert(trace.end(),
-                 {line, static_cast<std::uint64_t>(result.outcome),
-                  result.evicted, result.evictedDirty,
-                  result.evictedLine});
-}
 
 /**
  * Drive a span-path cache and a per-line twin through @p ops seeded
