@@ -7,7 +7,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <deque>
 #include <limits>
+#include <utility>
 
 #include "support/logging.hh"
 
@@ -36,8 +38,10 @@ struct Kernel::Desc {
     std::string path;
     std::uint64_t offset = 0;
 
-    // TCP stream: bytes readable on this end; peer link.
-    std::deque<std::uint8_t> streamBuf;
+    // TCP stream: the bytes readable on this end are
+    // streamBytes[streamHead, size()); peer link.
+    std::vector<std::uint8_t> streamBytes;
+    std::size_t streamHead = 0;
     int peerFd = -1;
     bool peerClosed = false;
 
@@ -50,18 +54,51 @@ struct Kernel::Desc {
     std::uint64_t queuedBytes = 0;
     int side = 0;
 
-    // Epoll set.
+    // Epoll set. Members whose readiness depends on the clock (UDP,
+    // TUN, nested sets) are counted apart: the others' readiness only
+    // changes when a call changes their state.
     std::vector<int> members;
     std::size_t scanStart = 0; //!< rotating start for fairness
+    std::size_t readyMembers = 0; //!< state-ready members
+    std::size_t clockMembers = 0; //!< clock-dependent members
+
+    // Readiness of a file, listener or stream (kept current by every
+    // state change), and the sets this descriptor is a member of.
+    bool ready = false;
+    std::vector<int> sets;
 
     // Shared.
     bool nonblockFlag = false;
+
+    std::uint64_t streamQueued() const
+    {
+        return streamBytes.size() - streamHead;
+    }
+
+    bool clockDependent() const
+    {
+        return type == Type::Udp || type == Type::TunEnd ||
+               type == Type::Epoll;
+    }
+
+    /** Readiness from state alone (files, listeners, streams). */
+    bool stateReady() const
+    {
+        switch (type) {
+          case Type::File:
+            return true;
+          case Type::TcpListen:
+            return !acceptQueue.empty();
+          case Type::TcpStream:
+            return streamQueued() > 0 || peerClosed;
+          default:
+            return false;
+        }
+    }
 };
 
-struct Kernel::EpollSet {};
-
 Kernel::Kernel(mem::Machine &machine, OsCostParams params)
-    : machine_(machine), params_(params)
+    : machine_(machine), params_(params), fds_(3) // 0-2: stdio
 {
 }
 
@@ -84,23 +121,75 @@ Kernel::chargeCopy(std::uint64_t bytes)
 Kernel::Desc *
 Kernel::desc(int fd)
 {
-    auto it = fds_.find(fd);
-    return it == fds_.end() ? nullptr : it->second.get();
+    return const_cast<Desc *>(std::as_const(*this).desc(fd));
 }
 
 const Kernel::Desc *
 Kernel::desc(int fd) const
 {
-    auto it = fds_.find(fd);
-    return it == fds_.end() ? nullptr : it->second.get();
+    return fd >= 0 && static_cast<std::size_t>(fd) < fds_.size()
+               ? fds_[static_cast<std::size_t>(fd)].get()
+               : nullptr;
 }
 
 int
 Kernel::allocFd(std::unique_ptr<Desc> d)
 {
-    const int fd = nextFd_++;
-    fds_[fd] = std::move(d);
-    return fd;
+    // Fds are never reused: closed slots stay empty.
+    d->ready = d->stateReady();
+    fds_.push_back(std::move(d));
+    return static_cast<int>(fds_.size() - 1);
+}
+
+void
+Kernel::updateReady(Desc &d)
+{
+    const bool ready = d.stateReady();
+    if (ready == d.ready)
+        return;
+    d.ready = ready;
+    for (const int s : d.sets) {
+        Desc &set = *desc(s);
+        if (ready)
+            ++set.readyMembers;
+        else
+            --set.readyMembers;
+    }
+}
+
+void
+Kernel::joinSet(int epfd, int fd)
+{
+    Desc &set = *desc(epfd);
+    Desc &m = *desc(fd);
+    if (std::find(m.sets.begin(), m.sets.end(), epfd) != m.sets.end())
+        return; // already a member
+    set.members.push_back(fd);
+    m.sets.push_back(epfd);
+    if (m.clockDependent())
+        ++set.clockMembers;
+    else if (m.ready)
+        ++set.readyMembers;
+}
+
+void
+Kernel::leaveSet(int epfd, int fd)
+{
+    Desc *m = desc(fd);
+    if (!m)
+        return;
+    const auto in = std::find(m->sets.begin(), m->sets.end(), epfd);
+    if (in == m->sets.end())
+        return; // not a member
+    m->sets.erase(in);
+    Desc &set = *desc(epfd);
+    const auto at = std::find(set.members.begin(), set.members.end(), fd);
+    hc_assert(at != set.members.end());
+    set.members.erase(at);
+    if (m->clockDependent())
+        --set.clockMembers;
+    else if (m->ready)
+        --set.readyMembers;
 }
 
 // ----------------------------------------------------------------------
@@ -234,6 +323,7 @@ Kernel::close(int fd)
     if (d->type == Desc::Type::TcpStream) {
         if (Desc *peer = desc(d->peerFd)) {
             peer->peerClosed = true;
+            updateReady(*peer);
             notifyReadable(d->peerFd);
         }
     }
@@ -241,15 +331,14 @@ Kernel::close(int fd)
         tcpListeners_.erase(d->port);
     if (d->type == Desc::Type::Udp)
         udpPorts_[d->side].erase(d->port);
-    // Remove this fd from any epoll sets.
-    for (auto &entry : fds_) {
-        Desc *e = entry.second.get();
-        if (e->type == Desc::Type::Epoll) {
-            auto &m = e->members;
-            m.erase(std::remove(m.begin(), m.end(), fd), m.end());
-        }
+    // Leave the sets this fd is in, and empty it if it is a set.
+    while (!d->sets.empty())
+        leaveSet(d->sets.back(), fd);
+    for (const int m : d->members) {
+        auto &sets = desc(m)->sets;
+        sets.erase(std::find(sets.begin(), sets.end(), fd));
     }
-    fds_.erase(fd);
+    fds_[static_cast<std::size_t>(fd)].reset();
     return 0;
 }
 
@@ -304,7 +393,9 @@ Kernel::connectTcp(int port)
     desc(client_fd)->peerFd = server_fd;
     desc(server_fd)->peerFd = client_fd;
 
-    desc(lit->second)->acceptQueue.push_back(server_fd);
+    Desc &listener = *desc(lit->second);
+    listener.acceptQueue.push_back(server_fd);
+    updateReady(listener);
     notifyReadable(lit->second);
     return client_fd;
 }
@@ -320,6 +411,7 @@ Kernel::accept(int listen_fd)
         return kEagain;
     const int fd = d->acceptQueue.front();
     d->acceptQueue.pop_front();
+    updateReady(*d);
     return fd;
 }
 
@@ -330,31 +422,47 @@ Kernel::streamSend(Desc &d, const std::uint8_t *buf,
     Desc *peer = desc(d.peerFd);
     if (!peer)
         return 0; // connection reset
+    const std::uint64_t queued = peer->streamQueued();
     const std::uint64_t room =
-        params_.socketBuf > peer->streamBuf.size()
-            ? params_.socketBuf - peer->streamBuf.size()
-            : 0;
+        params_.socketBuf > queued ? params_.socketBuf - queued : 0;
     const std::uint64_t take = std::min(count, room);
     if (take == 0)
         return kEagain;
-    peer->streamBuf.insert(peer->streamBuf.end(), buf, buf + take);
+    appendStream(*peer, buf, take);
     chargeCopy(take);
     notifyReadable(d.peerFd);
     return static_cast<std::int64_t>(take);
 }
 
+void
+Kernel::appendStream(Desc &d, const std::uint8_t *src,
+                     std::uint64_t count)
+{
+    d.streamBytes.insert(d.streamBytes.end(), src, src + count);
+    updateReady(d);
+}
+
 std::int64_t
 Kernel::streamRecv(Desc &d, std::uint8_t *buf, std::uint64_t count)
 {
-    if (d.streamBuf.empty())
+    const std::uint64_t queued = d.streamQueued();
+    if (queued == 0)
         return d.peerClosed ? 0 : kEagain;
-    const std::uint64_t take =
-        std::min<std::uint64_t>(count, d.streamBuf.size());
-    for (std::uint64_t i = 0; i < take; ++i) {
-        if (buf)
-            buf[i] = d.streamBuf.front();
-        d.streamBuf.pop_front();
+    const std::uint64_t take = std::min(count, queued);
+    if (buf)
+        std::memcpy(buf, d.streamBytes.data() + d.streamHead, take);
+    d.streamHead += take;
+    if (d.streamHead == d.streamBytes.size()) {
+        d.streamBytes.clear();
+        d.streamHead = 0;
+    } else if (d.streamHead > d.streamBytes.size() / 2) {
+        // Compact: what is left is under half the queue.
+        d.streamBytes.erase(d.streamBytes.begin(),
+                            d.streamBytes.begin() +
+                                static_cast<std::ptrdiff_t>(d.streamHead));
+        d.streamHead = 0;
     }
+    updateReady(d);
     chargeCopy(take);
     return static_cast<std::int64_t>(take);
 }
@@ -405,9 +513,7 @@ Kernel::sendfile(int out_fd, int in_fd, std::uint64_t offset,
     Desc *peer = desc(out->peerFd);
     if (!peer)
         return 0;
-    peer->streamBuf.insert(peer->streamBuf.end(),
-                           contents.data() + offset,
-                           contents.data() + offset + take);
+    appendStream(*peer, contents.data() + offset, take);
     // In-kernel copy: roughly half the user-copy cost.
     charge(static_cast<Cycles>(static_cast<double>(take) *
                                params_.copyPerByte * 0.5));
@@ -431,6 +537,7 @@ Kernel::shutdown(int fd)
         return kEbadf;
     if (Desc *peer = desc(d->peerFd)) {
         peer->peerClosed = true;
+        updateReady(*peer);
         notifyReadable(d->peerFd);
     }
     return 0;
@@ -541,27 +648,22 @@ Kernel::tunCreate()
 bool
 Kernel::readableNow(const Desc &d) const
 {
-    const Cycles now = machine_.now();
     switch (d.type) {
-      case Desc::Type::File:
-        return true;
-      case Desc::Type::TcpListen:
-        return !d.acceptQueue.empty();
-      case Desc::Type::TcpStream:
-        return !d.streamBuf.empty() || d.peerClosed;
       case Desc::Type::Udp:
       case Desc::Type::TunEnd:
         return !d.packets.empty() &&
-               d.packets.front().availableAt <= now;
+               d.packets.front().availableAt <= machine_.now();
       case Desc::Type::Epoll:
+        if (d.clockMembers == 0)
+            return d.readyMembers > 0;
         for (int fd : d.members) {
-            const Desc *m = desc(fd);
-            if (m && readableNow(*m))
+            if (readableNow(*desc(fd)))
                 return true;
         }
         return false;
+      default:
+        return d.ready;
     }
-    return false;
 }
 
 Cycles
@@ -574,16 +676,26 @@ Kernel::earliestAvailability(const Desc &d) const
                                  : d.packets.front().availableAt;
       case Desc::Type::Epoll: {
         Cycles best = kNever;
-        for (int fd : d.members) {
-            const Desc *m = desc(fd);
-            if (m)
-                best = std::min(best, earliestAvailability(*m));
-        }
+        if (d.clockMembers == 0)
+            return best;
+        for (int fd : d.members)
+            best = std::min(best, earliestAvailability(*desc(fd)));
         return best;
       }
       default:
         return kNever;
     }
+}
+
+bool
+Kernel::contains(const Desc &set, int fd) const
+{
+    for (int m : set.members) {
+        const Desc &d = *desc(m);
+        if (m == fd || (d.type == Desc::Type::Epoll && contains(d, fd)))
+            return true;
+    }
+    return false;
 }
 
 void
@@ -606,11 +718,15 @@ Kernel::epollCtlAdd(int epfd, int fd)
 {
     charge(params_.syscall + params_.epollCtl);
     Desc *e = desc(epfd);
-    if (!e || e->type != Desc::Type::Epoll || !desc(fd))
+    Desc *m = desc(fd);
+    if (!e || e->type != Desc::Type::Epoll || !m)
         return kEbadf;
-    if (std::find(e->members.begin(), e->members.end(), fd) ==
-        e->members.end())
-        e->members.push_back(fd);
+    // A set may not watch itself, directly or through nested sets.
+    if (fd == epfd)
+        return kEinval;
+    if (m->type == Desc::Type::Epoll && contains(*m, epfd))
+        return kEloop;
+    joinSet(epfd, fd);
     return 0;
 }
 
@@ -621,8 +737,7 @@ Kernel::epollCtlDel(int epfd, int fd)
     Desc *e = desc(epfd);
     if (!e || e->type != Desc::Type::Epoll)
         return kEbadf;
-    auto &m = e->members;
-    m.erase(std::remove(m.begin(), m.end(), fd), m.end());
+    leaveSet(epfd, fd);
     return 0;
 }
 
@@ -646,16 +761,31 @@ Kernel::epollWait(int epfd, std::vector<int> &ready, int max_events,
         const std::size_t count = e->members.size();
         if (count > 0) {
             e->scanStart = (e->scanStart + 1) % count;
-            for (std::size_t k = 0; k < count; ++k) {
-                const int fd =
-                    e->members[(e->scanStart + k) % count];
-                const Desc *m = desc(fd);
-                if (m && readableNow(*m)) {
+            // Without clock-dependent members the ready count is
+            // exact: walk only until every ready member is found.
+            std::size_t limit =
+                static_cast<std::size_t>(std::max(max_events, 1));
+            if (e->clockMembers == 0)
+                limit = std::min(limit, e->readyMembers);
+            std::size_t k = 0, clock_seen = 0, ready_seen = 0;
+            for (std::size_t i = e->scanStart;
+                 k < count && ready.size() < limit; ++k) {
+                const int fd = e->members[i];
+                const Desc &m = *desc(fd);
+                if (m.clockDependent())
+                    ++clock_seen;
+                else if (m.ready)
+                    ++ready_seen;
+                if (readableNow(m))
                     ready.push_back(fd);
-                    if (static_cast<int>(ready.size()) >= max_events)
-                        break;
-                }
+                if (++i == count)
+                    i = 0;
             }
+            // A walk that saw every member checks both counts; a
+            // counted walk must find every member it was promised.
+            hc_assert(k < count || (clock_seen == e->clockMembers &&
+                                    ready_seen == e->readyMembers));
+            hc_assert(e->clockMembers > 0 || ready.size() == limit);
         }
         if (!ready.empty() || timeout == 0)
             return static_cast<int>(ready.size());
@@ -770,7 +900,7 @@ Kernel::pendingBytes(int fd) const
     if (!d)
         return 0;
     if (d->type == Desc::Type::TcpStream)
-        return d->streamBuf.size();
+        return d->streamQueued();
     return d->queuedBytes;
 }
 

@@ -20,7 +20,6 @@
 #define HC_OS_KERNEL_HH
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -59,6 +58,8 @@ enum OsError : int {
     kEnoent = -2,
     kEconnRefused = -111,
     kEmsgsize = -90,
+    kEinval = -22, //!< epoll: a set added to itself
+    kEloop = -40,  //!< epoll: nesting that would form a cycle
 };
 
 /** One datagram or stream chunk in flight. */
@@ -229,7 +230,6 @@ class Kernel
 
   private:
     struct Desc;
-    struct EpollSet;
 
     Desc *desc(int fd);
     const Desc *desc(int fd) const;
@@ -239,6 +239,23 @@ class Kernel
 
     /** True when a read on the descriptor would not block now. */
     bool readableNow(const Desc &d) const;
+
+    /** Re-derive a file's, listener's or stream's readiness after a
+     *  state change and update the ready counts of its sets. */
+    void updateReady(Desc &d);
+
+    /** Add @p fd to / remove it from set @p epfd, keeping the set's
+     *  counts and the member's back-pointers; a no-op when it already
+     *  is / is not a member. */
+    void joinSet(int epfd, int fd);
+    void leaveSet(int epfd, int fd);
+
+    /** True when @p fd is a member of @p set or of a set nested in it. */
+    bool contains(const Desc &set, int fd) const;
+
+    /** Queue @p count bytes for reading on stream @p d. */
+    void appendStream(Desc &d, const std::uint8_t *src,
+                      std::uint64_t count);
 
     /** Stream receive/send bodies shared by read/recv, write/send. */
     std::int64_t streamRecv(Desc &d, std::uint8_t *buf,
@@ -254,11 +271,11 @@ class Kernel
 
     mem::Machine &machine_;
     OsCostParams params_;
-    std::unordered_map<int, std::unique_ptr<Desc>> fds_;
+    /** Descriptor table indexed by fd; a closed fd's slot is empty. */
+    std::vector<std::unique_ptr<Desc>> fds_;
     std::unordered_map<std::string, std::vector<std::uint8_t>> files_;
     std::unordered_map<int, int> tcpListeners_; //!< port -> fd
     std::unordered_map<int, int> udpPorts_[2];  //!< side -> port -> fd
-    int nextFd_ = 3;
     /** Link serialization state: time the link becomes free. */
     Cycles linkFree_[2] = {0, 0};
     /** Global readiness parking lot (broadcast + re-check). */

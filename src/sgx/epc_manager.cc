@@ -24,17 +24,42 @@ EpcManager::~EpcManager()
     machine_.memory().setPageTouchHook(nullptr);
 }
 
+void
+EpcManager::unlink(std::uint32_t p)
+{
+    const Page &page = pages_[p];
+    (page.prev == kNil ? mru_ : pages_[page.prev].next) = page.next;
+    (page.next == kNil ? lru_ : pages_[page.next].prev) = page.prev;
+}
+
+void
+EpcManager::pushFront(std::uint32_t p)
+{
+    Page &page = pages_[p];
+    page.prev = kNil;
+    page.next = mru_;
+    (mru_ == kNil ? lru_ : pages_[mru_].prev) = p;
+    mru_ = p;
+}
+
 Cycles
 EpcManager::touch(Addr page, bool)
 {
     if (!enabled_)
         return 0;
 
-    auto it = resident_.find(page);
-    if (it != resident_.end()) {
+    const std::uint64_t index =
+        (page - mem::AddressSpace::kEpcBase) / kPageSize;
+    hc_assert(page >= mem::AddressSpace::kEpcBase && index < kNil);
+    if (index >= pages_.size())
+        pages_.resize(index + 1);
+    const auto p = static_cast<std::uint32_t>(index);
+    if (pages_[p].state == Page::State::Resident) {
         // Move to MRU position unless already there.
-        if (it->second != lru_.begin())
-            lru_.splice(lru_.begin(), lru_, it->second);
+        if (mru_ != p) {
+            unlink(p);
+            pushFront(p);
+        }
         return 0;
     }
 
@@ -42,20 +67,21 @@ EpcManager::touch(Addr page, bool)
     // (zero-filled, effectively free); a page that was previously
     // evicted must be reloaded with ELDU (fetch+decrypt+verify).
     Cycles cost = 0;
-    if (pagedOut_.erase(page) > 0) {
+    if (pages_[p].state == Page::State::PagedOut) {
         ++faults_;
         cost += params_.eldu;
     }
-    if (resident_.size() >= capacityPages_) {
-        const Addr victim = lru_.back();
-        lru_.pop_back();
-        resident_.erase(victim);
-        pagedOut_.insert(victim);
+    if (resident_ >= capacityPages_) {
+        const std::uint32_t victim = lru_;
+        unlink(victim);
+        pages_[victim].state = Page::State::PagedOut;
+        --resident_;
         ++evictions_;
         cost += params_.ewb;
     }
-    lru_.push_front(page);
-    resident_[page] = lru_.begin();
+    pushFront(p);
+    pages_[p].state = Page::State::Resident;
+    ++resident_;
     return cost;
 }
 

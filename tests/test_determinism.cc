@@ -19,7 +19,8 @@
  *     (exponential interrupt arrivals and responder hiccups, both of
  *     which go through std::log) so the digest is a function of
  *     integer and IEEE-basic-ops arithmetic only and does not float
- *     with the host's libm version;
+ *     with the host's libm version (the application golden keeps the
+ *     port's responder hiccups; see AppBed);
  *  3. HC_CHECK invariance: enabling the SimCheck correctness layer
  *     must not move a single simulated cycle.
  *
@@ -37,11 +38,20 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
+#include <memory>
+#include <set>
 #include <string>
 
+#include "apps/httpd.hh"
+#include "apps/kvcache.hh"
+#include "apps/vpn.hh"
 #include "determinism_scenarios.hh"
 #include "support/hash.hh"
+#include "workloads/httpload.hh"
+#include "workloads/memtier.hh"
 #include "workloads/spec.hh"
+#include "workloads/vpn_traffic.hh"
 
 using namespace hc;
 using namespace hc::dtest;
@@ -50,6 +60,9 @@ namespace {
 
 /** The pinned memory-pressure golden hash (see MemoryGoldenDigest). */
 constexpr std::uint64_t kMemoryGoldenHash = 410715964193674229ull;
+
+/** The pinned simulated-kernel golden hash (see AppGoldenDigest). */
+constexpr std::uint64_t kAppGoldenHash = 18333372269750248354ull;
 
 void
 maybePrint(const char *what, const std::string &text)
@@ -152,6 +165,207 @@ memoryPressureScenario()
     });
     machine.engine().run();
     return d;
+}
+
+/**
+ * One ported application over the simulated kernel: the machine
+ * (8 cores, interrupts off), the kernel and the port. The HotCalls
+ * responders keep the port's hiccup model; its exponential draws are
+ * truncated to whole cycles, so only a libm difference that crosses
+ * an integer could move the digest.
+ */
+struct AppBed {
+    mem::Machine machine;
+    sgx::SgxPlatform platform;
+    os::Kernel kernel;
+    port::PortedApp app;
+
+    AppBed(const char *name, port::Mode mode,
+           std::set<std::string> hot_ocalls)
+        : machine([] {
+              mem::MachineConfig config;
+              config.engine.numCores = 8;
+              config.engine.seed = 42;
+              config.engine.interruptMeanCycles = 0;
+              return config;
+          }()),
+          platform(machine), kernel(machine),
+          app(platform, kernel, name, [&] {
+              port::PortConfig config;
+              config.mode = mode;
+              config.fastPath = false;
+              config.hotOcallCore = 2;
+              config.hotEcallCore = 1;
+              config.hotOcalls = std::move(hot_ocalls);
+              return config;
+          }())
+    {
+    }
+
+    /** Append the final core clocks and the port's call counters. */
+    void digest(Digest &d, const std::string &prefix)
+    {
+        auto &engine = machine.engine();
+        for (int c = 0; c < engine.numCores(); ++c)
+            d.add(prefix + ".core" + std::to_string(c) + ".clock",
+                  engine.coreNow(c));
+        for (const auto &[name, count] : app.callCounts())
+            d.add(prefix + ".calls." + name, count);
+    }
+};
+
+void
+addLatencies(Digest &d, const std::string &key, const SampleSet &set)
+{
+    std::vector<Cycles> samples;
+    for (const double v : set.raw())
+        samples.push_back(static_cast<Cycles>(v));
+    d.addSamples(key, samples);
+}
+
+/** Warm up for 2 ms, record for 10 ms, then stop everything. */
+void
+runWindow(AppBed &bed, const std::function<void()> &start,
+          const std::function<void()> &record,
+          const std::function<void()> &stop)
+{
+    auto &engine = bed.machine.engine();
+    engine.spawn("driver", 7, [&] {
+        bed.app.startHotCalls();
+        start();
+        engine.sleepFor(secondsToCycles(0.002));
+        record();
+        engine.sleepFor(secondsToCycles(0.01));
+        stop();
+        bed.app.stopHotCalls();
+        engine.stop();
+    });
+    engine.run();
+}
+
+/**
+ * memcached under memtier: 2 threads x 20 connections, so the
+ * server's epoll pass finds several members ready. Clients spend 5 us
+ * per response, so responses queue up at them: a client's set
+ * alternates between empty passes and passes with several members
+ * ready, whose order follows the scan rotation.
+ */
+void
+kvScenario(Digest &d, port::Mode mode)
+{
+    AppBed bed("memcached", mode, {"ocall_read", "ocall_sendmsg"});
+    apps::KvCacheConfig server_config;
+    server_config.numSlots = 4'096;
+    apps::KvCacheServer server(bed.app, server_config);
+    workloads::MemtierConfig client_config;
+    client_config.threads = 2;
+    client_config.connectionsPerThread = 20;
+    client_config.clientWork = 20'000;
+    workloads::MemtierClient client(bed.kernel, server.listenPort(),
+                                    client_config);
+    runWindow(
+        bed,
+        [&] {
+            server.start(0);
+            client.start(4);
+        },
+        [&] { client.recordLatencies(true); },
+        [&] {
+            client.stop();
+            server.stop();
+        });
+
+    const std::string p = std::string("kv.") + port::modeName(mode);
+    d.add(p + ".completed", client.completed());
+    d.add(p + ".corrupted", client.corrupted());
+    d.add(p + ".served", server.requestsServed());
+    addLatencies(d, p + ".latency", client.latencies());
+    bed.digest(d, p);
+}
+
+/** lighttpd under http_load: accept, epoll, sendfile, shutdown and
+ *  close on every page. */
+void
+httpdScenario(Digest &d)
+{
+    AppBed bed("lighttpd", port::Mode::Sgx, {});
+    apps::HttpServer server(bed.app);
+    workloads::HttpLoadConfig load;
+    load.connections = 20;
+    load.clientThreads = 2;
+    workloads::HttpLoadClient client(bed.kernel, server.listenPort(),
+                                     load);
+    runWindow(
+        bed, [&] { server.start(0); },
+        [&] {
+            client.start(4);
+            client.recordLatencies(true);
+        },
+        [&] {
+            client.stop();
+            server.stop();
+        });
+
+    d.add("httpd.completed", client.completed());
+    d.add("httpd.bad", client.badFetches());
+    d.add("httpd.served", server.pagesServed());
+    addLatencies(d, "httpd.latency", client.latencies());
+    bed.digest(d, "httpd");
+}
+
+/** openVPN under flood ping: poll and waitReadable over UDP (link
+ *  delay) and TUN, whose readiness depends on the clock. */
+void
+vpnScenario(Digest &d)
+{
+    AppBed bed("openvpn", port::Mode::Sgx, {});
+    crypto::ChaChaKey key{};
+    key[0] = 0x42;
+    apps::VpnConfig vpn_config;
+    apps::VpnTunnel tunnel(bed.app, key, vpn_config);
+    workloads::VpnTrafficConfig traffic;
+    traffic.mode = workloads::VpnTrafficConfig::Mode::Ping;
+    traffic.pingOutstanding = 10;
+    std::unique_ptr<workloads::VpnLanHost> host;
+    std::unique_ptr<workloads::VpnRemotePeer> peer;
+    runWindow(
+        bed,
+        [&] {
+            tunnel.start(0);
+            host = std::make_unique<workloads::VpnLanHost>(
+                bed.kernel, tunnel.tunAppFd(), traffic);
+            peer = std::make_unique<workloads::VpnRemotePeer>(
+                bed.kernel, key, vpn_config.remoteUdpPort,
+                vpn_config.localUdpPort, traffic);
+            host->start(3);
+            peer->start(6);
+        },
+        [&] { peer->recordRtts(true); },
+        [&] {
+            peer->stop();
+            host->stop();
+            tunnel.stop();
+        });
+
+    d.add("vpn.pings", peer->pingsCompleted());
+    d.add("vpn.authFailures",
+          tunnel.authFailures() + peer->authFailures());
+    d.add("vpn.packetsIn", tunnel.packetsIn());
+    d.add("vpn.packetsOut", tunnel.packetsOut());
+    addLatencies(d, "vpn.rtt", peer->pingRtts());
+    bed.digest(d, "vpn");
+}
+
+/** Every application scenario, in a fixed order. */
+std::string
+appGoldenText()
+{
+    Digest d;
+    kvScenario(d, port::Mode::Sgx);
+    kvScenario(d, port::Mode::SgxHotCalls);
+    httpdScenario(d);
+    vpnScenario(d);
+    return d.text();
 }
 
 } // anonymous namespace
@@ -308,5 +522,25 @@ TEST(Determinism, MemoryGoldenDigest)
         << "Memory-pressure outputs drifted from the golden digest. "
            "Rerun with HC_PRINT_DIGEST=1 to inspect; only a deliberate "
            "model change may update the golden.\n"
+        << text;
+}
+
+// ----------------------------------------------------------------------
+// The simulated-kernel golden: memcached, lighttpd and openVPN over
+// the kernel's sockets, epoll, poll, sendfile and TUN. Which thread
+// wakes and runs when, and the order a wait reports ready members in,
+// move request latencies and core clocks, so this pins the kernel's
+// schedule. Pinned on the hashed descriptor table and per-byte stream
+// deques, before readiness moved to per-set ready counts.
+// ----------------------------------------------------------------------
+
+TEST(Determinism, AppGoldenDigest)
+{
+    const std::string text = appGoldenText();
+    maybePrint("app-golden", text);
+    EXPECT_EQ(fastHash64(text), kAppGoldenHash)
+        << "Application outputs drifted from the golden digest. Rerun "
+           "with HC_PRINT_DIGEST=1 to inspect; only a deliberate model "
+           "change may update the golden.\n"
         << text;
 }

@@ -6,11 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <deque>
 #include <functional>
+#include <map>
 #include <string>
 
 #include "os/kernel.hh"
+#include "support/rng.hh"
 
 using namespace hc;
 using namespace hc::os;
@@ -596,5 +600,422 @@ TEST(Misc, WritevChargesGatherCost)
         f.kernel.writev(client, msg.data(), msg.size());
         const Cycles writev_cost = f.machine.now() - t1;
         EXPECT_GT(writev_cost, send_cost);
+    });
+}
+
+// ----------------------------------------------------------------------
+// Readiness bookkeeping against a naive full-scan model.
+// ----------------------------------------------------------------------
+
+TEST(Epoll, RejectsSelfAndCyclicMembership)
+{
+    Fixture f;
+    f.run([&] {
+        const int a = f.kernel.epollCreate();
+        const int b = f.kernel.epollCreate();
+        const int c = f.kernel.epollCreate();
+        EXPECT_EQ(f.kernel.epollCtlAdd(a, a), kEinval);
+        EXPECT_EQ(f.kernel.epollCtlAdd(a, b), 0);
+        EXPECT_EQ(f.kernel.epollCtlAdd(b, a), kEloop);
+        EXPECT_EQ(f.kernel.epollCtlAdd(b, c), 0);
+        EXPECT_EQ(f.kernel.epollCtlAdd(c, a), kEloop);
+
+        // The rejected adds changed nothing: every wait returns.
+        std::vector<int> ready;
+        EXPECT_EQ(f.kernel.epollWait(a, ready, 8, 0), 0);
+        EXPECT_EQ(f.kernel.epollWait(a, ready, 8, 1'000), 0);
+        std::vector<int> polled;
+        EXPECT_EQ(f.kernel.poll({a, b, c}, polled, 0), 0);
+
+        // Once the nesting is undone, the reverse add is legal.
+        EXPECT_EQ(f.kernel.epollCtlDel(a, b), 0);
+        EXPECT_EQ(f.kernel.epollCtlAdd(b, a), 0);
+    });
+}
+
+namespace {
+
+/**
+ * The test's own model of every live descriptor: stream bytes in a
+ * deque, accept queues, UDP datagrams with their link arrival times,
+ * and each set's members and scan rotation. Readiness is recomputed
+ * from this state on every query and every wait walks the whole set:
+ * the reference the kernel's ready counts must reproduce.
+ */
+struct Model {
+    enum class Kind { File, Listener, Stream, Udp, Set };
+    struct Desc {
+        Kind kind = Kind::File;
+        std::deque<std::uint8_t> bytes; //!< stream: readable bytes
+        int peer = -1;
+        bool peerClosed = false;
+        std::deque<int> pending;        //!< listener: accept queue
+        std::deque<std::pair<Cycles, std::uint64_t>> datagrams;
+        std::vector<int> members;       //!< set
+        std::size_t scanStart = 0;
+    };
+    std::map<int, Desc> fds;
+
+    bool ready(int fd, Cycles now) const
+    {
+        const Desc &d = fds.at(fd);
+        switch (d.kind) {
+          case Kind::File:
+            return true;
+          case Kind::Listener:
+            return !d.pending.empty();
+          case Kind::Stream:
+            return !d.bytes.empty() || d.peerClosed;
+          case Kind::Udp:
+            return !d.datagrams.empty() &&
+                   d.datagrams.front().first <= now;
+          case Kind::Set:
+            for (int m : d.members)
+                if (ready(m, now))
+                    return true;
+            return false;
+        }
+        return false;
+    }
+
+    std::vector<int> wait(int epfd, int max_events, Cycles now)
+    {
+        Desc &e = fds.at(epfd);
+        std::vector<int> out;
+        const std::size_t count = e.members.size();
+        if (count == 0)
+            return out;
+        e.scanStart = (e.scanStart + 1) % count;
+        for (std::size_t k = 0; k < count; ++k) {
+            const int fd = e.members[(e.scanStart + k) % count];
+            if (ready(fd, now)) {
+                out.push_back(fd);
+                if (static_cast<int>(out.size()) >= max_events)
+                    break;
+            }
+        }
+        return out;
+    }
+
+    bool reaches(int set, int fd) const
+    {
+        for (int m : fds.at(set).members)
+            if (m == fd || (fds.at(m).kind == Kind::Set && reaches(m, fd)))
+                return true;
+        return false;
+    }
+
+    std::uint64_t pending(int fd) const
+    {
+        const Desc &d = fds.at(fd);
+        std::uint64_t n = d.bytes.size();
+        for (const auto &dgram : d.datagrams)
+            n += dgram.second;
+        return n;
+    }
+
+    std::vector<int> live(Kind kind) const
+    {
+        std::vector<int> out;
+        for (const auto &[fd, d] : fds)
+            if (d.kind == kind)
+                out.push_back(fd);
+        return out;
+    }
+
+    void close(int fd)
+    {
+        const Desc &d = fds.at(fd);
+        if (d.kind == Kind::Stream && fds.count(d.peer))
+            fds.at(d.peer).peerClosed = true;
+        for (auto &[efd, e] : fds) {
+            auto &m = e.members;
+            m.erase(std::remove(m.begin(), m.end(), fd), m.end());
+        }
+        fds.erase(fd);
+    }
+};
+
+} // anonymous namespace
+
+TEST(Epoll, ReadinessMatchesFullScan)
+{
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        Fixture f;
+        Kernel &k = f.kernel;
+        const auto &params = k.params();
+        std::vector<std::uint8_t> page(20'000);
+        for (std::size_t i = 0; i < page.size(); ++i)
+            page[i] = static_cast<std::uint8_t>(i * 13 + 5);
+        k.addFile("/page", page);
+
+        f.run([&] {
+            Rng rng(seed);
+            Model model;
+            Cycles link_free = 0; // side 1 -> side 0
+            std::map<int, int> ports; // listener fd -> port
+            const auto pick = [&](const std::vector<int> &from) {
+                return from[rng.nextBelow(from.size())];
+            };
+            const auto now = [&] { return f.machine.now(); };
+
+            for (int port : {7000, 7001}) {
+                const int fd = k.listenTcp(port);
+                model.fds[fd].kind = Model::Kind::Listener;
+                ports[fd] = port;
+            }
+            for (int s = 0; s < 3; ++s)
+                model.fds[k.epollCreate()].kind = Model::Kind::Set;
+            model.fds[k.open("/page")].kind = Model::Kind::File;
+            const int rx = k.udpSocket(0, 9000);
+            const int tx = k.udpSocket(1, 9001);
+            model.fds[rx].kind = Model::Kind::Udp;
+
+            std::vector<std::uint8_t> buf(300 * 1024);
+            for (int op = 0; op < 400; ++op) {
+                const auto streams = model.live(Model::Kind::Stream);
+                const auto sets = model.live(Model::Kind::Set);
+                const int what = static_cast<int>(rng.nextBelow(12));
+                if (what == 0) {
+                    // connect: the client end, then the server end.
+                    const auto listeners =
+                        model.live(Model::Kind::Listener);
+                    if (listeners.empty())
+                        continue;
+                    const int l = pick(listeners);
+                    const int c = k.connectTcp(ports[l]);
+                    ASSERT_GE(c, 0);
+                    model.fds[c].kind = Model::Kind::Stream;
+                    model.fds[c + 1].kind = Model::Kind::Stream;
+                    model.fds[c].peer = c + 1;
+                    model.fds[c + 1].peer = c;
+                    model.fds[l].pending.push_back(c + 1);
+                } else if (what == 1) {
+                    const auto listeners =
+                        model.live(Model::Kind::Listener);
+                    if (listeners.empty())
+                        continue;
+                    const int l = pick(listeners);
+                    auto &q = model.fds[l].pending;
+                    const int got = k.accept(l);
+                    if (q.empty()) {
+                        EXPECT_EQ(got, kEagain);
+                    } else {
+                        EXPECT_EQ(got, q.front());
+                        q.pop_front();
+                    }
+                } else if (what <= 3 && !streams.empty()) {
+                    // send: small, large, or past the buffer's room.
+                    const int s = pick(streams);
+                    const std::uint64_t sizes[] = {
+                        1 + rng.nextBelow(64), 1 + rng.nextBelow(8192),
+                        buf.size()};
+                    const std::uint64_t n = sizes[rng.nextBelow(3)];
+                    for (std::uint64_t i = 0; i < n; ++i)
+                        buf[i] = static_cast<std::uint8_t>(rng.next());
+                    const std::int64_t got = k.send(s, buf.data(), n);
+                    const int peer = model.fds[s].peer;
+                    if (!model.fds.count(peer)) {
+                        EXPECT_EQ(got, 0);
+                        continue;
+                    }
+                    auto &q = model.fds[peer].bytes;
+                    const std::uint64_t room =
+                        params.socketBuf - std::min<std::uint64_t>(
+                                               params.socketBuf, q.size());
+                    const std::uint64_t take = std::min(n, room);
+                    EXPECT_EQ(got, take == 0
+                                       ? std::int64_t{kEagain}
+                                       : static_cast<std::int64_t>(take));
+                    q.insert(q.end(), buf.begin(),
+                             buf.begin() +
+                                 static_cast<std::ptrdiff_t>(take));
+                } else if (what <= 5 && !streams.empty()) {
+                    // recv: partial or draining.
+                    const int s = pick(streams);
+                    const std::uint64_t n = rng.chance(0.5)
+                                                ? 1 + rng.nextBelow(100)
+                                                : buf.size();
+                    const std::int64_t got = k.recv(s, buf.data(), n);
+                    auto &d = model.fds[s];
+                    if (d.bytes.empty()) {
+                        EXPECT_EQ(got, d.peerClosed ? 0 : kEagain);
+                        continue;
+                    }
+                    const std::uint64_t take = std::min<std::uint64_t>(
+                        n, d.bytes.size());
+                    ASSERT_EQ(got, static_cast<std::int64_t>(take));
+                    for (std::uint64_t i = 0; i < take; ++i) {
+                        ASSERT_EQ(buf[i], d.bytes.front());
+                        d.bytes.pop_front();
+                    }
+                } else if (what == 6 && !streams.empty()) {
+                    // sendfile: no room check, like the kernel's.
+                    const int s = pick(streams);
+                    const std::uint64_t off =
+                        rng.nextBelow(page.size() + 10);
+                    const std::uint64_t n = 1 + rng.nextBelow(30'000);
+                    const std::int64_t got = k.sendfile(
+                        s, model.live(Model::Kind::File)[0], off, n);
+                    const int peer = model.fds[s].peer;
+                    const std::uint64_t take =
+                        off >= page.size() || !model.fds.count(peer)
+                            ? 0
+                            : std::min<std::uint64_t>(n,
+                                                      page.size() - off);
+                    ASSERT_EQ(got, static_cast<std::int64_t>(take));
+                    if (take > 0) {
+                        auto &q = model.fds[peer].bytes;
+                        q.insert(q.end(), page.begin() + off,
+                                 page.begin() + off + got);
+                    }
+                } else if (what == 7 && !streams.empty()) {
+                    const int s = pick(streams);
+                    EXPECT_EQ(k.shutdown(s), 0);
+                    const int peer = model.fds[s].peer;
+                    if (model.fds.count(peer))
+                        model.fds[peer].peerClosed = true;
+                } else if (what == 8) {
+                    // close anything but the file and the UDP socket.
+                    std::vector<int> closable;
+                    for (const auto &[fd, d] : model.fds)
+                        if (d.kind != Model::Kind::File &&
+                            d.kind != Model::Kind::Udp)
+                            closable.push_back(fd);
+                    if (closable.empty() || !rng.chance(0.3))
+                        continue;
+                    const int fd = pick(closable);
+                    EXPECT_EQ(k.close(fd), 0);
+                    model.close(fd);
+                    if (sets.size() < 2)
+                        model.fds[k.epollCreate()].kind =
+                            Model::Kind::Set;
+                } else if (what == 9 && !sets.empty()) {
+                    const int e = pick(sets);
+                    std::vector<int> all;
+                    for (const auto &entry : model.fds)
+                        all.push_back(entry.first);
+                    const int fd = pick(all);
+                    int expect = 0;
+                    if (fd == e)
+                        expect = kEinval;
+                    else if (model.fds[fd].kind == Model::Kind::Set &&
+                             model.reaches(fd, e))
+                        expect = kEloop;
+                    EXPECT_EQ(k.epollCtlAdd(e, fd), expect);
+                    auto &m = model.fds[e].members;
+                    if (expect == 0 &&
+                        std::find(m.begin(), m.end(), fd) == m.end())
+                        m.push_back(fd);
+                } else if (what == 10 && !sets.empty()) {
+                    const int e = pick(sets);
+                    auto &m = model.fds[e].members;
+                    if (m.empty())
+                        continue;
+                    const int fd = pick(m);
+                    EXPECT_EQ(k.epollCtlDel(e, fd), 0);
+                    m.erase(std::find(m.begin(), m.end(), fd));
+                } else {
+                    // A datagram over the link, a receive, or time.
+                    const int kind = static_cast<int>(rng.nextBelow(3));
+                    auto &q = model.fds[rx].datagrams;
+                    if (kind == 0) {
+                        const std::uint64_t n = 1 + rng.nextBelow(2000);
+                        EXPECT_EQ(k.sendto(tx, buf.data(), n, 9000),
+                                  static_cast<std::int64_t>(n));
+                        if (model.pending(rx) + n <= params.socketBuf) {
+                            link_free = std::max(now(), link_free) +
+                                        static_cast<Cycles>(
+                                            static_cast<double>(n) *
+                                            params.linkCyclesPerByte);
+                            q.emplace_back(
+                                link_free + params.linkPropagation, n);
+                        }
+                    } else if (kind == 1) {
+                        const Cycles at = now() + params.syscall;
+                        const std::int64_t got =
+                            k.recvfrom(rx, buf.data(), buf.size());
+                        if (!q.empty() && q.front().first <= at) {
+                            EXPECT_EQ(got, static_cast<std::int64_t>(
+                                               q.front().second));
+                            q.pop_front();
+                        } else {
+                            EXPECT_EQ(got, kEagain);
+                        }
+                    } else {
+                        f.machine.engine().sleepFor(
+                            rng.nextBelow(400'000));
+                    }
+                }
+
+                // Every set with a small and a large max_events, a
+                // poll over every fd, and every fd's queued bytes.
+                std::vector<int> ready, all;
+                for (int e : model.live(Model::Kind::Set)) {
+                    for (int max_events : {2, 64}) {
+                        const int n = k.epollWait(e, ready, max_events, 0);
+                        ASSERT_EQ(std::vector<int>(ready.begin(),
+                                                   ready.begin() + n),
+                                  model.wait(e, max_events, now()))
+                            << "op " << op << " set " << e;
+                    }
+                }
+                for (const auto &entry : model.fds)
+                    all.push_back(entry.first);
+                k.poll(all, ready, 0);
+                std::vector<int> expect;
+                for (int fd : all)
+                    if (model.ready(fd, now()))
+                        expect.push_back(fd);
+                ASSERT_EQ(ready, expect) << "op " << op;
+                for (int fd : all)
+                    ASSERT_EQ(k.pendingBytes(fd), model.pending(fd))
+                        << "op " << op << " fd " << fd;
+            }
+        });
+    }
+}
+
+TEST(Tcp, LongLivedStreamKeepsByteOrder)
+{
+    // The reader takes small chunks while the writer keeps the buffer
+    // near full, so the queue's read offset keeps passing half its
+    // length and the queue compacts under live data.
+    Fixture f;
+    f.run([&] {
+        const int listener = f.kernel.listenTcp(99);
+        const int client = f.kernel.connectTcp(99);
+        const int server = f.kernel.accept(listener);
+        const int epfd = f.kernel.epollCreate();
+        f.kernel.epollCtlAdd(epfd, server);
+        Rng rng(7);
+        std::vector<std::uint8_t> chunk(4096), got(1024);
+        std::uint64_t sent = 0, received = 0;
+        const auto byte_at = [](std::uint64_t i) {
+            return static_cast<std::uint8_t>(i * 7 + (i >> 9));
+        };
+        while (received < 2 * 1024 * 1024) {
+            const std::uint64_t n = 1 + rng.nextBelow(chunk.size());
+            for (std::uint64_t i = 0; i < n; ++i)
+                chunk[i] = byte_at(sent + i);
+            const std::int64_t w =
+                f.kernel.send(client, chunk.data(), n);
+            if (w > 0)
+                sent += static_cast<std::uint64_t>(w);
+            ASSERT_EQ(f.kernel.pendingBytes(server), sent - received);
+
+            std::vector<int> ready;
+            ASSERT_EQ(f.kernel.epollWait(epfd, ready, 8, 0),
+                      sent > received ? 1 : 0);
+            const std::int64_t r = f.kernel.recv(
+                server, got.data(), 1 + rng.nextBelow(got.size()));
+            for (std::int64_t i = 0; i < r; ++i)
+                ASSERT_EQ(got[static_cast<std::size_t>(i)],
+                          byte_at(received + static_cast<std::uint64_t>(i)))
+                    << "byte " << received + static_cast<std::uint64_t>(i);
+            if (r > 0)
+                received += static_cast<std::uint64_t>(r);
+        }
     });
 }

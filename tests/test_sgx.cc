@@ -8,9 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <list>
+#include <map>
+#include <set>
 
 #include "sgx/attestation.hh"
 #include "sgx/platform.hh"
+#include "support/rng.hh"
 
 using namespace hc;
 using namespace hc::sgx;
@@ -319,6 +323,70 @@ TEST(EpcManager, FitsWithinCapacityNoThrash)
         machine.space().free(base);
     });
     machine.engine().run();
+}
+
+TEST(EpcManager, MatchesReferenceLru)
+{
+    // A naive LRU over 96 pages of capacity, fed seeded touches over
+    // 320 pages: a hot set, sweeps and random pages.
+    mem::MachineConfig config;
+    config.mem.epcSize = 96 * kPageSize;
+    config.mem.epcVirtualSize = 8_MiB;
+    mem::Machine machine(config);
+    SgxPlatform platform(machine);
+    auto &epc = platform.epc();
+    const Cycles ewb = platform.params().ewb;
+    const Cycles eldu = platform.params().eldu;
+
+    std::list<Addr> lru; // front = most recently used
+    std::map<Addr, std::list<Addr>::iterator> resident;
+    std::set<Addr> paged_out;
+    std::uint64_t faults = 0, evictions = 0;
+    const auto reference = [&](Addr page) {
+        auto it = resident.find(page);
+        if (it != resident.end()) {
+            lru.splice(lru.begin(), lru, it->second);
+            return Cycles{0};
+        }
+        Cycles cost = 0;
+        if (paged_out.erase(page) > 0) {
+            ++faults;
+            cost += eldu;
+        }
+        if (resident.size() >= epc.capacityPages()) {
+            resident.erase(lru.back());
+            paged_out.insert(lru.back());
+            lru.pop_back();
+            ++evictions;
+            cost += ewb;
+        }
+        lru.push_front(page);
+        resident[page] = lru.begin();
+        return cost;
+    };
+
+    Rng rng(2017);
+    for (int i = 0; i < 20'000; ++i) {
+        std::uint64_t index;
+        switch (rng.nextBelow(3)) {
+          case 0:
+            index = rng.nextBelow(40); // hot set
+            break;
+          case 1:
+            index = static_cast<std::uint64_t>(i) % 320; // sweep
+            break;
+          default:
+            index = rng.nextBelow(320);
+        }
+        const Addr page =
+            mem::AddressSpace::kEpcBase + index * kPageSize;
+        ASSERT_EQ(epc.touch(page, rng.chance(0.5)), reference(page))
+            << "touch " << i;
+        ASSERT_EQ(epc.faults(), faults);
+        ASSERT_EQ(epc.evictions(), evictions);
+        ASSERT_EQ(epc.residentPages(), resident.size());
+    }
+    EXPECT_GT(faults, 1'000u);
 }
 
 TEST(EpcManager, DisableSwitch)
