@@ -10,11 +10,11 @@
  * discrete-event engine runs:
  *
  *  - a virtual-time race detector over priced word accesses
- *    (mem::MemoryModel::accessWord / mem::SharedVar). Every simulated
- *    thread carries a vector clock; happens-before edges come from
- *    sim::WaitQueue wakeups, SDK mutex/condvar operations, thread
- *    spawn/join, and accesses to registered *sync words* (the
- *    HotCalls channel lines, SharedVar/spin-lock words), which behave
+ *    (mem::MemoryModel::accessWord). Every simulated thread carries a
+ *    vector clock; happens-before edges come from sim::WaitQueue
+ *    wakeups, SDK mutex/condvar operations, thread spawn/join, and
+ *    accesses to registered *sync words* (the HotCalls channel and
+ *    HotQueue slot/cursor lines), which behave
  *    like atomics: readers acquire the line's release clock, writers
  *    publish theirs. A cross-thread pair of conflicting accesses to a
  *    plain word with no ordering edge is a violation. Because fibers
@@ -118,15 +118,15 @@ class SimCheck : public sim::EngineObserver
      * marshalling copies). Bulk data is priced at stream granularity
      * and stays exempt from per-word race tracking, but any
      * registered sync word inside the span keeps its acquire/release
-     * semantics — a channel line or SharedVar word does not lose its
-     * ordering edges just because it was touched by a range op.
+     * semantics — a channel line does not lose its ordering edges
+     * just because it was touched by a range op.
      */
     void onSpanAccess(Addr addr, std::uint64_t len, bool write);
 
     /** Treat the word at @p addr as a synchronization word (atomic):
      *  accesses are exempt from race checks and create acquire/release
-     *  edges instead. SharedVar and the HotCalls channel lines
-     *  register themselves. */
+     *  edges instead. The HotCalls channel lines register
+     *  themselves. */
     void registerSyncWord(Addr addr);
 
     /** Exempt @p addr from race checking without sync semantics (used

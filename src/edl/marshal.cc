@@ -14,6 +14,17 @@
 
 namespace hc::edl {
 
+StagedCall::StagedCall(const CallPlan &plan, const Args &args)
+    : plan_(&plan), args_(args), slots_(args.size())
+{
+    hc_assert(args.size() == plan.params.size());
+    for (std::size_t i = 0; i < args.size(); ++i) {
+        slots_[i].data = args[i].data;
+        slots_[i].addr = args[i].addr;
+        slots_[i].bytes = plan.bytesOf(i, args);
+    }
+}
+
 std::uint64_t
 StagedCall::scalar(int index) const
 {
@@ -82,6 +93,44 @@ CallPlan::CallPlan(const EdgeFunction &function)
     }
 }
 
+std::uint64_t
+CallPlan::bytesOf(std::size_t index, const Args &args) const
+{
+    const ParamPlan &pp = params[index];
+    const Arg &arg = args[index];
+    if (!pp.isPointer || arg.data == nullptr)
+        return 0;
+
+    const auto &param = fn->params[index];
+    if (pp.isString) {
+        // [string]: length is taken from the NUL terminator, bounded
+        // by the caller buffer capacity (edger8r emits strlen too).
+        const auto *p =
+            static_cast<const char *>(static_cast<void *>(arg.data));
+        std::uint64_t n = 0;
+        while (n < arg.capacity && p[n] != '\0')
+            ++n;
+        if (n == arg.capacity)
+            throw EdlError("[string] parameter '" + param.name +
+                           "' is not NUL-terminated within its buffer");
+        return n + 1;
+    }
+
+    if (pp.sizeParamIndex < 0)
+        return pp.fixedBytes; // literal (or unsized user_check)
+    const std::uint64_t units =
+        args[static_cast<std::size_t>(pp.sizeParamIndex)].scalar;
+    // count= scaling: a caller-controlled count must not wrap the
+    // 64-bit byte length (a wrapped small value would sail through
+    // the capacity check and under-copy).
+    if (pp.elemBytes > 1 &&
+        units > std::numeric_limits<std::uint64_t>::max() / pp.elemBytes) {
+        throw EdlError(fn->name + ": parameter '" + param.name +
+                       "' count*size overflows a 64-bit byte length");
+    }
+    return units * pp.elemBytes;
+}
+
 Marshaller::Marshaller(mem::Machine &machine,
                        const sgx::SgxCostParams &params,
                        MarshalOptions options)
@@ -121,45 +170,6 @@ Marshaller::zeroVisible(Addr dst_addr, std::uint64_t bytes)
     check->onSpanAccess(dst_addr, bytes, true);
 }
 
-std::uint64_t
-Marshaller::bytesOf(const CallPlan &plan, std::size_t index,
-                    const Args &args) const
-{
-    const ParamPlan &pp = plan.params[index];
-    const Arg &arg = args[index];
-    if (!pp.isPointer || arg.data == nullptr)
-        return 0;
-
-    const auto &param = plan.fn->params[index];
-    if (pp.isString) {
-        // [string]: length is taken from the NUL terminator, bounded
-        // by the caller buffer capacity (edger8r emits strlen too).
-        const auto *p =
-            static_cast<const char *>(static_cast<void *>(arg.data));
-        std::uint64_t n = 0;
-        while (n < arg.capacity && p[n] != '\0')
-            ++n;
-        if (n == arg.capacity)
-            throw EdlError("[string] parameter '" + param.name +
-                           "' is not NUL-terminated within its buffer");
-        return n + 1;
-    }
-
-    if (pp.sizeParamIndex < 0)
-        return pp.fixedBytes; // literal (or unsized user_check)
-    const std::uint64_t units =
-        args[static_cast<std::size_t>(pp.sizeParamIndex)].scalar;
-    // count= scaling: a caller-controlled count must not wrap the
-    // 64-bit byte length (a wrapped small value would sail through
-    // the capacity check and under-copy).
-    if (pp.elemBytes > 1 &&
-        units > std::numeric_limits<std::uint64_t>::max() / pp.elemBytes) {
-        throw EdlError(plan.fn->name + ": parameter '" + param.name +
-                       "' count*size overflows a 64-bit byte length");
-    }
-    return units * pp.elemBytes;
-}
-
 void
 Marshaller::validate(const CallPlan &plan, const Args &args) const
 {
@@ -172,7 +182,7 @@ Marshaller::validate(const CallPlan &plan, const Args &args) const
     for (std::size_t i = 0; i < plan.params.size(); ++i) {
         // Every size must resolve, user_check's included; NULL and
         // zero-length buffers copy nothing and need no further check.
-        const std::uint64_t bytes = bytesOf(plan, i, args);
+        const std::uint64_t bytes = plan.bytesOf(i, args);
         const ParamPlan &pp = plan.params[i];
         if (pp.noCopy || bytes == 0)
             continue; // user_check: zero copy, deliberately unchecked
@@ -239,7 +249,7 @@ Marshaller::stage(const CallPlan &plan, const Args &args,
         auto &slot = call.slots_[i];
         slot.data = arg.data;
         slot.addr = arg.addr;
-        slot.bytes = bytesOf(plan, i, args);
+        slot.bytes = plan.bytesOf(i, args);
         slot.staged = !pp.noCopy && slot.bytes > 0;
         if (!slot.staged)
             continue;

@@ -110,6 +110,11 @@ struct CallPlan {
      *  @throw EdlError when a literal count*size overflows */
     explicit CallPlan(const EdgeFunction &fn);
 
+    /** @return the byte length of pointer param @p index (0 for NULL
+     *  and unsized user_check). @throw EdlError on count*size overflow
+     *  or a [string] without its NUL */
+    std::uint64_t bytesOf(std::size_t index, const Args &args) const;
+
     const EdgeFunction *fn = nullptr;
     bool ecall = false;
     /** Any parameter can ever touch staging (false for scalar-only
@@ -146,6 +151,14 @@ class StagedCall
   public:
     /** An empty staged call (filled in by Marshaller::stage()). */
     StagedCall() = default;
+
+    /**
+     * An unstaged call, for a caller that crosses no boundary (the
+     * port's Native mode): every pointer parameter resolves to the
+     * caller's own bytes. Sizes resolve as in stage(); nothing is
+     * copied, charged or checked against the enclave boundary.
+     */
+    StagedCall(const CallPlan &plan, const Args &args);
 
     StagedCall(StagedCall &&) = default;
     StagedCall &operator=(StagedCall &&) = default;
@@ -251,12 +264,6 @@ class Marshaller
     void finish(StagedCall &call);
 
   private:
-    /** @return the byte length of pointer param @p index (0 for NULL
-     *  and unsized user_check). @throw EdlError on count*size overflow
-     *  or a [string] without its NUL */
-    std::uint64_t bytesOf(const CallPlan &plan, std::size_t index,
-                          const Args &args) const;
-
     void charge(double cycles);
 
     /**

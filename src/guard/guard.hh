@@ -48,6 +48,21 @@
 
 namespace hc::guard {
 
+/** Approximate cost of one failed claim attempt (PAUSE plus mean poll
+ *  jitter), used to convert the latency estimate into an attempt
+ *  budget. */
+constexpr Cycles kAttemptCost = 46;
+/** Safety factor applied to the estimated latency upper bound when
+ *  deriving the adaptive attempt budget. */
+constexpr double kBudgetHeadroom = 2.0;
+/** Clamp bounds of the abandon deadline for a published request no
+ *  responder has committed to (unserved). */
+constexpr Cycles kMinUnservedWait = 30'000;
+constexpr Cycles kMaxUnservedWait = 2'000'000;
+/** Safety factor applied to the latency upper bound when deriving the
+ *  unserved-request abandon deadline. */
+constexpr double kWaitHeadroom = 8.0;
+
 /**
  * The unified timeout policy shared by HotCallService, HotQueue and
  * the porting layer (previously each carried its own `timeoutTries`
@@ -62,20 +77,6 @@ struct TimeoutPolicy {
     int timeoutTries = 10;
     /** Ceiling of the adaptive budget (attempts per call). */
     int maxTimeoutTries = 256;
-    /** Approximate cost of one failed claim attempt (PAUSE plus mean
-     *  poll jitter), used to convert the latency estimate into an
-     *  attempt budget. */
-    Cycles attemptCost = 46;
-    /** Safety factor applied to the estimated latency upper bound
-     *  when deriving the adaptive attempt budget. */
-    double budgetHeadroom = 2.0;
-    /** Clamp bounds of the abandon deadline for a published request
-     *  no responder has committed to (unserved). */
-    Cycles minUnservedWait = 30'000;
-    Cycles maxUnservedWait = 2'000'000;
-    /** Safety factor applied to the latency upper bound when deriving
-     *  the unserved-request abandon deadline. */
-    double waitHeadroom = 8.0;
     /** Deadline for a HotQueue slot stuck Publishing (claimed but
      *  never published): past it the head scan retires the slot so
      *  the ring keeps rotating. Generous — legitimate marshalling of
@@ -231,12 +232,9 @@ class ChannelGuard
         if ((consecFallbacks_ == 0 && !responderLate(now)) ||
             !latency_.primed())
             return floor;
-        const double want =
-            static_cast<double>(latency_.upperBound()) *
-            policy_.budgetHeadroom /
-            static_cast<double>(policy_.attemptCost > 0
-                                    ? policy_.attemptCost
-                                    : 1);
+        const double want = static_cast<double>(latency_.upperBound()) *
+                            kBudgetHeadroom /
+                            static_cast<double>(kAttemptCost);
         int budget = static_cast<int>(want) + 1;
         if (budget < floor)
             budget = floor;
@@ -253,14 +251,13 @@ class ChannelGuard
     Cycles unservedDeadline() const
     {
         if (!latency_.primed())
-            return policy_.minUnservedWait;
+            return kMinUnservedWait;
         const Cycles want = static_cast<Cycles>(
-            static_cast<double>(latency_.upperBound()) *
-            policy_.waitHeadroom);
-        if (want < policy_.minUnservedWait)
-            return policy_.minUnservedWait;
-        if (want > policy_.maxUnservedWait)
-            return policy_.maxUnservedWait;
+            static_cast<double>(latency_.upperBound()) * kWaitHeadroom);
+        if (want < kMinUnservedWait)
+            return kMinUnservedWait;
+        if (want > kMaxUnservedWait)
+            return kMaxUnservedWait;
         return want;
     }
 

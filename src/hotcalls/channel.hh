@@ -31,7 +31,6 @@
 #include "guard/guard.hh"
 #include "mem/arena.hh"
 #include "sdk/runtime.hh"
-#include "sdk/spinlock.hh"
 #include "support/logging.hh"
 
 namespace hc::hotcalls {
@@ -42,18 +41,20 @@ enum class Kind {
     HotOcall, //!< trusted requester -> untrusted responder
 };
 
+/** Small per-poll jitter bound (pipeline/branch variation). */
+constexpr Cycles kPollJitter = 22;
+/** Mean extra cycles of a responder scheduling hiccup. */
+constexpr Cycles kHiccupMean = 230;
+
 /** Tunables every hot channel has (paper Section 4.2, FastPath). */
 struct ChannelConfig {
     /** Timeout policy (shared with the porting layer): the fixed spin
      *  budget plus Sentinel's adaptive-budget and reclaim-deadline
      *  knobs (guard/guard.hh). */
     guard::TimeoutPolicy timeout;
-    /** Small per-poll jitter bound (pipeline/branch variation). */
-    Cycles pollJitter = 22;
     /** Probability of a scheduling hiccup on a responder per handled
      *  call (TLB shootdowns, SMIs, ...); feeds the CDF tail. */
     double hiccupChance = 0.012;
-    Cycles hiccupMean = 230;
     /** FastPath data plane. Off is the SDK's own marshalling into
      *  heap staging per call, bit-identical to the pre-FastPath
      *  channel (same allocations, same charges, same RNG draws). */
@@ -286,7 +287,7 @@ class Channel
     Cycles pauseCycles()
     {
         return sdk::kPauseCycles +
-               machine_.engine().rng().nextBelow(knobs_->pollJitter + 1);
+               machine_.engine().rng().nextBelow(kPollJitter + 1);
     }
 
     /** One PAUSE plus the poll-jitter draw, charged. */
@@ -560,7 +561,7 @@ Channel::afterServe()
     auto &engine = machine_.engine();
     if (engine.rng().chance(knobs_->hiccupChance)) {
         engine.advance(static_cast<Cycles>(engine.rng().nextExponential(
-            static_cast<double>(knobs_->hiccupMean))));
+            static_cast<double>(kHiccupMean))));
     }
 }
 

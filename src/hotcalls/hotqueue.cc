@@ -30,9 +30,6 @@ HotQueue::HotQueue(sdk::EnclaveRuntime &runtime, Kind kind,
     config_.minResponders = std::clamp(
         config_.minResponders, 1,
         static_cast<int>(config_.responderCores.size()));
-    config_.maxBatch = config_.maxBatch > 0
-                           ? std::min(config_.maxBatch, config_.numSlots)
-                           : config_.numSlots;
     if (config_.scaleUpDepth <= 0)
         config_.scaleUpDepth = std::max(2, config_.numSlots / 2);
 
@@ -314,7 +311,7 @@ HotQueue::tryServeBatch(std::vector<Grab> &batch)
     // charge allows stays consistent.
     batch.clear();
     bool head_moved = false;
-    while (static_cast<int>(batch.size()) < config_.maxBatch &&
+    while (static_cast<int>(batch.size()) < config_.numSlots &&
            head_ != tail_) {
         const std::size_t idx = head_ % slots_.size();
         Slot &slot = slots_[idx];
@@ -548,7 +545,7 @@ HotQueue::responderLoop(int index)
                     windowBusy = 0;
                     // Occupancy stayed low for a whole window: this
                     // responder is surplus; park until load returns.
-                    if (busy_frac < queue.config_.scaleDownOccupancy &&
+                    if (busy_frac < kScaleDownOccupancy &&
                         queue.activeResponders() >
                             queue.config_.minResponders)
                         return end(Exit::Park);
@@ -583,7 +580,7 @@ HotQueue::responderLoop(int index)
     };
 
     std::vector<Grab> batch; // reused by every poll
-    batch.reserve(static_cast<std::size_t>(config_.maxBatch));
+    batch.reserve(static_cast<std::size_t>(config_.numSlots));
     Poll poll(*this);
     for (engine.spin(poll); poll.exit != Exit::Stop; engine.spin(poll)) {
         switch (poll.exit) {

@@ -41,6 +41,10 @@
 
 namespace hc::hotcalls {
 
+/** Park a surplus responder when the fraction of its occupancy
+ *  window's TIME it spent serving batches drops below this. */
+constexpr double kScaleDownOccupancy = 0.2;
+
 /** HotQueue tunables (ChannelConfig::arenaBytes is per slot). */
 struct HotQueueConfig : ChannelConfig {
     /** Ring capacity: concurrent in-flight requests. */
@@ -49,13 +53,8 @@ struct HotQueueConfig : ChannelConfig {
     int minResponders = 1;
     /** One pool member per core; size = maximum pool size. */
     std::vector<CoreId> responderCores = {2};
-    /** Max slots served per channel acquisition; 0 = numSlots. */
-    int maxBatch = 0;
     /** Sliding occupancy window, in responder polls. */
     std::uint64_t scaleWindowPolls = 256;
-    /** Park a surplus responder when the fraction of window TIME it
-     *  spent serving batches drops below this. */
-    double scaleDownOccupancy = 0.2;
     /** Queue depth at which an enqueue wakes a parked responder;
      *  0 = auto (half the slots, at least 2). */
     int scaleUpDepth = 0;
@@ -139,7 +138,7 @@ class HotQueue : public Channel
         std::uint64_t epoch;
     };
 
-    /** Once a poll saw pending entries: serve up to maxBatch of them,
+    /** Once a poll saw pending entries: serve up to numSlots of them,
      *  collected in @p batch (the calling responder's scratch, cleared
      *  here: responders share the queue and a batch spans
      *  suspensions). @return slots served. */

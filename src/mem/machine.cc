@@ -15,7 +15,7 @@ namespace hc::mem {
 
 Machine::Machine(MachineConfig config)
     : config_(config), engine_(config.engine),
-      space_(config.untrustedMemory, config.mem.epcVirtualSize),
+      space_(kUntrustedMemory, config.mem.epcVirtualSize),
       memory_(engine_, space_, config.mem, config.engine.seed ^ 0x5367)
 {
     check::CheckConfig cc = config_.check;

@@ -27,11 +27,13 @@ class FaultInjector;
 
 namespace hc::mem {
 
+/** Untrusted (non-EPC) virtual memory of every machine. */
+constexpr std::uint64_t kUntrustedMemory = 4096_MiB;
+
 /** Configuration of a simulated machine. */
 struct MachineConfig {
     sim::Engine::Config engine;
     CostParams mem;
-    std::uint64_t untrustedMemory = 4096_MiB;
     /** SimCheck correctness layer (src/check). Off by default; the
      *  HC_CHECK environment variable enables it (with
      *  panic-on-violation) unless the config enables it explicitly. */

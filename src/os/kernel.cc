@@ -746,6 +746,8 @@ Kernel::epollWait(int epfd, std::vector<int> &ready, int max_events,
                   Cycles timeout)
 {
     charge(params_.syscall + params_.epollWaitBase);
+    if (max_events <= 0)
+        return kEinval; // no room for an event, checked first as Linux does
     Desc *e = desc(epfd);
     if (!e || e->type != Desc::Type::Epoll)
         return kEbadf;
@@ -763,8 +765,7 @@ Kernel::epollWait(int epfd, std::vector<int> &ready, int max_events,
             e->scanStart = (e->scanStart + 1) % count;
             // Without clock-dependent members the ready count is
             // exact: walk only until every ready member is found.
-            std::size_t limit =
-                static_cast<std::size_t>(std::max(max_events, 1));
+            std::size_t limit = static_cast<std::size_t>(max_events);
             if (e->clockMembers == 0)
                 limit = std::min(limit, e->readyMembers);
             std::size_t k = 0, clock_seen = 0, ready_seen = 0;

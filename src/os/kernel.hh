@@ -58,7 +58,7 @@ enum OsError : int {
     kEnoent = -2,
     kEconnRefused = -111,
     kEmsgsize = -90,
-    kEinval = -22, //!< epoll: a set added to itself
+    kEinval = -22, //!< epoll: a set added to itself, or no room for events
     kEloop = -40,  //!< epoll: nesting that would form a cycle
 };
 
@@ -187,9 +187,10 @@ class Kernel
     /**
      * Wait for readable fds.
      * @param ready     out: readable fds
-     * @param max_events max entries to report
+     * @param max_events max entries to report; <= 0 is kEinval
      * @param timeout   cycles to wait (0 = poll, no blocking)
-     * @return number of ready fds
+     * @return number of ready fds, or a negative OsError (@p ready is
+     *         then left as it was)
      */
     int epollWait(int epfd, std::vector<int> &ready, int max_events,
                   Cycles timeout);

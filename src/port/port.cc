@@ -5,6 +5,9 @@
 
 #include "port/port.hh"
 
+#include <algorithm>
+#include <cstring>
+
 #include "fault/fault.hh"
 #include "support/logging.hh"
 
@@ -64,20 +67,212 @@ enclave {
 
 namespace {
 
+using edl::Arg;
+using edl::StagedCall;
+
 /** epoll_ctl op codes carried through the generic ocall. */
 constexpr int kEpollAdd = 1;
 constexpr int kEpollDel = 2;
 
-std::int64_t
-toSigned(std::uint64_t v)
-{
-    return static_cast<std::int64_t>(v);
-}
+/** TCS pool of a ported enclave. */
+constexpr int kNumTcs = 8;
+
+/** Entries of the fd array epoll_wait and poll pass (fdScratch_). */
+constexpr int kMaxFds = 128;
 
 std::uint64_t
 toUnsigned(std::int64_t v)
 {
     return static_cast<std::uint64_t>(v);
+}
+
+/** A signed scalar argument (an fd, port or op) as an EDL int64_t. */
+Arg
+intArg(std::int64_t v)
+{
+    return Arg::value(toUnsigned(v));
+}
+
+/** Scalar parameter @p index of @p c read back as an int. */
+int
+intAt(const StagedCall &c, int index)
+{
+    return static_cast<int>(c.scalar(index));
+}
+
+/** A pointer argument over plain host bytes, with no simulated
+ *  address: Native's own memory, which an unstaged call never prices. */
+Arg
+hostBytes(const void *data, std::uint64_t bytes)
+{
+    Arg a;
+    a.data = static_cast<std::uint8_t *>(const_cast<void *>(data));
+    a.capacity = bytes;
+    return a;
+}
+
+/** Dispatch ids of kOsEdl's ocalls, in declaration order. */
+enum OsCall : int {
+    kRead, kWrite, kSend, kSendmsg, kRecv, kWritev, kSendto, kRecvfrom,
+    kSendfile, kAccept, kClose, kOpen, kFxstat64, kFcntl, kIoctl,
+    kSetsockopt, kShutdown, kEpollCreate, kEpollCtl, kEpollWait, kPoll,
+    kTime, kGettimeofday, kGetpid, kInetNtop, kInetAddr, kListen,
+    kConnect, kUdpSocket, kNumOsCalls
+};
+
+/** The untrusted side of an ocall, whichever route reaches it: the
+ *  one place its syscall is made. */
+using Landing = void (*)(os::Kernel &, StagedCall &);
+
+struct OsCallInfo {
+    const char *name;
+    /** Table 2's name for the call in Native mode: the libc symbol an
+     *  unmodified binary links, which for three calls is not the
+     *  ocall's. */
+    const char *nativeName;
+    Landing land;
+};
+
+/** Every ocall of kOsEdl, indexed by OsCall. */
+constexpr OsCallInfo kOsCalls[kNumOsCalls] = {
+    {"ocall_read", "read", [](os::Kernel &k, StagedCall &c) {
+         c.setRetval(toUnsigned(k.read(intAt(c, 0), c.data(1), c.scalar(2))));
+     }},
+    {"ocall_write", "write", [](os::Kernel &k, StagedCall &c) {
+         c.setRetval(
+             toUnsigned(k.write(intAt(c, 0), c.data(1), c.scalar(2))));
+     }},
+    {"ocall_send", "send", [](os::Kernel &k, StagedCall &c) {
+         c.setRetval(toUnsigned(k.send(intAt(c, 0), c.data(1), c.scalar(2))));
+     }},
+    {"ocall_sendmsg", "sendmsg", [](os::Kernel &k, StagedCall &c) {
+         c.setRetval(toUnsigned(k.send(intAt(c, 0), c.data(1), c.scalar(2))));
+     }},
+    {"ocall_recv", "recv", [](os::Kernel &k, StagedCall &c) {
+         c.setRetval(toUnsigned(k.recv(intAt(c, 0), c.data(1), c.scalar(2))));
+     }},
+    {"ocall_writev", "writev", [](os::Kernel &k, StagedCall &c) {
+         c.setRetval(
+             toUnsigned(k.writev(intAt(c, 0), c.data(1), c.scalar(2))));
+     }},
+    {"ocall_sendto", "sendto", [](os::Kernel &k, StagedCall &c) {
+         c.setRetval(toUnsigned(k.sendto(intAt(c, 0), c.data(1),
+                                         c.scalar(2), intAt(c, 3))));
+     }},
+    {"ocall_recvfrom", "recvfrom", [](os::Kernel &k, StagedCall &c) {
+         c.setRetval(
+             toUnsigned(k.recvfrom(intAt(c, 0), c.data(1), c.scalar(2))));
+     }},
+    {"ocall_sendfile", "sendfile64", [](os::Kernel &k, StagedCall &c) {
+         c.setRetval(toUnsigned(k.sendfile(intAt(c, 0), intAt(c, 1),
+                                           c.scalar(2), c.scalar(3))));
+     }},
+    {"ocall_accept", "accept", [](os::Kernel &k, StagedCall &c) {
+         c.setRetval(toUnsigned(k.accept(intAt(c, 0))));
+     }},
+    {"ocall_close", "close", [](os::Kernel &k, StagedCall &c) {
+         c.setRetval(toUnsigned(k.close(intAt(c, 0))));
+     }},
+    {"ocall_open", "open64_2", [](os::Kernel &k, StagedCall &c) {
+         const std::string path(reinterpret_cast<const char *>(c.data(0)));
+         c.setRetval(toUnsigned(k.open(path)));
+     }},
+    {"ocall_fxstat64", "fxstat64", [](os::Kernel &k, StagedCall &c) {
+         std::uint64_t size = 0;
+         const int rc = k.fstat(intAt(c, 0), &size);
+         std::memcpy(c.data(1), &size, sizeof(size));
+         c.setRetval(toUnsigned(rc));
+     }},
+    {"ocall_fcntl", "fcntl", [](os::Kernel &k, StagedCall &c) {
+         c.setRetval(toUnsigned(k.fcntl(intAt(c, 0), intAt(c, 1))));
+     }},
+    {"ocall_ioctl", "ioctl", [](os::Kernel &k, StagedCall &c) {
+         c.setRetval(toUnsigned(k.ioctl(intAt(c, 0), intAt(c, 1))));
+     }},
+    {"ocall_setsockopt", "setsockopt", [](os::Kernel &k, StagedCall &c) {
+         c.setRetval(toUnsigned(k.setsockopt(intAt(c, 0), intAt(c, 1))));
+     }},
+    {"ocall_shutdown", "shutdown", [](os::Kernel &k, StagedCall &c) {
+         c.setRetval(toUnsigned(k.shutdown(intAt(c, 0))));
+     }},
+    {"ocall_epoll_create", "epoll_create", [](os::Kernel &k, StagedCall &c) {
+         c.setRetval(toUnsigned(k.epollCreate()));
+     }},
+    {"ocall_epoll_ctl", "epoll_ctl", [](os::Kernel &k, StagedCall &c) {
+         const int epfd = intAt(c, 0);
+         const int fd = intAt(c, 2);
+         c.setRetval(toUnsigned(intAt(c, 1) == kEpollAdd
+                                    ? k.epollCtlAdd(epfd, fd)
+                                    : k.epollCtlDel(epfd, fd)));
+     }},
+    {"ocall_epoll_wait", "epoll_wait", [](os::Kernel &k, StagedCall &c) {
+         std::vector<int> ready;
+         const int n =
+             k.epollWait(intAt(c, 0), ready, intAt(c, 2), c.scalar(3));
+         auto *out = reinterpret_cast<std::int64_t *>(c.data(1));
+         for (int i = 0; i < n; ++i)
+             out[i] = ready[static_cast<std::size_t>(i)];
+         c.setRetval(toUnsigned(n));
+     }},
+    {"ocall_poll", "poll", [](os::Kernel &k, StagedCall &c) {
+         auto *fds = reinterpret_cast<std::int64_t *>(c.data(0));
+         const std::size_t nfds = c.scalar(1);
+         std::vector<int> in(nfds), ready;
+         for (std::size_t i = 0; i < nfds; ++i)
+             in[i] = static_cast<int>(fds[i]);
+         const int n = k.poll(in, ready, c.scalar(2));
+         for (int i = 0; i < n; ++i)
+             fds[i] = ready[static_cast<std::size_t>(i)];
+         c.setRetval(toUnsigned(n));
+     }},
+    {"ocall_time", "time", [](os::Kernel &k, StagedCall &c) {
+         c.setRetval(k.timeSeconds());
+     }},
+    {"ocall_gettimeofday", "gettimeofday", [](os::Kernel &k, StagedCall &c) {
+         c.setRetval(k.timeMicros());
+     }},
+    {"ocall_getpid", "getpid", [](os::Kernel &k, StagedCall &c) {
+         c.setRetval(toUnsigned(k.getpid()));
+     }},
+    {"ocall_inet_ntop", "inet_ntop", [](os::Kernel &k, StagedCall &c) {
+         c.setRetval(k.inetNtop(static_cast<std::uint32_t>(c.scalar(0))));
+     }},
+    {"ocall_inet_addr", "inet_addr", [](os::Kernel &k, StagedCall &c) {
+         c.setRetval(k.inetAddr(c.scalar(0)));
+     }},
+    {"ocall_listen", "listen", [](os::Kernel &k, StagedCall &c) {
+         c.setRetval(toUnsigned(k.listenTcp(intAt(c, 0))));
+     }},
+    {"ocall_connect", "connect", [](os::Kernel &k, StagedCall &c) {
+         c.setRetval(toUnsigned(k.connectTcp(intAt(c, 0))));
+     }},
+    {"ocall_udp_socket", "socket", [](os::Kernel &k, StagedCall &c) {
+         c.setRetval(toUnsigned(k.udpSocket(intAt(c, 0), intAt(c, 1))));
+     }},
+};
+
+/** kOsEdl parsed once, with the plans by which Native's unstaged calls
+ *  resolve their parameters. */
+struct OsInterface {
+    edl::EdlFile edl = edl::parseEdl(kOsEdl);
+    std::vector<edl::CallPlan> plans;
+
+    OsInterface()
+    {
+        // The OsCall ids must be kOsEdl's dispatch ids.
+        hc_assert(edl.untrusted.size() == kNumOsCalls);
+        for (int id = 0; id < kNumOsCalls; ++id) {
+            hc_assert(edl.untrusted[id].name == kOsCalls[id].name);
+            plans.emplace_back(edl.untrusted[id]);
+        }
+    }
+};
+
+const OsInterface &
+osInterface()
+{
+    static const OsInterface iface;
+    return iface;
 }
 
 } // anonymous namespace
@@ -100,12 +295,24 @@ PortedApp::PortedApp(sgx::SgxPlatform &platform, os::Kernel &kernel,
                      const std::string &name, PortConfig config)
     : platform_(platform), kernel_(kernel), config_(std::move(config))
 {
-    if (config_.mode != Mode::Native) {
+    if (config_.mode == Mode::Native) {
+        // No enclave to keep the utilities in: they are libc calls.
+        config_.utilitiesInEnclave = false;
+        nativeCounts_.assign(kNumOsCalls, 0);
+    } else {
         runtime_ = std::make_unique<sdk::EnclaveRuntime>(
-            platform_, name, kOsEdl, config_.numTcs, config_.marshal);
-        registerLandings();
+            platform_, name, kOsEdl, kNumTcs, config_.marshal);
+        for (int id = 0; id < kNumOsCalls; ++id) {
+            hc_assert(runtime_->ocallName(id) == kOsCalls[id].name);
+            runtime_->registerOcall(
+                kOsCalls[id].name,
+                [land = kOsCalls[id].land, &k = kernel_](StagedCall &c) {
+                    land(k, c);
+                });
+        }
+        runFunctionId_ = runtime_->ecallId("ecall_run_function");
         runtime_->registerEcall(
-            "ecall_run_function", [this](edl::StagedCall &c) {
+            "ecall_run_function", [this](StagedCall &c) {
                 const auto handle =
                     static_cast<std::size_t>(c.scalar(0));
                 hc_assert(handle < functions_.size());
@@ -113,13 +320,11 @@ PortedApp::PortedApp(sgx::SgxPlatform &platform, os::Kernel &kernel,
                 c.setRetval(0);
             });
 
-        const auto &ocalls = runtime_->edlFile().untrusted;
-        hotById_.assign(ocalls.size(), false);
+        hotById_.assign(kNumOsCalls, false);
         if (config_.mode == Mode::SgxHotCalls) {
-            for (std::size_t i = 0; i < ocalls.size(); ++i) {
-                hotById_[i] = config_.hotOcalls.empty() ||
-                              config_.hotOcalls.count(ocalls[i].name) >
-                                  0;
+            for (int id = 0; id < kNumOsCalls; ++id) {
+                hotById_[id] = config_.hotOcalls.empty() ||
+                               config_.hotOcalls.contains(kOsCalls[id].name);
             }
             // All app threads share one multi-slot ring per direction;
             // the ocall pool may scale onto the configured extra cores
@@ -140,7 +345,7 @@ PortedApp::PortedApp(sgx::SgxPlatform &platform, os::Kernel &kernel,
         }
     }
     fdScratch_ = std::make_unique<mem::Buffer>(
-        kernel_.machine(), dataDomain(), 128 * sizeof(std::int64_t));
+        kernel_.machine(), dataDomain(), kMaxFds * sizeof(std::int64_t));
 }
 
 PortedApp::~PortedApp() = default;
@@ -150,7 +355,7 @@ PortedApp::declareImports(const std::vector<std::string> &imports)
 {
     // Play the linker: every external reference must resolve to a
     // generated ocall wrapper (or a libc function we provide).
-    const edl::EdlFile edl = edl::parseEdl(kOsEdl);
+    const edl::EdlFile &edl = osInterface().edl;
     std::string missing;
     for (const auto &name : imports) {
         if (!edl.findUntrusted("ocall_" + name))
@@ -191,471 +396,204 @@ PortedApp::registerFunction(std::function<void(std::uint64_t)> fn)
 void
 PortedApp::runEnclaveFunction(int handle, std::uint64_t arg)
 {
-    const edl::Args args = {
-        edl::Arg::value(static_cast<std::uint64_t>(handle)),
-        edl::Arg::value(arg)};
+    const edl::Args args = {Arg::value(static_cast<std::uint64_t>(handle)),
+                            Arg::value(arg)};
     switch (config_.mode) {
       case Mode::Native:
-        countNative("RunEnclaveFucntion");
+        ++nativeRuns_;
         kernel_.machine().engine().advance(25); // indirect call
         functions_[static_cast<std::size_t>(handle)](arg);
         break;
       case Mode::Sgx:
-        runtime_->ecall("ecall_run_function", args);
+        runtime_->ecall(runFunctionId_, args);
         break;
       case Mode::SgxHotCalls:
-        hotEcalls_->call("ecall_run_function", args);
+        hotEcalls_->call(runFunctionId_, args);
         break;
     }
 }
 
-void
-PortedApp::countNative(const std::string &name)
+std::int64_t
+PortedApp::osCall(int id, const edl::Args &args)
 {
-    ++nativeCounts_[name];
-}
-
-std::uint64_t
-PortedApp::osCall(const std::string &name, const edl::Args &args)
-{
-    const int id = runtime_->ocallId(name);
-    if (config_.mode == Mode::SgxHotCalls &&
-        hotById_[static_cast<std::size_t>(id)]) {
-        auto *injector = kernel_.machine().fault();
-        if (injector &&
-            injector->fire(fault::Site::PortFallback)) {
-            // Fault plan reroutes this hot-eligible ocall down the
-            // conventional SDK path (fallback-plane storm).
-            ++forcedFallbacks_;
-            return runtime_->ocall(id, args);
-        }
-        return hotOcalls_->call(id, args);
+    const auto index = static_cast<std::size_t>(id);
+    std::uint64_t rv;
+    if (config_.mode == Mode::Native) {
+        // No boundary to cross: the landing runs on the caller's own
+        // bytes, with nothing staged or charged on the way.
+        ++nativeCounts_[index];
+        StagedCall call(osInterface().plans[index], args);
+        kOsCalls[id].land(kernel_, call);
+        rv = call.retval();
+    } else if (!hotById_[index]) {
+        rv = runtime_->ocall(id, args);
+    } else if (auto *injector = kernel_.machine().fault();
+               injector && injector->fire(fault::Site::PortFallback)) {
+        // Fault plan reroutes this hot-eligible ocall down the
+        // conventional SDK path (fallback-plane storm).
+        ++forcedFallbacks_;
+        rv = runtime_->ocall(id, args);
+    } else {
+        rv = hotOcalls_->call(id, args);
     }
-    return runtime_->ocall(id, args);
+    return static_cast<std::int64_t>(rv);
 }
 
 // ----------------------------------------------------------------------
-// Landing functions: the untrusted side of every generated ocall.
-// ----------------------------------------------------------------------
-
-void
-PortedApp::registerLandings()
-{
-    auto &rt = *runtime_;
-    auto &k = kernel_;
-
-    rt.registerOcall("ocall_read", [&k](edl::StagedCall &c) {
-        c.setRetval(toUnsigned(k.read(static_cast<int>(c.scalar(0)),
-                                      c.data(1), c.scalar(2))));
-    });
-    rt.registerOcall("ocall_write", [&k](edl::StagedCall &c) {
-        c.setRetval(toUnsigned(k.write(static_cast<int>(c.scalar(0)),
-                                       c.data(1), c.scalar(2))));
-    });
-    rt.registerOcall("ocall_send", [&k](edl::StagedCall &c) {
-        c.setRetval(toUnsigned(k.send(static_cast<int>(c.scalar(0)),
-                                      c.data(1), c.scalar(2))));
-    });
-    rt.registerOcall("ocall_sendmsg", [&k](edl::StagedCall &c) {
-        c.setRetval(toUnsigned(k.send(static_cast<int>(c.scalar(0)),
-                                      c.data(1), c.scalar(2))));
-    });
-    rt.registerOcall("ocall_recv", [&k](edl::StagedCall &c) {
-        c.setRetval(toUnsigned(k.recv(static_cast<int>(c.scalar(0)),
-                                      c.data(1), c.scalar(2))));
-    });
-    rt.registerOcall("ocall_writev", [&k](edl::StagedCall &c) {
-        c.setRetval(toUnsigned(k.writev(static_cast<int>(c.scalar(0)),
-                                        c.data(1), c.scalar(2))));
-    });
-    rt.registerOcall("ocall_sendto", [&k](edl::StagedCall &c) {
-        c.setRetval(toUnsigned(
-            k.sendto(static_cast<int>(c.scalar(0)), c.data(1),
-                     c.scalar(2), static_cast<int>(c.scalar(3)))));
-    });
-    rt.registerOcall("ocall_recvfrom", [&k](edl::StagedCall &c) {
-        c.setRetval(toUnsigned(k.recvfrom(
-            static_cast<int>(c.scalar(0)), c.data(1), c.scalar(2))));
-    });
-    rt.registerOcall("ocall_sendfile", [&k](edl::StagedCall &c) {
-        c.setRetval(toUnsigned(
-            k.sendfile(static_cast<int>(c.scalar(0)),
-                       static_cast<int>(c.scalar(1)), c.scalar(2),
-                       c.scalar(3))));
-    });
-    rt.registerOcall("ocall_accept", [&k](edl::StagedCall &c) {
-        c.setRetval(
-            toUnsigned(k.accept(static_cast<int>(c.scalar(0)))));
-    });
-    rt.registerOcall("ocall_close", [&k](edl::StagedCall &c) {
-        c.setRetval(
-            toUnsigned(k.close(static_cast<int>(c.scalar(0)))));
-    });
-    rt.registerOcall("ocall_open", [&k](edl::StagedCall &c) {
-        const std::string path(
-            reinterpret_cast<const char *>(c.data(0)));
-        c.setRetval(toUnsigned(k.open(path)));
-    });
-    rt.registerOcall("ocall_fxstat64", [&k](edl::StagedCall &c) {
-        std::uint64_t size = 0;
-        const int rc = k.fstat(static_cast<int>(c.scalar(0)), &size);
-        std::memcpy(c.data(1), &size, sizeof(size));
-        c.setRetval(toUnsigned(rc));
-    });
-    rt.registerOcall("ocall_fcntl", [&k](edl::StagedCall &c) {
-        c.setRetval(toUnsigned(k.fcntl(static_cast<int>(c.scalar(0)),
-                                       static_cast<int>(c.scalar(1)))));
-    });
-    rt.registerOcall("ocall_ioctl", [&k](edl::StagedCall &c) {
-        c.setRetval(toUnsigned(k.ioctl(static_cast<int>(c.scalar(0)),
-                                       static_cast<int>(c.scalar(1)))));
-    });
-    rt.registerOcall("ocall_setsockopt", [&k](edl::StagedCall &c) {
-        c.setRetval(toUnsigned(
-            k.setsockopt(static_cast<int>(c.scalar(0)),
-                         static_cast<int>(c.scalar(1)))));
-    });
-    rt.registerOcall("ocall_shutdown", [&k](edl::StagedCall &c) {
-        c.setRetval(
-            toUnsigned(k.shutdown(static_cast<int>(c.scalar(0)))));
-    });
-    rt.registerOcall("ocall_epoll_create", [&k](edl::StagedCall &c) {
-        c.setRetval(toUnsigned(k.epollCreate()));
-    });
-    rt.registerOcall("ocall_epoll_ctl", [&k](edl::StagedCall &c) {
-        const int epfd = static_cast<int>(c.scalar(0));
-        const int op = static_cast<int>(c.scalar(1));
-        const int fd = static_cast<int>(c.scalar(2));
-        c.setRetval(toUnsigned(op == kEpollAdd
-                                   ? k.epollCtlAdd(epfd, fd)
-                                   : k.epollCtlDel(epfd, fd)));
-    });
-    rt.registerOcall("ocall_epoll_wait", [&k](edl::StagedCall &c) {
-        std::vector<int> ready;
-        const int n = k.epollWait(static_cast<int>(c.scalar(0)), ready,
-                                  static_cast<int>(c.scalar(2)),
-                                  c.scalar(3));
-        auto *out = reinterpret_cast<std::int64_t *>(c.data(1));
-        for (int i = 0; i < n; ++i)
-            out[i] = ready[static_cast<std::size_t>(i)];
-        c.setRetval(toUnsigned(n));
-    });
-    rt.registerOcall("ocall_poll", [&k](edl::StagedCall &c) {
-        auto *fds = reinterpret_cast<std::int64_t *>(c.data(0));
-        const std::size_t nfds = c.scalar(1);
-        std::vector<int> in(nfds), ready;
-        for (std::size_t i = 0; i < nfds; ++i)
-            in[i] = static_cast<int>(fds[i]);
-        const int n = k.poll(in, ready, c.scalar(2));
-        for (int i = 0; i < n; ++i)
-            fds[i] = ready[static_cast<std::size_t>(i)];
-        c.setRetval(toUnsigned(n));
-    });
-    rt.registerOcall("ocall_time", [&k](edl::StagedCall &c) {
-        c.setRetval(k.timeSeconds());
-    });
-    rt.registerOcall("ocall_gettimeofday", [&k](edl::StagedCall &c) {
-        c.setRetval(k.timeMicros());
-    });
-    rt.registerOcall("ocall_getpid", [&k](edl::StagedCall &c) {
-        c.setRetval(toUnsigned(k.getpid()));
-    });
-    rt.registerOcall("ocall_inet_ntop", [&k](edl::StagedCall &c) {
-        c.setRetval(
-            k.inetNtop(static_cast<std::uint32_t>(c.scalar(0))));
-    });
-    rt.registerOcall("ocall_inet_addr", [&k](edl::StagedCall &c) {
-        c.setRetval(k.inetAddr(c.scalar(0)));
-    });
-    rt.registerOcall("ocall_listen", [&k](edl::StagedCall &c) {
-        c.setRetval(
-            toUnsigned(k.listenTcp(static_cast<int>(c.scalar(0)))));
-    });
-    rt.registerOcall("ocall_connect", [&k](edl::StagedCall &c) {
-        c.setRetval(
-            toUnsigned(k.connectTcp(static_cast<int>(c.scalar(0)))));
-    });
-    rt.registerOcall("ocall_udp_socket", [&k](edl::StagedCall &c) {
-        c.setRetval(toUnsigned(
-            k.udpSocket(static_cast<int>(c.scalar(0)),
-                        static_cast<int>(c.scalar(1)))));
-    });
-}
-
-// ----------------------------------------------------------------------
-// The libc surface.
+// The libc surface: each method packs its arguments once and osCall()
+// takes them to the call's landing in kOsCalls.
 // ----------------------------------------------------------------------
 
 std::int64_t
 PortedApp::read(int fd, mem::Buffer &buf, std::uint64_t count)
 {
-    if (config_.mode == Mode::Native) {
-        countNative("read");
-        return kernel_.read(fd, buf.data(), count);
-    }
-    return toSigned(osCall("ocall_read",
-                           {edl::Arg::value(toUnsigned(fd)),
-                            edl::Arg::buffer(buf),
-                            edl::Arg::value(count)}));
+    return osCall(kRead, {intArg(fd), Arg::buffer(buf), Arg::value(count)});
 }
 
 std::int64_t
 PortedApp::write(int fd, mem::Buffer &buf, std::uint64_t count)
 {
-    if (config_.mode == Mode::Native) {
-        countNative("write");
-        return kernel_.write(fd, buf.data(), count);
-    }
-    return toSigned(osCall("ocall_write",
-                           {edl::Arg::value(toUnsigned(fd)),
-                            edl::Arg::buffer(buf),
-                            edl::Arg::value(count)}));
+    return osCall(kWrite, {intArg(fd), Arg::buffer(buf), Arg::value(count)});
 }
 
 std::int64_t
 PortedApp::send(int fd, mem::Buffer &buf, std::uint64_t count)
 {
-    if (config_.mode == Mode::Native) {
-        countNative("send");
-        return kernel_.send(fd, buf.data(), count);
-    }
-    return toSigned(osCall("ocall_send",
-                           {edl::Arg::value(toUnsigned(fd)),
-                            edl::Arg::buffer(buf),
-                            edl::Arg::value(count)}));
+    return osCall(kSend, {intArg(fd), Arg::buffer(buf), Arg::value(count)});
 }
 
 std::int64_t
 PortedApp::sendmsg(int fd, mem::Buffer &buf, std::uint64_t count)
 {
-    if (config_.mode == Mode::Native) {
-        countNative("sendmsg");
-        return kernel_.send(fd, buf.data(), count);
-    }
-    return toSigned(osCall("ocall_sendmsg",
-                           {edl::Arg::value(toUnsigned(fd)),
-                            edl::Arg::buffer(buf),
-                            edl::Arg::value(count)}));
+    return osCall(kSendmsg,
+                  {intArg(fd), Arg::buffer(buf), Arg::value(count)});
 }
 
 std::int64_t
 PortedApp::recv(int fd, mem::Buffer &buf, std::uint64_t count)
 {
-    if (config_.mode == Mode::Native) {
-        countNative("recv");
-        return kernel_.recv(fd, buf.data(), count);
-    }
-    return toSigned(osCall("ocall_recv",
-                           {edl::Arg::value(toUnsigned(fd)),
-                            edl::Arg::buffer(buf),
-                            edl::Arg::value(count)}));
+    return osCall(kRecv, {intArg(fd), Arg::buffer(buf), Arg::value(count)});
 }
 
 std::int64_t
 PortedApp::writev(int fd, mem::Buffer &buf, std::uint64_t count)
 {
-    if (config_.mode == Mode::Native) {
-        countNative("writev");
-        return kernel_.writev(fd, buf.data(), count);
-    }
-    return toSigned(osCall("ocall_writev",
-                           {edl::Arg::value(toUnsigned(fd)),
-                            edl::Arg::buffer(buf),
-                            edl::Arg::value(count)}));
+    return osCall(kWritev,
+                  {intArg(fd), Arg::buffer(buf), Arg::value(count)});
 }
 
 std::int64_t
 PortedApp::sendto(int fd, mem::Buffer &buf, std::uint64_t count,
                   int dst_port)
 {
-    if (config_.mode == Mode::Native) {
-        countNative("sendto");
-        return kernel_.sendto(fd, buf.data(), count, dst_port);
-    }
-    return toSigned(osCall("ocall_sendto",
-                           {edl::Arg::value(toUnsigned(fd)),
-                            edl::Arg::buffer(buf),
-                            edl::Arg::value(count),
-                            edl::Arg::value(toUnsigned(dst_port))}));
+    return osCall(kSendto, {intArg(fd), Arg::buffer(buf),
+                            Arg::value(count), intArg(dst_port)});
 }
 
 std::int64_t
 PortedApp::recvfrom(int fd, mem::Buffer &buf, std::uint64_t count)
 {
-    if (config_.mode == Mode::Native) {
-        countNative("recvfrom");
-        return kernel_.recvfrom(fd, buf.data(), count);
-    }
-    return toSigned(osCall("ocall_recvfrom",
-                           {edl::Arg::value(toUnsigned(fd)),
-                            edl::Arg::buffer(buf),
-                            edl::Arg::value(count)}));
+    return osCall(kRecvfrom,
+                  {intArg(fd), Arg::buffer(buf), Arg::value(count)});
 }
 
 std::int64_t
 PortedApp::sendfile(int out_fd, int in_fd, std::uint64_t offset,
                     std::uint64_t count)
 {
-    if (config_.mode == Mode::Native) {
-        countNative("sendfile64");
-        return kernel_.sendfile(out_fd, in_fd, offset, count);
-    }
-    return toSigned(osCall("ocall_sendfile",
-                           {edl::Arg::value(toUnsigned(out_fd)),
-                            edl::Arg::value(toUnsigned(in_fd)),
-                            edl::Arg::value(offset),
-                            edl::Arg::value(count)}));
+    return osCall(kSendfile, {intArg(out_fd), intArg(in_fd),
+                              Arg::value(offset), Arg::value(count)});
 }
 
 std::int64_t
 PortedApp::accept(int fd)
 {
-    if (config_.mode == Mode::Native) {
-        countNative("accept");
-        return kernel_.accept(fd);
-    }
-    return toSigned(
-        osCall("ocall_accept", {edl::Arg::value(toUnsigned(fd))}));
+    return osCall(kAccept, {intArg(fd)});
 }
 
 std::int64_t
 PortedApp::close(int fd)
 {
-    if (config_.mode == Mode::Native) {
-        countNative("close");
-        return kernel_.close(fd);
-    }
-    return toSigned(
-        osCall("ocall_close", {edl::Arg::value(toUnsigned(fd))}));
+    return osCall(kClose, {intArg(fd)});
 }
 
 std::int64_t
 PortedApp::open(const std::string &path)
 {
-    if (config_.mode == Mode::Native) {
-        countNative("open64_2");
-        return kernel_.open(path);
-    }
+    if (config_.mode == Mode::Native)
+        return osCall(kOpen, {hostBytes(path.c_str(), path.size() + 1)});
     // Stage the path string through a temporary buffer argument.
     mem::Buffer path_buf(machine(), dataDomain(), path.size() + 1);
     std::memcpy(path_buf.data(), path.c_str(), path.size() + 1);
-    return toSigned(
-        osCall("ocall_open", {edl::Arg::buffer(path_buf)}));
+    return osCall(kOpen, {Arg::buffer(path_buf)});
 }
 
 std::int64_t
 PortedApp::fstat(int fd, std::uint64_t *size_out)
 {
-    if (config_.mode == Mode::Native) {
-        countNative("fxstat64");
-        return kernel_.fstat(fd, size_out);
-    }
-    mem::Buffer out(machine(), dataDomain(), 8);
-    const auto rc = toSigned(
-        osCall("ocall_fxstat64", {edl::Arg::value(toUnsigned(fd)),
-                                  edl::Arg::buffer(out)}));
-    std::memcpy(size_out, out.data(), 8);
+    if (config_.mode == Mode::Native)
+        return osCall(kFxstat64,
+                      {intArg(fd), hostBytes(size_out, sizeof(*size_out))});
+    mem::Buffer out(machine(), dataDomain(), sizeof(*size_out));
+    const auto rc = osCall(kFxstat64, {intArg(fd), Arg::buffer(out)});
+    std::memcpy(size_out, out.data(), sizeof(*size_out));
     return rc;
 }
 
 std::int64_t
 PortedApp::fcntl(int fd, int op)
 {
-    if (config_.mode == Mode::Native) {
-        countNative("fcntl");
-        return kernel_.fcntl(fd, op);
-    }
-    return toSigned(osCall("ocall_fcntl",
-                           {edl::Arg::value(toUnsigned(fd)),
-                            edl::Arg::value(toUnsigned(op))}));
+    return osCall(kFcntl, {intArg(fd), intArg(op)});
 }
 
 std::int64_t
 PortedApp::ioctl(int fd, int op)
 {
-    if (config_.mode == Mode::Native) {
-        countNative("ioctl");
-        return kernel_.ioctl(fd, op);
-    }
-    return toSigned(osCall("ocall_ioctl",
-                           {edl::Arg::value(toUnsigned(fd)),
-                            edl::Arg::value(toUnsigned(op))}));
+    return osCall(kIoctl, {intArg(fd), intArg(op)});
 }
 
 std::int64_t
 PortedApp::setsockopt(int fd, int opt)
 {
-    if (config_.mode == Mode::Native) {
-        countNative("setsockopt");
-        return kernel_.setsockopt(fd, opt);
-    }
-    return toSigned(osCall("ocall_setsockopt",
-                           {edl::Arg::value(toUnsigned(fd)),
-                            edl::Arg::value(toUnsigned(opt))}));
+    return osCall(kSetsockopt, {intArg(fd), intArg(opt)});
 }
 
 std::int64_t
 PortedApp::shutdown(int fd)
 {
-    if (config_.mode == Mode::Native) {
-        countNative("shutdown");
-        return kernel_.shutdown(fd);
-    }
-    return toSigned(
-        osCall("ocall_shutdown", {edl::Arg::value(toUnsigned(fd))}));
+    return osCall(kShutdown, {intArg(fd)});
 }
 
 std::int64_t
 PortedApp::epollCreate()
 {
-    if (config_.mode == Mode::Native) {
-        countNative("epoll_create");
-        return kernel_.epollCreate();
-    }
-    return toSigned(osCall("ocall_epoll_create", {}));
+    return osCall(kEpollCreate, {});
 }
 
 std::int64_t
 PortedApp::epollCtlAdd(int epfd, int fd)
 {
-    if (config_.mode == Mode::Native) {
-        countNative("epoll_ctl");
-        return kernel_.epollCtlAdd(epfd, fd);
-    }
-    return toSigned(osCall("ocall_epoll_ctl",
-                           {edl::Arg::value(toUnsigned(epfd)),
-                            edl::Arg::value(kEpollAdd),
-                            edl::Arg::value(toUnsigned(fd))}));
+    return osCall(kEpollCtl, {intArg(epfd), intArg(kEpollAdd), intArg(fd)});
 }
 
 std::int64_t
 PortedApp::epollCtlDel(int epfd, int fd)
 {
-    if (config_.mode == Mode::Native) {
-        countNative("epoll_ctl");
-        return kernel_.epollCtlDel(epfd, fd);
-    }
-    return toSigned(osCall("ocall_epoll_ctl",
-                           {edl::Arg::value(toUnsigned(epfd)),
-                            edl::Arg::value(kEpollDel),
-                            edl::Arg::value(toUnsigned(fd))}));
+    return osCall(kEpollCtl, {intArg(epfd), intArg(kEpollDel), intArg(fd)});
 }
 
 std::int64_t
 PortedApp::epollWait(int epfd, std::vector<int> &ready, int max_events,
                      Cycles timeout)
 {
-    if (config_.mode == Mode::Native) {
-        countNative("epoll_wait");
-        return kernel_.epollWait(epfd, ready, max_events, timeout);
-    }
-    max_events = std::min<int>(max_events, 128);
-    const auto n = toSigned(osCall(
-        "ocall_epoll_wait",
-        {edl::Arg::value(toUnsigned(epfd)),
-         edl::Arg::buffer(*fdScratch_),
-         edl::Arg::value(static_cast<std::uint64_t>(max_events)),
-         edl::Arg::value(timeout)}));
+    // The event array is the fd scratch: at most kMaxFds events, and
+    // a negative count asks for none.
+    max_events = std::clamp(max_events, 0, kMaxFds);
+    const auto n = osCall(kEpollWait,
+                          {intArg(epfd), Arg::buffer(*fdScratch_),
+                           intArg(max_events), Arg::value(timeout)});
+    if (n < 0)
+        return n; // a failed wait reports nothing
     ready.clear();
     const auto *out =
         reinterpret_cast<const std::int64_t *>(fdScratch_->data());
@@ -668,20 +606,14 @@ std::int64_t
 PortedApp::poll(const std::vector<int> &fds, std::vector<int> &ready,
                 Cycles timeout)
 {
-    if (config_.mode == Mode::Native) {
-        countNative("poll");
-        return kernel_.poll(fds, ready, timeout);
-    }
-    hc_assert(fds.size() <= 128);
+    hc_assert(fds.size() <= kMaxFds);
     auto *scratch =
         reinterpret_cast<std::int64_t *>(fdScratch_->data());
     for (std::size_t i = 0; i < fds.size(); ++i)
         scratch[i] = fds[i];
-    const auto n = toSigned(
-        osCall("ocall_poll",
-               {edl::Arg::buffer(*fdScratch_),
-                edl::Arg::value(fds.size()),
-                edl::Arg::value(timeout)}));
+    const auto n = osCall(kPoll, {Arg::buffer(*fdScratch_),
+                                  Arg::value(fds.size()),
+                                  Arg::value(timeout)});
     ready.clear();
     for (std::int64_t i = 0; i < n; ++i)
         ready.push_back(static_cast<int>(scratch[i]));
@@ -691,74 +623,42 @@ PortedApp::poll(const std::vector<int> &fds, std::vector<int> &ready,
 std::int64_t
 PortedApp::listen(int port)
 {
-    if (config_.mode == Mode::Native) {
-        countNative("listen");
-        return kernel_.listenTcp(port);
-    }
-    return toSigned(
-        osCall("ocall_listen", {edl::Arg::value(toUnsigned(port))}));
+    return osCall(kListen, {intArg(port)});
 }
 
 std::int64_t
 PortedApp::connect(int port)
 {
-    if (config_.mode == Mode::Native) {
-        countNative("connect");
-        return kernel_.connectTcp(port);
-    }
-    return toSigned(
-        osCall("ocall_connect", {edl::Arg::value(toUnsigned(port))}));
+    return osCall(kConnect, {intArg(port)});
 }
 
 std::int64_t
 PortedApp::udpSocket(int side, int port)
 {
-    if (config_.mode == Mode::Native) {
-        countNative("socket");
-        return kernel_.udpSocket(side, port);
-    }
-    return toSigned(osCall("ocall_udp_socket",
-                           {edl::Arg::value(toUnsigned(side)),
-                            edl::Arg::value(toUnsigned(port))}));
+    return osCall(kUdpSocket, {intArg(side), intArg(port)});
 }
 
 std::int64_t
 PortedApp::time()
 {
-    if (config_.mode == Mode::Native) {
-        countNative("time");
-        return static_cast<std::int64_t>(kernel_.timeSeconds());
-    }
-    return toSigned(osCall("ocall_time", {}));
+    return osCall(kTime, {});
 }
 
 std::int64_t
 PortedApp::gettimeofday()
 {
-    if (config_.mode == Mode::Native) {
-        countNative("gettimeofday");
-        return static_cast<std::int64_t>(kernel_.timeMicros());
-    }
-    return toSigned(osCall("ocall_gettimeofday", {}));
+    return osCall(kGettimeofday, {});
 }
 
 std::int64_t
 PortedApp::getpid()
 {
-    if (config_.mode == Mode::Native) {
-        countNative("getpid");
-        return kernel_.getpid();
-    }
-    return toSigned(osCall("ocall_getpid", {}));
+    return osCall(kGetpid, {});
 }
 
 std::int64_t
 PortedApp::inetNtop(std::uint32_t addr)
 {
-    if (config_.mode == Mode::Native) {
-        countNative("inet_ntop");
-        return static_cast<std::int64_t>(kernel_.inetNtop(addr));
-    }
     if (config_.utilitiesInEnclave) {
         // Pure string formatting needs no OS: run it as trusted
         // code (slightly dearer per byte — it executes from
@@ -768,63 +668,48 @@ PortedApp::inetNtop(std::uint32_t addr)
         return static_cast<std::int64_t>(
             static_cast<std::uint64_t>(addr) | 0x100000000ull);
     }
-    return toSigned(
-        osCall("ocall_inet_ntop", {edl::Arg::value(addr)}));
+    return osCall(kInetNtop, {Arg::value(addr)});
 }
 
 std::int64_t
 PortedApp::inetAddr(std::uint64_t packed)
 {
-    if (config_.mode == Mode::Native) {
-        countNative("inet_addr");
-        return static_cast<std::int64_t>(kernel_.inetAddr(packed));
-    }
     if (config_.utilitiesInEnclave) {
         ++inEnclaveCounts_["inet_addr(enclave)"];
         kernel_.machine().engine().advance(160);
         return static_cast<std::int64_t>(
             static_cast<std::uint32_t>(packed & 0xffffffffu));
     }
-    return toSigned(
-        osCall("ocall_inet_addr", {edl::Arg::value(packed)}));
+    return osCall(kInetAddr, {Arg::value(packed)});
 }
 
 std::map<std::string, std::uint64_t>
 PortedApp::callCounts() const
 {
-    std::map<std::string, std::uint64_t> counts;
-    if (config_.mode == Mode::Native) {
-        counts = nativeCounts_;
-        return counts;
+    const bool native = config_.mode == Mode::Native;
+    std::map<std::string, std::uint64_t> counts = inEnclaveCounts_;
+    const auto &ocalls = native ? nativeCounts_ : runtime_->ocallCounts();
+    for (int id = 0; id < kNumOsCalls; ++id) {
+        const std::uint64_t n = ocalls[static_cast<std::size_t>(id)];
+        // Under SGX a call goes by its ocall's name less "ocall_".
+        if (n > 0)
+            counts[native ? kOsCalls[id].nativeName
+                          : kOsCalls[id].name + 6] += n;
     }
-    counts = inEnclaveCounts_;
-    const auto &ocalls = runtime_->ocallCounts();
-    for (std::size_t i = 0; i < ocalls.size(); ++i) {
-        if (ocalls[i] == 0)
-            continue;
-        std::string name =
-            runtime_->ocallName(static_cast<int>(i));
-        if (name.rfind("ocall_", 0) == 0)
-            name = name.substr(6);
-        counts[name] += ocalls[i];
-    }
-    const auto &ecalls = runtime_->ecallCounts();
-    for (std::size_t i = 0; i < ecalls.size(); ++i) {
-        if (ecalls[i] == 0)
-            continue;
-        if (runtime_->ecallName(static_cast<int>(i)) ==
-            "ecall_run_function") {
-            // The paper's name (sic) for the callback ecall.
-            counts["RunEnclaveFucntion"] += ecalls[i];
-        }
-    }
+    const std::uint64_t runs =
+        native ? nativeRuns_
+               : runtime_->ecallCounts()[static_cast<std::size_t>(
+                     runFunctionId_)];
+    if (runs > 0)
+        counts["RunEnclaveFucntion"] = runs; // the paper's name (sic)
     return counts;
 }
 
 void
 PortedApp::resetCounters()
 {
-    nativeCounts_.clear();
+    nativeCounts_.assign(nativeCounts_.size(), 0);
+    nativeRuns_ = 0;
     inEnclaveCounts_.clear();
     if (runtime_)
         runtime_->resetCounters();

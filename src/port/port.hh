@@ -12,10 +12,12 @@
  *  - PortedApp::declareImports() plays the linker: every external
  *    function the application names must resolve to a generated
  *    wrapper, or the "link" fails listing the undefined references,
- *  - the libc-style methods route by mode: Native calls the kernel
- *    directly; Sgx goes through full SDK ocalls; SgxHotCalls sends
- *    the configured hot set through a HotCall channel (everything
- *    else still uses SDK ocalls),
+ *  - every libc-style method packs its ocall arguments once, and one
+ *    dispatcher routes them to the call's landing, the only place its
+ *    syscall is made: Sgx through a full SDK ocall, SgxHotCalls
+ *    through a HotCall channel for the configured hot set (SDK ocalls
+ *    for the rest), and Native straight to the landing on the
+ *    caller's own bytes,
  *  - RunEnclaveFunction (the paper's corner-case ecall for callbacks
  *    landing inside the enclave, e.g. libevent handlers) dispatches
  *    registered trusted callbacks, accelerated by a HotEcall channel
@@ -63,7 +65,6 @@ struct PortConfig {
      *  share one multi-slot ring per direction (hotqueue.hh). */
     CoreId hotOcallCore = 2;
     CoreId hotEcallCore = 3;
-    int numTcs = 8;
     /** Additional cores the ocall responder pool may scale onto. */
     std::vector<CoreId> extraHotOcallCores;
     /**
@@ -169,8 +170,11 @@ class PortedApp
     std::int64_t epollCreate();
     std::int64_t epollCtlAdd(int epfd, int fd);
     std::int64_t epollCtlDel(int epfd, int fd);
+    /** Reports at most 128 events; max_events <= 0 is os::kEinval,
+     *  and a failed wait leaves @p ready as it was. */
     std::int64_t epollWait(int epfd, std::vector<int> &ready,
                            int max_events, Cycles timeout);
+    /** @p fds holds at most 128 descriptors. */
     std::int64_t poll(const std::vector<int> &fds,
                       std::vector<int> &ready, Cycles timeout);
     std::int64_t listen(int port);
@@ -200,30 +204,28 @@ class PortedApp
     sdk::EnclaveRuntime &runtime() { return *runtime_; }
 
   private:
-    /** Issue ocall @p name, hot when configured. */
-    std::uint64_t osCall(const std::string &name, const edl::Args &args);
-
-    /** Count a native-mode call. */
-    void countNative(const std::string &name);
-
-    /** Register every ocall landing function against the kernel. */
-    void registerLandings();
+    /** Route ocall @p id to its landing: directly in Native, else as
+     *  an SDK ocall or, when configured hot, through the HotQueue. */
+    std::int64_t osCall(int id, const edl::Args &args);
 
     sgx::SgxPlatform &platform_;
     os::Kernel &kernel_;
     PortConfig config_;
     std::unique_ptr<sdk::EnclaveRuntime> runtime_;
+    int runFunctionId_ = 0; //!< ecall_run_function's dispatch id
     /** The two fast-call channels. */
     std::unique_ptr<hotcalls::HotQueue> hotOcalls_;
     std::unique_ptr<hotcalls::HotQueue> hotEcalls_;
     std::vector<std::function<void(std::uint64_t)>> functions_;
-    std::map<std::string, std::uint64_t> nativeCounts_;
+    /** Native-mode calls by ocall id (the runtime counts the rest). */
+    std::vector<std::uint64_t> nativeCounts_;
+    std::uint64_t nativeRuns_ = 0; //!< Native runEnclaveFunction calls
     std::map<std::string, std::uint64_t> inEnclaveCounts_;
     /** Cached ocall-id -> hot routing decision. */
     std::vector<bool> hotById_;
     /** Hot-eligible ocalls rerouted to the SDK path by a fault plan. */
     std::uint64_t forcedFallbacks_ = 0;
-    /** Scratch staging for epoll/poll fd arrays (EPC under SGX). */
+    /** The fd array epoll_wait and poll pass (EPC under SGX). */
     std::unique_ptr<mem::Buffer> fdScratch_;
 };
 

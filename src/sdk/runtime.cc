@@ -5,7 +5,6 @@
 
 #include "sdk/runtime.hh"
 
-#include "sdk/spinlock.hh"
 #include "support/logging.hh"
 
 namespace hc::sdk {

@@ -31,6 +31,10 @@
 
 namespace hc::sdk {
 
+/** Cost of one PAUSE instruction in a spin loop (TCS backoff, HotCall
+ *  polling). */
+constexpr Cycles kPauseCycles = 35;
+
 /** Implementation of a trusted (ecall) function. */
 using TrustedFn = std::function<void(edl::StagedCall &)>;
 

@@ -18,7 +18,6 @@
 #include "check/check.hh"
 #include "hotcalls/hotqueue.hh"
 #include "mem/machine.hh"
-#include "mem/shared_var.hh"
 #include "sdk/thread_sync.hh"
 
 using namespace hc;
@@ -132,20 +131,29 @@ TEST(RaceDetector, SyncWordPublishesPlainData)
     // data. The flag's acquire/release semantics must order the
     // plain-word accesses.
     mem::Machine machine(checkedConfig());
+    auto &memory = machine.memory();
     const Addr data = machine.space().allocUntrusted(8, 8);
-    mem::SharedVar<int> flag(machine, mem::Domain::Untrusted, 0);
+    const Addr flag_line = machine.space().allocUntrusted(64, 64);
+    machine.check()->registerSyncWord(flag_line);
+    int flag = 0; // the value the flag line holds
     machine.engine().spawn("producer", 0, [&] {
         machine.engine().advance(200);
-        machine.memory().accessWord(data, true);
-        flag.store(1);
+        memory.accessWord(data, true);
+        memory.accessWord(flag_line, true);
+        flag = 1;
     });
     machine.engine().spawn("consumer", 1, [&] {
-        while (flag.load() == 0)
+        for (;;) {
+            memory.accessWord(flag_line, false);
+            if (flag != 0)
+                break;
             machine.engine().advance(50);
-        machine.memory().accessWord(data, false);
+        }
+        memory.accessWord(data, false);
     });
     machine.engine().run();
     EXPECT_EQ(machine.check()->count(check::ViolationKind::Race), 0u);
+    machine.space().free(flag_line);
     machine.space().free(data);
 }
 

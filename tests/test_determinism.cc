@@ -64,6 +64,10 @@ constexpr std::uint64_t kMemoryGoldenHash = 410715964193674229ull;
 /** The pinned simulated-kernel golden hash (see AppGoldenDigest). */
 constexpr std::uint64_t kAppGoldenHash = 18333372269750248354ull;
 
+/** The pinned Native-mode application golden hash (see
+ *  NativeAppGoldenDigest). */
+constexpr std::uint64_t kNativeAppGoldenHash = 7794707534327269880ull;
+
 void
 maybePrint(const char *what, const std::string &text)
 {
@@ -286,9 +290,9 @@ kvScenario(Digest &d, port::Mode mode)
 /** lighttpd under http_load: accept, epoll, sendfile, shutdown and
  *  close on every page. */
 void
-httpdScenario(Digest &d)
+httpdScenario(Digest &d, port::Mode mode)
 {
-    AppBed bed("lighttpd", port::Mode::Sgx, {});
+    AppBed bed("lighttpd", mode, {});
     apps::HttpServer server(bed.app);
     workloads::HttpLoadConfig load;
     load.connections = 20;
@@ -316,9 +320,9 @@ httpdScenario(Digest &d)
 /** openVPN under flood ping: poll and waitReadable over UDP (link
  *  delay) and TUN, whose readiness depends on the clock. */
 void
-vpnScenario(Digest &d)
+vpnScenario(Digest &d, port::Mode mode)
 {
-    AppBed bed("openvpn", port::Mode::Sgx, {});
+    AppBed bed("openvpn", mode, {});
     crypto::ChaChaKey key{};
     key[0] = 0x42;
     apps::VpnConfig vpn_config;
@@ -363,8 +367,19 @@ appGoldenText()
     Digest d;
     kvScenario(d, port::Mode::Sgx);
     kvScenario(d, port::Mode::SgxHotCalls);
-    httpdScenario(d);
-    vpnScenario(d);
+    httpdScenario(d, port::Mode::Sgx);
+    vpnScenario(d, port::Mode::Sgx);
+    return d.text();
+}
+
+/** The same three applications without the enclave boundary. */
+std::string
+nativeAppGoldenText()
+{
+    Digest d;
+    kvScenario(d, port::Mode::Native);
+    httpdScenario(d, port::Mode::Native);
+    vpnScenario(d, port::Mode::Native);
     return d.text();
 }
 
@@ -542,5 +557,25 @@ TEST(Determinism, AppGoldenDigest)
         << "Application outputs drifted from the golden digest. Rerun "
            "with HC_PRINT_DIGEST=1 to inspect; only a deliberate model "
            "change may update the golden.\n"
+        << text;
+}
+
+// ----------------------------------------------------------------------
+// The Native application golden: the same three applications with no
+// enclave, so every libc call goes straight to the kernel and the
+// call counters carry Native's names (sendfile64, open64_2, socket).
+// It pins the route Native takes through the port, which the SGX-only
+// golden above never runs. Pinned before Native moved onto the
+// ocall landings.
+// ----------------------------------------------------------------------
+
+TEST(Determinism, NativeAppGoldenDigest)
+{
+    const std::string text = nativeAppGoldenText();
+    maybePrint("native-app-golden", text);
+    EXPECT_EQ(fastHash64(text), kNativeAppGoldenHash)
+        << "Native application outputs drifted from the golden digest. "
+           "Rerun with HC_PRINT_DIGEST=1 to inspect; only a deliberate "
+           "model change may update the golden.\n"
         << text;
 }

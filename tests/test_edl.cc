@@ -409,6 +409,29 @@ TEST(Marshal, ZeroLengthBufferIsZeroCopy)
     });
 }
 
+TEST(Marshal, UnstagedCallSeesCallerBytes)
+{
+    MarshalFixture f;
+    f.run([&] {
+        // An unstaged call resolves sizes like stage() but copies
+        // nothing: the callee writes the caller's own bytes, whatever
+        // domain they live in, and no cycle is charged.
+        mem::Buffer buf(f.machine, mem::Domain::Untrusted, 32);
+        const Cycles t0 = f.machine.now();
+        StagedCall call(f.plan("u_count"),
+                        {Arg::buffer(buf), Arg::value(3)});
+        EXPECT_EQ(call.data(0), buf.data());
+        EXPECT_EQ(call.addr(0), buf.addr());
+        EXPECT_EQ(call.size(0), 24u);
+        EXPECT_EQ(call.scalar(1), 3u);
+        call.data(0)[0] = 0x5a;
+        call.setRetval(7);
+        EXPECT_EQ(buf.data()[0], 0x5a);
+        EXPECT_EQ(call.retval(), 7u);
+        EXPECT_EQ(f.machine.now(), t0);
+    });
+}
+
 TEST(Marshal, NullOutAndInOutPointersPassThrough)
 {
     MarshalFixture f;

@@ -212,15 +212,15 @@ TEST(ChannelGuard, UnservedDeadlineClampsBothWays)
     const guard::GuardConfig config = tightConfig();
     const guard::TimeoutPolicy policy = tightPolicy();
     guard::ChannelGuard g(config, policy, "unit");
-    // Unprimed: the configured minimum.
-    EXPECT_EQ(g.unservedDeadline(), policy.minUnservedWait);
+    // Unprimed: the minimum.
+    EXPECT_EQ(g.unservedDeadline(), guard::kMinUnservedWait);
     // Tiny latency: still the minimum.
     g.onSuccess(1'000, 100, 0, false);
-    EXPECT_EQ(g.unservedDeadline(), policy.minUnservedWait);
+    EXPECT_EQ(g.unservedDeadline(), guard::kMinUnservedWait);
     // Huge latency: clamped to the maximum.
     guard::ChannelGuard h(config, policy, "unit2");
     h.onSuccess(1'000, 1'000'000, 0, false);
-    EXPECT_EQ(h.unservedDeadline(), policy.maxUnservedWait);
+    EXPECT_EQ(h.unservedDeadline(), guard::kMaxUnservedWait);
 }
 
 TEST(ChannelGuard, LivenessWindowArmsLateness)

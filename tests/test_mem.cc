@@ -12,7 +12,6 @@
 
 #include "mem/buffer.hh"
 #include "mem/machine.hh"
-#include "mem/shared_var.hh"
 #include "support/hash.hh"
 #include "support/rng.hh"
 
@@ -658,7 +657,7 @@ TEST(MemoryModel, PageTouchCostIsCharged)
 }
 
 // ----------------------------------------------------------------------
-// Buffer and SharedVar.
+// Buffer.
 // ----------------------------------------------------------------------
 
 TEST(Buffer, HoldsFunctionalBytes)
@@ -680,43 +679,6 @@ TEST(Buffer, MoveTransfersOwnership)
     Buffer b(std::move(a));
     EXPECT_EQ(b.addr(), addr);
     EXPECT_TRUE(machine.space().isEpc(b.addr()));
-}
-
-TEST(SharedVar, PricedOperations)
-{
-    Machine machine;
-    runSim(machine, [&] {
-        SharedVar<int> var(machine, Domain::Untrusted, 7);
-        EXPECT_EQ(var.load(), 7);
-        var.store(9);
-        EXPECT_EQ(var.peek(), 9);
-        EXPECT_FALSE(var.compareExchange(7, 1));
-        EXPECT_TRUE(var.compareExchange(9, 1));
-        EXPECT_EQ(var.peek(), 1);
-    });
-}
-
-TEST(SharedVar, CrossCoreTransferCostsMore)
-{
-    Machine machine;
-    auto &engine = machine.engine();
-    Cycles local_cost = 0, remote_cost = 0;
-    auto var = std::make_unique<SharedVar<int>>(
-        machine, Domain::Untrusted, 0);
-    engine.spawn("writer", 0, [&] {
-        var->store(1);
-        const Cycles t0 = engine.now();
-        var->store(2); // second store: owned line
-        local_cost = engine.now() - t0;
-    });
-    engine.spawn("reader", 1, [&] {
-        engine.sleepUntil(100'000);
-        const Cycles t0 = engine.now();
-        var->load(); // line owned by core 0
-        remote_cost = engine.now() - t0;
-    });
-    engine.run();
-    EXPECT_LT(local_cost, remote_cost);
 }
 
 // ----------------------------------------------------------------------

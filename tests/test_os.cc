@@ -398,6 +398,34 @@ TEST(Epoll, FairnessRotatesLargeReadySets)
     });
 }
 
+TEST(Epoll, NoRoomForEventsIsEinval)
+{
+    // epoll_wait(2): maxevents <= 0 is EINVAL, checked before the set.
+    // The failed entry is charged and @p ready is left as it was.
+    Fixture f;
+    f.run([&] {
+        const int listener = f.kernel.listenTcp(94);
+        ASSERT_GE(f.kernel.connectTcp(94), 0); // listener ready
+        const int epfd = f.kernel.epollCreate();
+        ASSERT_EQ(f.kernel.epollCtlAdd(epfd, listener), 0);
+        const OsCostParams params;
+        for (const int max_events : {0, -1}) {
+            for (const int fd : {epfd, 777}) {
+                std::vector<int> ready = {-7};
+                const Cycles t0 = f.machine.now();
+                EXPECT_EQ(f.kernel.epollWait(fd, ready, max_events, 0),
+                          kEinval);
+                EXPECT_EQ(f.machine.now() - t0,
+                          params.syscall + params.epollWaitBase);
+                EXPECT_EQ(ready, std::vector<int>{-7});
+            }
+        }
+        std::vector<int> ready;
+        EXPECT_EQ(f.kernel.epollWait(epfd, ready, 1, 0), 1);
+        EXPECT_EQ(ready, std::vector<int>{listener});
+    });
+}
+
 TEST(Poll, ReportsReadySubset)
 {
     Fixture f;

@@ -14,7 +14,6 @@
 #include "mem/buffer.hh"
 #include "support/stats.hh"
 #include "sdk/runtime.hh"
-#include "sdk/spinlock.hh"
 #include "sdk/thread_sync.hh"
 
 using namespace hc;
@@ -215,52 +214,6 @@ TEST(Runtime, ColdEcallCostsMore)
         EXPECT_GT(cold.median(), warm.median() + 4'000);
         EXPECT_NEAR(cold.median(), 14'170.0, 1'200.0);
     });
-}
-
-// ----------------------------------------------------------------------
-// Spin lock.
-// ----------------------------------------------------------------------
-
-TEST(SpinLock, MutualExclusionAcrossCores)
-{
-    mem::Machine machine;
-    auto &engine = machine.engine();
-    SpinLock lock(machine);
-    int in_critical = 0;
-    int max_seen = 0;
-    std::uint64_t total = 0;
-
-    for (int t = 0; t < 3; ++t) {
-        engine.spawn("worker" + std::to_string(t), t, [&] {
-            for (int i = 0; i < 200; ++i) {
-                lock.lock();
-                ++in_critical;
-                max_seen = std::max(max_seen, in_critical);
-                engine.advance(50); // hold the lock a while
-                ++total;
-                --in_critical;
-                lock.unlock();
-            }
-        });
-    }
-    engine.run();
-    EXPECT_EQ(max_seen, 1);
-    EXPECT_EQ(total, 600u);
-    EXPECT_FALSE(lock.heldUnpriced());
-}
-
-TEST(SpinLock, TryLockSemantics)
-{
-    mem::Machine machine;
-    machine.engine().spawn("test", 0, [&] {
-        SpinLock lock(machine);
-        EXPECT_TRUE(lock.tryLock());
-        EXPECT_FALSE(lock.tryLock());
-        lock.unlock();
-        EXPECT_TRUE(lock.tryLock());
-        lock.unlock();
-    });
-    machine.engine().run();
 }
 
 // ----------------------------------------------------------------------
