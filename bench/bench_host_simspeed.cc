@@ -21,9 +21,11 @@
  * host second, the figure of merit) next to google-benchmark's
  * items_per_second (simulated calls or buffer passes). The two
  * interleaving workloads also report switches_per_call, the engine's
- * fiber swaps (Engine::fiberSwitches) per simulated call, and
+ * fiber swaps (Engine::fiberSwitches) per simulated call,
  * inline_steps_per_call, the polling phases the scheduler stepped
- * without resuming a fiber (Engine::inlineSteps).
+ * without resuming a fiber (Engine::inlineSteps), and
+ * steady_steps_per_call, those of them it ran in batch from the loops'
+ * idle-iteration declarations (Engine::steadySteps).
  */
 
 #include <benchmark/benchmark.h>
@@ -96,17 +98,20 @@ reportSimRate(benchmark::State &state, double sim_cycles,
 struct SchedulerCounts {
     double switches = 0;
     double inlineSteps = 0;
+    double steadySteps = 0;
 
     void add(const sim::Engine &engine)
     {
         switches += static_cast<double>(engine.fiberSwitches());
         inlineSteps += static_cast<double>(engine.inlineSteps());
+        steadySteps += static_cast<double>(engine.steadySteps());
     }
 
     void report(benchmark::State &state, double calls) const
     {
         state.counters["switches_per_call"] = switches / calls;
         state.counters["inline_steps_per_call"] = inlineSteps / calls;
+        state.counters["steady_steps_per_call"] = steadySteps / calls;
     }
 };
 

@@ -272,15 +272,18 @@ class Channel
     };
 
     /**
-     * The requester's completion wait, stepped as a sim::Spin: @p probe
-     * reads the completion line (a priced access, returning its
-     * cycles); one phase later the wait ends on @p complete(), on
-     * aborted(), or when @p stuck(wait_start) says a Sentinel deadline
-     * passed, and otherwise PAUSEs and probes again. The caller acts on
-     * the end at the clock the check ran.
+     * The requester's completion wait, stepped as a sim::Spin: it reads
+     * completion line @p line (a priced access); one phase later the
+     * wait ends on @p complete(), on aborted(), or when
+     * @p stuck(wait_start) says a Sentinel deadline passed, and
+     * otherwise PAUSEs and probes again. The caller acts on the end at
+     * the clock the check ran. @p stuck_at(wait_start) is the earliest
+     * clock @p stuck could hold (sim::kNever when it cannot), which
+     * bounds the wait's steady() declaration.
      */
-    template <class Probe, class Complete, class Stuck>
-    WaitEnd awaitCompletion(Probe probe, Complete complete, Stuck stuck);
+    template <class Complete, class Stuck, class StuckAt>
+    WaitEnd awaitCompletion(Addr line, Complete complete, Stuck stuck,
+                            StuckAt stuck_at);
 
     /** One PAUSE plus the poll-jitter draw, priced but not charged
      *  (a Spin step returns it). */
@@ -288,6 +291,41 @@ class Channel
     {
         return sdk::kPauseCycles +
                machine_.engine().rng().nextBelow(kPollJitter + 1);
+    }
+
+    /**
+     * Declare an idle poll of protocol line @p line into @p steady (a
+     * sim::Spin's steady()): its probes' price, then pauseCycles()'s
+     * PAUSE. Records the cache's use clock in @p use_base for
+     * replaySteady().
+     * @return false when a probe would be anything but an owned hit
+     *         that only restamps the line (another core took it, or
+     *         SimCheck must see it), or when a fault injector is
+     *         attached: its sites fire on polls
+     */
+    bool declareSteady(Addr line, sim::Steady &steady,
+                       std::uint64_t &use_base)
+    {
+        if (machine_.fault())
+            return false;
+        auto &memory = machine_.memory();
+        steady.probeCycles = memory.steadyProbe(line);
+        if (steady.probeCycles == 0)
+            return false;
+        steady.pauseCycles = sdk::kPauseCycles;
+        steady.pauseJitter = kPollJitter;
+        use_base = memory.cache().useClock();
+        return true;
+    }
+
+    /** Apply the probes of @p line that @p run ran, declared with
+     *  @p use_base; @p write when any of them wrote. */
+    void replaySteady(Addr line, bool write, const sim::SteadyRun &run,
+                      std::uint64_t use_base)
+    {
+        if (const std::uint64_t probes = run.probes())
+            machine_.memory().replaySteadyProbes(line, write, probes,
+                                                 use_base, run.lastProbe);
     }
 
     /** One PAUSE plus the poll-jitter draw, charged. */
@@ -484,21 +522,26 @@ Channel::aborted()
     return true;
 }
 
-template <class Probe, class Complete, class Stuck>
+template <class Complete, class Stuck, class StuckAt>
 Channel::WaitEnd
-Channel::awaitCompletion(Probe probe, Complete complete, Stuck stuck)
+Channel::awaitCompletion(Addr line, Complete complete, Stuck stuck,
+                         StuckAt stuck_at)
 {
     struct Wait final : sim::Spin {
         Channel &channel;
-        Probe &probe;
+        const Addr line;
         Complete &complete;
         Stuck &stuck;
+        StuckAt &stuckAt;
         const Cycles start;
         bool probed = false; //!< the probe's result is due
+        std::uint64_t useBase = 0;
         WaitEnd end = WaitEnd::Complete;
 
-        Wait(Channel &c, Probe &p, Complete &d, Stuck &s, Cycles now)
-            : channel(c), probe(p), complete(d), stuck(s), start(now)
+        Wait(Channel &c, Addr l, Complete &d, Stuck &s, StuckAt &a,
+             Cycles now)
+            : channel(c), line(l), complete(d), stuck(s), stuckAt(a),
+              start(now)
         {
         }
 
@@ -506,7 +549,7 @@ Channel::awaitCompletion(Probe probe, Complete complete, Stuck stuck)
         {
             probed = !probed;
             if (probed)
-                return probe();
+                return channel.probeLine(line, false);
             if (complete())
                 end = WaitEnd::Complete;
             else if (channel.aborted())
@@ -517,8 +560,28 @@ Channel::awaitCompletion(Probe probe, Complete complete, Stuck stuck)
                 return channel.pauseCycles();
             return sim::kSpinDone;
         }
+
+        // Idle while nothing can end the wait: not complete (only a
+        // responder's fiber completes it), no stop requested, no
+        // injector (aborted() polls it), and no check at or past the
+        // first clock stuck() could hold.
+        bool steady(sim::Steady &s) override
+        {
+            if (complete() || channel.machine_.engine().stopRequested() ||
+                !channel.declareSteady(line, s, useBase))
+                return false;
+            s.at = probed ? 1 : 0;
+            s.limit = stuckAt(start);
+            return true;
+        }
+
+        void advanceSteady(const sim::SteadyRun &run) override
+        {
+            probed = run.at() == 1;
+            channel.replaySteady(line, false, run, useBase);
+        }
     };
-    Wait wait(*this, probe, complete, stuck, machine_.now());
+    Wait wait(*this, line, complete, stuck, stuck_at, machine_.now());
     machine_.engine().spin(wait);
     return wait.end;
 }

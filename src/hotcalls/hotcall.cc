@@ -173,12 +173,17 @@ HotCallService::call(int id, const edl::Args &args)
         // Wait for completion: the responder clears the busy flag
         // once it has executed the call and filled the response.
         const WaitEnd end = awaitCompletion(
-            [&] { return probeChannel(false); }, [&] { return !go_; },
+            channelLine_, [&] { return !go_; },
             [&](Cycles wait_start) {
                 return guard_ && !requestServed_ &&
                        machine_.now() - wait_start >
                            guard_->unservedDeadline() &&
                        guard_->responderLate(machine_.now());
+            },
+            [&](Cycles wait_start) {
+                return guard_ && !requestServed_
+                           ? wait_start + guard_->unservedDeadline() + 1
+                           : sim::kNever;
             });
         if (end == WaitEnd::Aborted) {
             // The responder is stranded: nothing will harvest on our
@@ -277,6 +282,7 @@ HotCallService::responderLoop(std::uint64_t epoch)
         Phase phase = Phase::Poll;
         Exit exit = Exit::Stop;
         std::uint64_t idlePolls = 0;
+        std::uint64_t useBase = 0; //!< see Channel::declareSteady()
 
         Poll(HotCallService &s, std::uint64_t e)
             : svc(s), epoch(e), injector(s.machine_.fault())
@@ -337,6 +343,66 @@ HotCallService::responderLoop(std::uint64_t epoch)
                 return pause();
             }
             return end(Exit::Stop);
+        }
+
+        // An empty poll: the head (Rest or Poll) probes for the lock,
+        // Lock takes it and probes "go", Go finds no request, releases
+        // and probes the unlock's RFO, Pause PAUSEs. Only a requester's
+        // fiber publishes or takes the lock, so the line stays this
+        // way until the batch ends. With idle sleep on, heads stop
+        // short of the sleep threshold, whose check belongs to step().
+        bool steady(sim::Steady &s) override
+        {
+            if (svc.stopRequested_ || epoch != svc.responderEpoch_ ||
+                svc.go_)
+                return false;
+            std::uint64_t idle = idlePolls; // at the next head
+            switch (phase) {
+              case Phase::Rest:
+              case Phase::Poll:
+                s.at = 0;
+                break;
+              case Phase::Lock:
+                s.at = 1;
+                ++idle;
+                break;
+              case Phase::Go: // we hold the lock
+                s.at = 2;
+                ++idle;
+                break;
+              case Phase::Pause:
+                s.at = 3;
+                break;
+              case Phase::Probe: // after an oversleep: not a whole head
+                return false;
+            }
+            if (s.at != 2 && svc.lockWord_)
+                return false;
+            s.probes = 3;
+            if (svc.config_.responderSleep) {
+                const std::uint64_t threshold =
+                    svc.config_.idlePollsBeforeSleep;
+                s.heads = idle <= threshold ? threshold - idle + 1 : 0;
+            }
+            return svc.declareSteady(svc.channelLine_, s, useBase);
+        }
+
+        void advanceSteady(const sim::SteadyRun &run) override
+        {
+            if (const std::uint64_t heads = run.ran(0)) {
+                svc.stats_.responderPolls += heads;
+                if (svc.guard_)
+                    svc.guard_->heartbeat(run.lastHead);
+            }
+            idlePolls += run.ran(2);
+            static constexpr Phase kAt[] = {Phase::Rest, Phase::Lock,
+                                            Phase::Go, Phase::Pause};
+            phase = kAt[run.at()];
+            // Held from the Lock step to the Go step's release. No
+            // shadow to tell: SimCheck runs never batch.
+            svc.lockWord_ = run.at() == 2;
+            svc.replaySteady(svc.channelLine_, run.ran(0) + run.ran(2) > 0,
+                             run, useBase);
         }
     };
 

@@ -179,10 +179,13 @@ HotQueue::call(int id, const edl::Args &args)
         // Wait for completion: a responder marks the slot done once
         // it has executed the call and filled the response.
         const WaitEnd end = awaitCompletion(
-            [&] { return probeLine(slot.line, false); },
-            [&] { return slot.state == SlotState::Done; },
+            slot.line, [&] { return slot.state == SlotState::Done; },
             [&](Cycles wait_start) {
                 return guard_ && reclaimDue(idx, my_epoch, wait_start);
+            },
+            [&](Cycles wait_start) {
+                return guard_ ? reclaimFrom(idx, my_epoch, wait_start)
+                              : sim::kNever;
             });
         if (end == WaitEnd::Aborted)
             return 0;
@@ -247,6 +250,22 @@ HotQueue::reclaimDue(std::size_t index, std::uint64_t epoch,
     // only undispatched grabs are reclaimable).
     return slot.state == SlotState::Serving && !slot.dispatched &&
            now - slot.servingSince > guard_->servingLeash();
+}
+
+Cycles
+HotQueue::reclaimFrom(std::size_t index, std::uint64_t epoch,
+                      Cycles wait_start) const
+{
+    // reclaimDue()'s deadlines as clocks: `now - anchor > span` first
+    // holds at anchor + span + 1. A dispatched slot always completes.
+    const Slot &slot = slots_[index];
+    if (slot.epoch != epoch)
+        return sim::kNever;
+    if (slot.state == SlotState::Ready)
+        return wait_start + guard_->unservedDeadline() + 1;
+    if (slot.state == SlotState::Serving && !slot.dispatched)
+        return slot.servingSince + guard_->servingLeash() + 1;
+    return sim::kNever;
 }
 
 void
@@ -517,6 +536,7 @@ HotQueue::responderLoop(int index)
         std::uint64_t windowPolls = 0;
         Cycles windowBusy = 0;
         Cycles windowStart;
+        std::uint64_t useBase = 0; //!< see Channel::declareSteady()
 
         explicit Poll(HotQueue &q)
             : queue(q), injector(q.machine_.fault()),
@@ -576,6 +596,46 @@ HotQueue::responderLoop(int index)
                 return queue.pauseCycles();
             }
             return end(Exit::Stop);
+        }
+
+        // An empty poll: the head (Window or Poll) probes the producer
+        // cursor, the Tail step finds nothing pending and PAUSEs. Only
+        // a requester's fiber publishes, so nothing is pending until
+        // the batch ends. Heads stop short of a full scale-down window,
+        // whose check belongs to step().
+        bool steady(sim::Steady &s) override
+        {
+            if (queue.stopRequested_ || queue.pending() > 0)
+                return false;
+            std::uint64_t seen = windowPolls; // at the next head
+            switch (phase) {
+              case Phase::Window:
+              case Phase::Poll:
+                s.at = 0;
+                break;
+              case Phase::Tail:
+                s.at = 1;
+                ++seen;
+                break;
+              default: // Probe skips the head's counting, Pause the Tail's
+                return false;
+            }
+            const std::uint64_t window = queue.config_.scaleWindowPolls;
+            s.heads = seen < window ? window - seen : 0;
+            return queue.declareSteady(queue.tailLine_, s, useBase);
+        }
+
+        void advanceSteady(const sim::SteadyRun &run) override
+        {
+            if (const std::uint64_t heads = run.ran(0)) {
+                queue.stats_.responderPolls += heads;
+                if (queue.guard_)
+                    queue.guard_->heartbeat(run.lastHead);
+                pollStart = run.lastHead;
+            }
+            windowPolls += run.ran(1);
+            phase = run.at() == 0 ? Phase::Window : Phase::Tail;
+            queue.replaySteady(queue.tailLine_, false, run, useBase);
         }
     };
 

@@ -155,6 +155,11 @@ class HotQueue : public Channel
     bool reclaimDue(std::size_t index, std::uint64_t epoch,
                     Cycles wait_start) const;
 
+    /** @return the earliest clock reclaimDue() could hold for the same
+     *  slot, epoch and wait (sim::kNever when it cannot). */
+    Cycles reclaimFrom(std::size_t index, std::uint64_t epoch,
+                       Cycles wait_start) const;
+
     /** Retire stuck slot @p index (reclaimDue() just held) to an
      *  ownerless Zombie; its call reissues on the SDK path. */
     void reclaim(std::size_t index);

@@ -171,6 +171,22 @@ CacheModel::recordSpan(Addr first_line, CoreId core)
     spanMemoLines_ += count;
 }
 
+void
+CacheModel::replayOwnedHits(CoreId core, Addr addr, bool write,
+                            std::uint64_t count, std::uint64_t since,
+                            std::uint64_t last)
+{
+    hc_assert(ownedMemoHit(core, addr) && count > 0 && last >= count);
+    // What touchHit() does to an owned way, count times over: the
+    // owner and the memo already name this core and way, and an owned
+    // hit bumps no generation.
+    const Way way = memo_[static_cast<std::size_t>(core)].way;
+    useCounter_ += count;
+    hits_ += count;
+    lastUse_[way] = since + last;
+    dirty_[way] = dirty_[way] || write;
+}
+
 bool
 CacheModel::contains(Addr addr) const
 {

@@ -167,6 +167,38 @@ class CacheModel
             on_line(line, flushLine(line));
     }
 
+    /**
+     * @return true when access(@p core, @p addr, ...) would be an
+     * OwnedHit through @p core's most-recently-used memo: one that
+     * changes nothing but the line's lastUse stamp, its dirty bit and
+     * the use clock and hit count (replayOwnedHits()).
+     */
+    bool ownedMemoHit(CoreId core, Addr addr) const
+    {
+        const auto idx = static_cast<std::size_t>(core);
+        if (idx >= memo_.size())
+            return false;
+        const CoreMemo &memo = memo_[idx];
+        return memo.line == lineAddr(addr) && tags_[memo.way] == memo.line &&
+               owners_[memo.way] == core;
+    }
+
+    /**
+     * Apply @p count accesses that ownedMemoHit() certified, as @p count
+     * access() calls would leave the cache. They ran among other cores'
+     * certified hits after use clock @p since (useClock() then), the
+     * last of them as the @p last-th: each core's hits are applied by
+     * their own call, and the calls together advance the use clock by
+     * every access they replay.
+     */
+    void replayOwnedHits(CoreId core, Addr addr, bool write,
+                         std::uint64_t count, std::uint64_t since,
+                         std::uint64_t last);
+
+    /** @return the use clock: accesses so far, the source of lastUse
+     *  stamps. */
+    std::uint64_t useClock() const { return useCounter_; }
+
     /** @return true if the line containing @p addr is resident. */
     bool contains(Addr addr) const;
 

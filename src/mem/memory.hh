@@ -81,6 +81,35 @@ class MemoryModel
     /** One demand access of at most 8 bytes. */
     Cycles accessWord(Addr addr, bool write, bool charge_time = true);
 
+    /**
+     * The price of accessWord(@p addr, ..., false) from the calling
+     * core, when it is an owned hit that changes nothing but the line's
+     * LRU stamp, its dirty bit and the cache's counters (a polling
+     * loop's idle probe, see sim::Spin::steady()); else 0. Always 0
+     * with SimCheck attached, which must see every access, and for EPC
+     * lines, which take the page-touch hook.
+     */
+    Cycles steadyProbe(Addr addr) const
+    {
+        return check_ || space_.isEpc(addr) ||
+                       !cache_.ownedMemoHit(currentCore(), addr)
+                   ? 0
+                   : params_.ownedHit;
+    }
+
+    /**
+     * Apply @p count accesses of @p addr from the calling core that
+     * steadyProbe() priced: they ran after cache use clock @p since,
+     * the last of them as the @p last-th access, counting every core's
+     * (CacheModel::replayOwnedHits()).
+     */
+    void replaySteadyProbes(Addr addr, bool write, std::uint64_t count,
+                            std::uint64_t since, std::uint64_t last)
+    {
+        cache_.replayOwnedHits(currentCore(), addr, write, count, since,
+                               last);
+    }
+
     // ------------------------------------------------------------------
     // Un-priced state manipulation (experiment setup, mirroring the
     // paper's use of clflush outside the measured region).

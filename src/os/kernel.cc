@@ -172,15 +172,15 @@ Kernel::joinSet(int epfd, int fd)
         ++set.readyMembers;
 }
 
-void
+bool
 Kernel::leaveSet(int epfd, int fd)
 {
     Desc *m = desc(fd);
     if (!m)
-        return;
+        return false;
     const auto in = std::find(m->sets.begin(), m->sets.end(), epfd);
     if (in == m->sets.end())
-        return; // not a member
+        return false; // not a member
     m->sets.erase(in);
     Desc &set = *desc(epfd);
     const auto at = std::find(set.members.begin(), set.members.end(), fd);
@@ -190,6 +190,7 @@ Kernel::leaveSet(int epfd, int fd)
         --set.clockMembers;
     else if (m->ready)
         --set.readyMembers;
+    return true;
 }
 
 // ----------------------------------------------------------------------
@@ -735,10 +736,9 @@ Kernel::epollCtlDel(int epfd, int fd)
 {
     charge(params_.syscall + params_.epollCtl);
     Desc *e = desc(epfd);
-    if (!e || e->type != Desc::Type::Epoll)
+    if (!e || e->type != Desc::Type::Epoll || !desc(fd))
         return kEbadf;
-    leaveSet(epfd, fd);
-    return 0;
+    return leaveSet(epfd, fd) ? 0 : kEnoent;
 }
 
 int

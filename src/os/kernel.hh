@@ -182,6 +182,9 @@ class Kernel
 
     int epollCreate();
     int epollCtlAdd(int epfd, int fd);
+    /** Remove @p fd from set @p epfd. @return 0, kEbadf when either
+     *  descriptor does not exist (or @p epfd is no set), or kEnoent
+     *  when @p fd is not a member. */
     int epollCtlDel(int epfd, int fd);
 
     /**
@@ -247,9 +250,9 @@ class Kernel
 
     /** Add @p fd to / remove it from set @p epfd, keeping the set's
      *  counts and the member's back-pointers; a no-op when it already
-     *  is / is not a member. */
+     *  is / is not a member. leaveSet() @return whether it was one. */
     void joinSet(int epfd, int fd);
-    void leaveSet(int epfd, int fd);
+    bool leaveSet(int epfd, int fd);
 
     /** True when @p fd is a member of @p set or of a set nested in it. */
     bool contains(const Desc &set, int fd) const;

@@ -16,8 +16,6 @@ namespace {
 /// Engine owning the fiber currently executing on this host thread.
 thread_local Engine *g_current_engine = nullptr;
 
-constexpr Cycles kNever = std::numeric_limits<Cycles>::max();
-
 } // anonymous namespace
 
 Thread::Thread(Engine &engine, std::string name, CoreId core,
@@ -317,28 +315,36 @@ Engine::launch(Selection &sel)
 Thread *
 Engine::stepSpinners(Selection &other)
 {
+    // Every loop is asked afresh: steps elsewhere may have changed it.
+    batches_.resize(lanes_.size());
+    for (LaneBatch &batch : batches_)
+        batch.ask = LaneBatch::Ask::Unasked;
     for (;;) {
-        // selectNext()'s rule over lanes and the other candidate:
-        // earliest time, then lowest core (lanes are in core order, so
-        // `<` keeps the lower one). The rest bound the lane's run.
-        Lane *lane = &lanes_.front();
-        Cycles rest = kNever;
-        for (Lane &l : lanes_) {
-            if (l.time < lane->time) {
-                rest = std::min(rest, lane->time);
-                lane = &l;
-            } else if (&l != lane) {
-                rest = std::min(rest, l.time);
-            }
-        }
+        // selectNext()'s rule over lanes and the other candidate. The
+        // rest bound the lane's run.
+        Cycles rest;
+        const std::size_t index = pickLane(rest);
+        Lane *lane = &lanes_[index];
         if (other.timeoutThread &&
             other.timeoutTime < std::min(lane->time, other.time))
             return nullptr; // run() expires the timeout
-        if (other.time < lane->time ||
-            (other.time == lane->time && other.coreIdx < lane->coreIdx)) {
+        if (precedes(other, *lane)) {
             other.otherMin = std::min(other.otherMin, lane->time);
             dispatch(other);
             return other.thread;
+        }
+
+        // A declared idle iteration runs in batch. When the declaration
+        // does not cover the lane's next step (a head or cycle limit, or
+        // an interrupt in reach), that one step runs here.
+        LaneBatch &batch = batches_[index];
+        if (batch.ask == LaneBatch::Ask::Unasked)
+            declare(*lane, batch);
+        bool one_step = false;
+        if (batch.ask == LaneBatch::Ask::Steady) {
+            if (runSteady(other))
+                continue;
+            one_step = true;
         }
 
         // Run the lane's spinner until its clock reaches the next
@@ -368,9 +374,13 @@ Engine::stepSpinners(Selection &other)
             core.clock += cycles;
             if (core.clock >= core.nextInterrupt)
                 deliverInterrupts(core);
-            if (core.clock >= horizon)
+            // After its one step the lane may batch again, unless the
+            // step (or an interrupt handler) requested a stop: the
+            // fiber would run on to the next event and see it there.
+            if ((one_step && !stopRequested_) || core.clock >= horizon)
                 break;
         }
+        batch.ask = LaneBatch::Ask::Unasked; // it stepped: ask again
         // Ready again at its clock, as advance() would make it.
         spinner->state_ = ThreadState::Ready;
         spinner->readyTime_ = core.clock;
@@ -379,6 +389,137 @@ Engine::stepSpinners(Selection &other)
         if (stopRequested_)
             return nullptr;
     }
+}
+
+std::size_t
+Engine::pickLane(Cycles &rest) const
+{
+    // Lanes are in core order, so `<` keeps the lower core on ties.
+    std::size_t pick = 0;
+    rest = kNever;
+    for (std::size_t i = 1; i < lanes_.size(); ++i) {
+        if (lanes_[i].time < lanes_[pick].time) {
+            rest = std::min(rest, lanes_[pick].time);
+            pick = i;
+        } else {
+            rest = std::min(rest, lanes_[i].time);
+        }
+    }
+    return pick;
+}
+
+bool
+Engine::declare(const Lane &lane, LaneBatch &batch)
+{
+    Thread *spinner = cores_[lane.coreIdx].first;
+    batch.steady = Steady{};
+    running_ = spinner;
+    stepping_ = true;
+    const bool steady = spinner->spin_->steady(batch.steady);
+    stepping_ = false;
+    if (!steady) {
+        batch.ask = LaneBatch::Ask::Declined;
+        return false;
+    }
+    const Steady &s = batch.steady;
+    hc_assert(s.probes >= 1 && s.at >= 0 && s.at <= s.probes);
+    batch.ask = LaneBatch::Ask::Steady;
+    batch.at = s.at;
+    batch.headsLeft = s.heads;
+    batch.run = SteadyRun{s.probes + 1, s.at, 0, 0, 0};
+    return true;
+}
+
+bool
+Engine::runSteady(const Selection &other)
+{
+    std::uint64_t probes = 0; // the batch's probes so far, every lane
+    for (;;) {
+        // stepSpinners()'s pick and bounds.
+        Cycles rest;
+        const std::size_t i = pickLane(rest);
+        Lane &lane = lanes_[i];
+        if ((other.timeoutThread &&
+             other.timeoutTime < std::min(lane.time, other.time)) ||
+            precedes(other, lane))
+            break;
+        LaneBatch &batch = batches_[i];
+        if (batch.ask == LaneBatch::Ask::Unasked)
+            declare(lane, batch);
+        if (batch.ask != LaneBatch::Ask::Steady)
+            break;
+
+        // The lane's steps until its clock reaches the next event, as
+        // stepSpinners() runs them, while the declaration covers them:
+        // no step may start at its limit, start a head past its count,
+        // or reach the core's next interrupt (even at the widest
+        // jitter), which only the step path delivers.
+        const Steady &s = batch.steady;
+        SteadyRun &run = batch.run;
+        const Cycles horizon =
+            std::min({rest, other.time, other.timeoutTime});
+        const Cycles interrupt = cores_[lane.coreIdx].nextInterrupt;
+        Cycles t = lane.time;
+        bool covered = true;
+        do {
+            if (t >= s.limit) {
+                covered = false;
+            } else if (batch.at < s.probes) {
+                const bool head = batch.at == 0;
+                if ((head && batch.headsLeft == 0) ||
+                    t + s.probeCycles >= interrupt) {
+                    covered = false;
+                } else {
+                    if (head) {
+                        --batch.headsLeft;
+                        run.lastHead = t;
+                    }
+                    run.lastProbe = ++probes;
+                    ++batch.at;
+                    t += s.probeCycles;
+                }
+            } else if (t + s.pauseCycles + s.pauseJitter >= interrupt) {
+                covered = false;
+            } else {
+                t += s.pauseCycles + rng_.nextBelow(s.pauseJitter + 1);
+                batch.at = 0;
+            }
+            if (!covered)
+                break;
+            ++run.steps;
+        } while (t < horizon);
+        lane.time = t;
+        if (!covered)
+            break;
+    }
+
+    // Hand each loop what ran. Declined lanes stay declined (nothing
+    // ran that could change them); the rest are asked again, since
+    // their loops move on.
+    bool ran = false;
+    for (std::size_t i = 0; i < lanes_.size(); ++i) {
+        LaneBatch &batch = batches_[i];
+        if (batch.ask != LaneBatch::Ask::Steady)
+            continue;
+        batch.ask = LaneBatch::Ask::Unasked;
+        if (batch.run.steps == 0)
+            continue;
+        ran = true;
+        const Lane &lane = lanes_[i];
+        Core &core = cores_[lane.coreIdx];
+        Thread *spinner = core.first;
+        // Ready again at its clock, as the step path leaves it.
+        core.clock = lane.time;
+        core.firstTime = lane.time;
+        spinner->readyTime_ = lane.time;
+        inlineSteps_ += batch.run.steps;
+        steadySteps_ += batch.run.steps;
+        running_ = spinner;
+        stepping_ = true;
+        spinner->spin_->advanceSteady(batch.run);
+        stepping_ = false;
+    }
+    return ran;
 }
 
 void

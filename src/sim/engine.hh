@@ -97,6 +97,65 @@ class Thread
 /** Spin::step()'s result when the polling loop exits. */
 constexpr Cycles kSpinDone = std::numeric_limits<Cycles>::max();
 
+/** A clock no event reaches: a bound that never binds. */
+constexpr Cycles kNever = std::numeric_limits<Cycles>::max();
+
+/**
+ * A polling loop's idle iteration, as Spin::steady() declares it:
+ * `probes` steps that each end in an access costing `probeCycles`, then
+ * one step that ends in a PAUSE of `pauseCycles` plus
+ * rng().nextBelow(pauseJitter + 1), drawn from the engine RNG. Nothing
+ * else happens in those steps that the loop cannot apply afterwards
+ * from a SteadyRun. The declaration covers `heads` more iteration heads
+ * (first probes) and only steps that start before cycle `limit`.
+ */
+struct Steady {
+    int probes = 1;
+    Cycles probeCycles = 0;
+    Cycles pauseCycles = 0;
+    Cycles pauseJitter = 0;
+    /** Steps of the current iteration already run: 0 when the next
+     *  step is a head, `probes` when it is the PAUSE. */
+    int at = 0;
+    std::uint64_t heads = std::numeric_limits<std::uint64_t>::max();
+    Cycles limit = kNever;
+};
+
+/** What one batch ran of a Spin's declared iterations, for
+ *  Spin::advanceSteady(). */
+struct SteadyRun {
+    int length = 2;          //!< steps per iteration (probes + 1)
+    int from = 0;            //!< Steady::at when the batch began
+    std::uint64_t steps = 0; //!< steps run (at least one)
+    /** The clock at the last head run (when ran(0) > 0). */
+    Cycles lastHead = 0;
+    /** The last probe's 1-based place among the probes the batch ran on
+     *  every lane, in the order it ran them (when probes() > 0). */
+    std::uint64_t lastProbe = 0;
+
+    /** @return where the iteration stands now, as Steady::at. */
+    int at() const
+    {
+        return static_cast<int>((static_cast<std::uint64_t>(from) + steps) %
+                                static_cast<std::uint64_t>(length));
+    }
+
+    /** @return how often the iteration's step @p i ran (0: the head,
+     *  length - 1: the PAUSE). */
+    std::uint64_t ran(int i) const
+    {
+        const auto first = static_cast<std::uint64_t>(
+            (i - from + length) % length); // steps before its first run
+        return steps > first
+                   ? (steps - first - 1) / static_cast<std::uint64_t>(length) +
+                         1
+                   : 0;
+    }
+
+    /** @return the probe steps run. */
+    std::uint64_t probes() const { return steps - ran(length - 1); }
+};
+
 /**
  * A polling loop written as phases, run by Engine::spin().
  *
@@ -108,6 +167,11 @@ constexpr Cycles kSpinDone = std::numeric_limits<Cycles>::max();
  * straight-line loop would run it. A step must not suspend: advance(),
  * yield(), sleepUntil(), wait(), waitUntil(), notify*() and spawn()
  * assert. That is what lets the engine run it on any stack.
+ *
+ * A loop that idles can also declare its idle iteration (steady()); the
+ * scheduler then runs those steps itself, in batch, and hands the loop
+ * what ran (advanceSteady()). The two must agree with step() exactly:
+ * a change to step() changes them too.
  */
 class Spin
 {
@@ -118,6 +182,27 @@ class Spin
      *  PAUSE, or kSpinDone when the loop exits (then it charged
      *  nothing). */
     virtual Cycles step() = 0;
+
+    /**
+     * Declare the idle iteration the next step belongs to, if any, in
+     * @p steady. The engine asks where it would call step(), and may
+     * then run none of the declared steps. Until it hands over what
+     * ran (or asks again), no simulated code runs: only declared steps,
+     * which it runs itself, and other loops' advanceSteady().
+     * @return false (the default) when the next step is not part of
+     * one.
+     */
+    virtual bool steady(Steady &steady)
+    {
+        (void)steady;
+        return false;
+    }
+
+    /** Apply @p run, the declared steps a batch ran, exactly as step()
+     *  would have left the loop. Loops that share state must leave it
+     *  as the batch's last step would: the order between lanes is not
+     *  kept. */
+    virtual void advanceSteady(const SteadyRun &run) { (void)run; }
 };
 
 /**
@@ -311,7 +396,8 @@ class Engine
      * core, the scheduler steps the loop inline: running_ names the
      * spinner, interrupts arrive as advance() delivers them, and the
      * engine moves between such spinners by the scan's rule (earliest
-     * time, then lowest core). The fiber is resumed only when a step
+     * time, then lowest core). Steps the loop declares steady()
+     * run in batch (runSteady()). The fiber is resumed only when a step
      * ends the loop, or when its core is shared (then the fiber steps
      * its own loop).
      */
@@ -341,6 +427,11 @@ class Engine
      *  the spinning thread's fiber. Host-side only, like
      *  fiberSwitches(). */
     std::uint64_t inlineSteps() const { return inlineSteps_; }
+
+    /** @return the inline steps that ran in batch, from a Spin's
+     *  steady() declaration (runSteady()). Host-side only, like
+     *  fiberSwitches(). */
+    std::uint64_t steadySteps() const { return steadySteps_; }
 
     /** Install the scheduler event sink (null to detach). The
      *  observer must outlive the engine or be detached first. */
@@ -401,6 +492,19 @@ class Engine
         Cycles time;
     };
 
+    /** A lane's part in the batches of one stepSpinners() call, kept
+     *  beside lanes_. */
+    struct LaneBatch {
+        /** Whether its loop was asked for a declaration since it last
+         *  stepped, and the answer. */
+        enum class Ask : std::uint8_t { Unasked, Steady, Declined };
+        Ask ask = Ask::Unasked;
+        Steady steady;          //!< the declaration (Ask::Steady)
+        int at = 0;             //!< where its iteration stands
+        std::uint64_t headsLeft = 0;
+        SteadyRun run;          //!< what the batch ran
+    };
+
     /** Move @p thread to Ready on its core, runnable at @p when. */
     void makeReady(Thread *thread, Cycles when);
 
@@ -435,13 +539,45 @@ class Engine
      * The inline spin loop over lanes_ and @p other, the earliest
      * other candidate. While a lane is the earliest (ties to the lower
      * core), run its steps until its clock reaches the next event; it
-     * stays queued on its core, only its time moves. Stops at @p other
-     * (dispatched here, with no second scan), a timed-waiter deadline
-     * or a stop request (null, for run()), or a step that ends its
-     * loop (that spinner, dispatched). Steps cannot make any thread
-     * ready, so nothing else changes on the way.
+     * stays queued on its core, only its time moves. Steps its loop
+     * declares steady() run in batch (runSteady()); a declared lane
+     * whose next step the declaration does not cover takes that one
+     * step on its own. Stops at @p other (dispatched here, with no
+     * second scan), a timed-waiter deadline or a stop request (null,
+     * for run()), or a step that ends its loop (that spinner,
+     * dispatched). Steps cannot make any thread ready, so nothing else
+     * changes on the way.
      */
     Thread *stepSpinners(Selection &other);
+
+    /** selectNext()'s rule over lanes_: earliest time, then lowest
+     *  core. @return the pick's index; the earliest time of the other
+     *  lanes goes to @p rest. */
+    std::size_t pickLane(Cycles &rest) const;
+
+    /** @return true when @p other runs before @p lane by the same
+     *  rule. */
+    static bool precedes(const Selection &other, const Lane &lane)
+    {
+        return other.time < lane.time ||
+               (other.time == lane.time && other.coreIdx < lane.coreIdx);
+    }
+
+    /** Ask @p lane's loop for its steady() declaration into @p batch.
+     *  @return true when it made one. */
+    bool declare(const Lane &lane, LaneBatch &batch);
+
+    /**
+     * A batch: the steps stepSpinners() would run next, in its order
+     * (earliest lane, then lowest core), as long as each is covered by
+     * its loop's declaration (asked on its first turn) and cannot reach
+     * its core's next interrupt. The batch charges probes and PAUSEs and
+     * draws the jitter itself, then hands each loop its SteadyRun.
+     * It ends at @p other, a timed-waiter deadline, or the first
+     * step it does not cover, which stepSpinners() runs.
+     * @return true when it ran a step
+     */
+    bool runSteady(const Selection &other);
 
     /** One Spin step, with suspension calls locked out. */
     Cycles step(Spin &loop)
@@ -487,8 +623,11 @@ class Engine
     std::uint64_t interruptCount_ = 0;
     std::uint64_t fiberSwitches_ = 0;
     std::uint64_t inlineSteps_ = 0;
+    std::uint64_t steadySteps_ = 0;
     /** The last scan's lanes, in core order. */
     std::vector<Lane> lanes_;
+    /** Per lane of lanes_, its batch state. */
+    std::vector<LaneBatch> batches_;
     InterruptHandler interruptHandler_;
     EngineObserver *observer_ = nullptr;
 

@@ -24,12 +24,6 @@ splitmix64(std::uint64_t &x)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // anonymous namespace
 
 Rng::Rng(std::uint64_t seed)
@@ -38,38 +32,6 @@ Rng::Rng(std::uint64_t seed)
     // guarantees the state is never all-zero for any seed.
     for (auto &word : s_)
         word = splitmix64(seed);
-}
-
-std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
-    const std::uint64_t t = s_[1] << 17;
-
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-
-    return result;
-}
-
-std::uint64_t
-Rng::nextBelow(std::uint64_t bound)
-{
-    hc_assert(bound > 0);
-    // Rejection sampling to avoid modulo bias.
-    if (bound != lastBound_) {
-        lastBound_ = bound;
-        lastThreshold_ = (0 - bound) % bound;
-    }
-    for (;;) {
-        std::uint64_t r = next();
-        if (r >= lastThreshold_)
-            return r % bound;
-    }
 }
 
 std::int64_t

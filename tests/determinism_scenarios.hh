@@ -15,7 +15,9 @@
  * Each scenario takes an optional FaultPlan; when given, a
  * FaultInjector built from it is installed into the Machine for the
  * duration of the run (and removed before teardown, since the
- * injector dies before the Machine does).
+ * injector dies before the Machine does). The channel scenarios can
+ * also report the engine's steady steps (sim::Engine::steadySteps()),
+ * which stay out of the digest: they are host-side.
  */
 
 #ifndef HC_TESTS_DETERMINISM_SCENARIOS_HH
@@ -158,7 +160,7 @@ struct Fixture {
 inline Digest
 fig3Scenario(bool with_interrupts, bool hiccups, bool check_on,
              int calls, const fault::FaultPlan *plan = nullptr,
-             bool guard = true)
+             bool guard = true, std::uint64_t *steady_steps = nullptr)
 {
     Fixture f(with_interrupts, check_on, plan, guard);
     hotcalls::HotCallConfig config;
@@ -189,6 +191,8 @@ fig3Scenario(bool with_interrupts, bool hiccups, bool check_on,
     d.add("fig3.polls", hot.stats().responderPolls);
     d.add("fig3.busy", hot.stats().responderBusyCycles);
     f.digestMachine(d);
+    if (steady_steps)
+        *steady_steps = f.machine.engine().steadySteps();
     return d;
 }
 
@@ -197,7 +201,7 @@ inline Digest
 hotqueueScenario(bool with_interrupts, bool hiccups, bool check_on,
                  int calls_each,
                  const fault::FaultPlan *plan = nullptr,
-                 bool guard = true)
+                 bool guard = true, std::uint64_t *steady_steps = nullptr)
 {
     Fixture f(with_interrupts, check_on, plan, guard);
     hotcalls::HotQueueConfig config;
@@ -250,6 +254,8 @@ hotqueueScenario(bool with_interrupts, bool hiccups, bool check_on,
     d.add("hotq.depth.hash", fastHash64(s.depth.summary()));
     d.add("hotq.batchSize.hash", fastHash64(s.batchSize.summary()));
     f.digestMachine(d);
+    if (steady_steps)
+        *steady_steps = engine.steadySteps();
     return d;
 }
 
@@ -362,7 +368,7 @@ inline const char *kFastPathEdl = R"(
 inline Digest
 fastPathScenario(bool check_on, int fast_path, int calls,
                  const fault::FaultPlan *plan = nullptr,
-                 bool guard = true)
+                 bool guard = true, std::uint64_t *steady_steps = nullptr)
 {
     mem::MachineConfig machine_config;
     machine_config.engine.numCores = 8;
@@ -443,6 +449,8 @@ fastPathScenario(bool check_on, int fast_path, int calls,
     d.add("llc.misses", machine.memory().cache().misses());
     d.add("mee.nodeHits", machine.memory().mee().nodeCacheHits());
     d.add("mee.nodeMisses", machine.memory().mee().nodeCacheMisses());
+    if (steady_steps)
+        *steady_steps = engine.steadySteps();
     return d;
 }
 

@@ -47,6 +47,7 @@
 #include "apps/kvcache.hh"
 #include "apps/vpn.hh"
 #include "determinism_scenarios.hh"
+#include "support/env.hh"
 #include "support/hash.hh"
 #include "workloads/httpload.hh"
 #include "workloads/memtier.hh"
@@ -185,12 +186,13 @@ struct AppBed {
     port::PortedApp app;
 
     AppBed(const char *name, port::Mode mode,
-           std::set<std::string> hot_ocalls)
-        : machine([] {
+           std::set<std::string> hot_ocalls, bool check_on = false)
+        : machine([check_on] {
               mem::MachineConfig config;
               config.engine.numCores = 8;
               config.engine.seed = 42;
               config.engine.interruptMeanCycles = 0;
+              config.check.enabled = check_on;
               return config;
           }()),
           platform(machine), kernel(machine),
@@ -255,9 +257,10 @@ runWindow(AppBed &bed, const std::function<void()> &start,
  * ready, whose order follows the scan rotation.
  */
 void
-kvScenario(Digest &d, port::Mode mode)
+kvScenario(Digest &d, port::Mode mode, bool check_on = false)
 {
-    AppBed bed("memcached", mode, {"ocall_read", "ocall_sendmsg"});
+    AppBed bed("memcached", mode, {"ocall_read", "ocall_sendmsg"},
+               check_on);
     apps::KvCacheConfig server_config;
     server_config.numSlots = 4'096;
     apps::KvCacheServer server(bed.app, server_config);
@@ -360,6 +363,125 @@ vpnScenario(Digest &d, port::Mode mode)
     bed.digest(d, "vpn");
 }
 
+/**
+ * Idle channels beside a thread that churns a tiny LLC, the scenario
+ * for the bounds of the idle loops' steady declarations: two
+ * requesters burst on a HotQueue, whose surplus responder wakes on the
+ * backlog and parks again after a short occupancy window of idle
+ * polls; a single line's responder sleeps after a few idle polls
+ * between a caller's calls; and a sweeper's buffer reads evict the
+ * channel lines over and over from a 2 KiB, 4-set LLC, so the LRU
+ * stamps that batched probes leave decide later victims. The
+ * batch/step twin (CheckDoesNotChangeSimulatedCycles) runs it.
+ */
+Digest
+idleChannelsScenario(bool check_on, std::uint64_t *steady_steps = nullptr)
+{
+    mem::MachineConfig machine_config;
+    machine_config.engine.numCores = 8;
+    machine_config.engine.seed = 42;
+    machine_config.engine.interruptMeanCycles = 0;
+    machine_config.mem.llcSize = 2_KiB;
+    machine_config.mem.llcWays = 8;
+    machine_config.check.enabled = check_on;
+    mem::Machine machine(machine_config);
+    sgx::SgxPlatform platform(machine);
+    sdk::EnclaveRuntime runtime(platform, "determinism", kEdl, 4);
+    runtime.registerEcall("ecall_add", [](edl::StagedCall &c) {
+        c.setRetval(c.scalar(0) + c.scalar(1));
+    });
+    runtime.registerEcall("ecall_empty", [](edl::StagedCall &) {});
+    runtime.registerOcall("ocall_empty", [](edl::StagedCall &) {});
+
+    hotcalls::HotQueueConfig queue_config;
+    queue_config.numSlots = 4;
+    queue_config.responderCores = {1, 2};
+    queue_config.scaleUpDepth = 2;
+    queue_config.scaleWindowPolls = 24;
+    queue_config.hiccupChance = 0.0;
+    hotcalls::HotQueue queue(runtime, hotcalls::Kind::HotEcall,
+                             queue_config);
+    hotcalls::HotCallConfig line_config;
+    line_config.responderSleep = true;
+    line_config.idlePollsBeforeSleep = 15;
+    line_config.hiccupChance = 0.0;
+    hotcalls::HotCallService line(runtime, hotcalls::Kind::HotEcall, 3,
+                                  line_config);
+
+    auto &engine = machine.engine();
+    std::vector<Cycles> latencies;
+    std::uint64_t sum = 0;
+    bool done = false;
+    int finished = 0;
+    const auto timed = [&](auto &&call) {
+        const Cycles t0 = machine.now();
+        sum += call();
+        latencies.push_back(machine.now() - t0);
+    };
+    queue.start();
+    engine.spawn("sweeper", 7, [&] {
+        mem::Buffer buf(machine, mem::Domain::Untrusted, 4_KiB);
+        while (!done) {
+            buf.read();
+            engine.sleepFor(2'500);
+        }
+    });
+    for (int r = 0; r < 2; ++r) {
+        engine.spawn("req" + std::to_string(r), 4 + r, [&, r] {
+            for (int round = 0; round < 12; ++round) {
+                for (int i = 0; i < 6; ++i) {
+                    timed([&] {
+                        return queue.call(
+                            "ecall_add",
+                            {edl::Arg::value(static_cast<std::uint64_t>(r)),
+                             edl::Arg::value(
+                                 static_cast<std::uint64_t>(i))});
+                    });
+                }
+                engine.sleepFor(4'000 + 700 * static_cast<Cycles>(round));
+            }
+            ++finished;
+        });
+    }
+    engine.spawn("caller", 0, [&] {
+        line.start();
+        for (int i = 0; i < 40 || finished < 2; ++i) {
+            timed([&] {
+                return line.call("ecall_add",
+                                 {edl::Arg::value(static_cast<std::uint64_t>(i)),
+                                  edl::Arg::value(1)});
+            });
+            engine.sleepFor(1'500 + 90 * static_cast<Cycles>(i % 17));
+        }
+        done = true;
+        queue.stop();
+        line.stop();
+        engine.stop();
+    });
+    engine.run();
+
+    Digest d;
+    d.add("idle.sum", sum);
+    d.addSamples("idle.latency", latencies);
+    const auto &q = queue.stats();
+    d.add("idle.queue.polls", q.responderPolls);
+    d.add("idle.queue.batches", q.batches);
+    d.add("idle.queue.scaleUps", q.scaleUps);
+    d.add("idle.queue.scaleDowns", q.scaleDowns);
+    d.add("idle.queue.wakeups", q.wakeups);
+    const auto &l = line.stats();
+    d.add("idle.line.polls", l.responderPolls);
+    d.add("idle.line.sleeps", l.responderSleeps);
+    d.add("idle.line.wakeups", l.wakeups);
+    for (int c = 0; c < engine.numCores(); ++c)
+        d.add("core" + std::to_string(c) + ".clock", engine.coreNow(c));
+    d.add("llc.hits", machine.memory().cache().hits());
+    d.add("llc.misses", machine.memory().cache().misses());
+    if (steady_steps)
+        *steady_steps = engine.steadySteps();
+    return d;
+}
+
 /** Every application scenario, in a fixed order. */
 std::string
 appGoldenText()
@@ -430,6 +552,9 @@ TEST(Determinism, FastPathScenarioRunTwiceBothPlanes)
 
 // ----------------------------------------------------------------------
 // SimCheck invariance: instrumentation must not move simulated time.
+// It is also the batch/step twin: with SimCheck attached the idle polls
+// take the step path (every access must reach the checker), without it
+// they run in steady batches, so each pair below compares the two.
 // (Under an HC_CHECK=1 environment both runs have the checker on,
 // which degrades this to run-twice determinism — still a valid
 // invariant, and CI's plain ctest run covers the actual on/off pair.)
@@ -452,6 +577,52 @@ TEST(Determinism, CheckDoesNotChangeSimulatedCycles)
     const Digest foff = fastPathScenario(false, 1, 60);
     const Digest fon = fastPathScenario(true, 1, 60);
     EXPECT_EQ(foff.text(), fon.text());
+
+    // memcached in SgxHotCalls: HotQueue responders and requesters
+    // beside the kernel's sockets and the app's own threads.
+    Digest koff, kon;
+    kvScenario(koff, port::Mode::SgxHotCalls, false);
+    kvScenario(kon, port::Mode::SgxHotCalls, true);
+    EXPECT_EQ(koff.text(), kon.text());
+
+    // The idle loops' bounds: a scale-down window, a sleep threshold,
+    // and LRU victims among batched channel lines.
+    const Digest ioff = idleChannelsScenario(false);
+    const Digest ion = idleChannelsScenario(true);
+    maybePrint("idle-channels", ioff.text());
+    EXPECT_EQ(ioff.text(), ion.text());
+    for (const char *zero : {"idle.queue.scaleDowns=0\n",
+                             "idle.line.sleeps=0\n"})
+        EXPECT_EQ(ioff.text().find(zero), std::string::npos) << zero;
+}
+
+TEST(Determinism, IdlePollsBatchOnlyWithoutTheChecker)
+{
+    // The channel scenarios' idle polls run in steady batches, and
+    // never with SimCheck attached: it must see every access. (Under an
+    // HC_CHECK=1 environment the checker is on in every run.)
+    const bool forced = envFlagOr("HC_CHECK", false);
+    const auto expect_batches = [forced](std::uint64_t off,
+                                         std::uint64_t on) {
+        if (forced)
+            EXPECT_EQ(off, 0u);
+        else
+            EXPECT_GT(off, 0u);
+        EXPECT_EQ(on, 0u);
+    };
+    std::uint64_t off = 0, on = 0;
+    fig3Scenario(false, false, false, 100, nullptr, true, &off);
+    fig3Scenario(false, false, true, 100, nullptr, true, &on);
+    expect_batches(off, on);
+    hotqueueScenario(false, false, false, 50, nullptr, true, &off);
+    hotqueueScenario(false, false, true, 50, nullptr, true, &on);
+    expect_batches(off, on);
+    fastPathScenario(false, 1, 40, nullptr, true, &off);
+    fastPathScenario(true, 1, 40, nullptr, true, &on);
+    expect_batches(off, on);
+    idleChannelsScenario(false, &off);
+    idleChannelsScenario(true, &on);
+    expect_batches(off, on);
 }
 
 // ----------------------------------------------------------------------

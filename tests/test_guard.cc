@@ -529,3 +529,61 @@ TEST(GuardIntegration, StalledPublisherRetiredThroughPublishLeash)
     EXPECT_EQ(ck->count(check::ViolationKind::Leak), 0u);
     machine.installFault(nullptr);
 }
+
+TEST(GuardIntegration, IdlePollsKeepTheHeartbeatCurrent)
+{
+    // Idle responders stamp the heartbeat on every poll, also when the
+    // polls run in steady batches: whenever the caller wakes, each
+    // channel's last beat lies within one idle poll of the clock. The
+    // window and the sleep threshold are out of reach, so nothing but
+    // the heartbeat itself keeps the beat current.
+    mem::MachineConfig machine_config;
+    machine_config.engine.numCores = 4;
+    machine_config.engine.seed = 42;
+    machine_config.engine.interruptMeanCycles = 0;
+    mem::Machine machine(machine_config);
+    sgx::SgxPlatform platform(machine);
+    sdk::EnclaveRuntime runtime(platform, "guard-beat", R"(
+        enclave {
+            trusted { public void ecall_empty(); };
+            untrusted { void ocall_empty(); };
+        };
+    )",
+                                4);
+    runtime.registerEcall("ecall_empty", [](edl::StagedCall &) {});
+    runtime.registerOcall("ocall_empty", [](edl::StagedCall &) {});
+
+    hotcalls::HotQueueConfig queue_config;
+    queue_config.responderCores = {1};
+    queue_config.scaleWindowPolls = 1'000'000;
+    hotcalls::HotQueue queue(runtime, hotcalls::Kind::HotEcall,
+                             queue_config);
+    hotcalls::HotCallService line(runtime, hotcalls::Kind::HotEcall, 2);
+    // An idle poll is a few probes and a jittered PAUSE, under 100
+    // cycles; a late-by test this far inside the window fails once the
+    // last beat is older than that.
+    constexpr Cycles kPoll = 200;
+    const auto current = [&](const hotcalls::Channel &channel) {
+        const guard::ChannelGuard *g = channel.guard();
+        return g && !g->responderLate(machine.now() +
+                                      g->config().livenessWindow - kPoll);
+    };
+    auto &engine = machine.engine();
+    engine.spawn("caller", 0, [&] {
+        queue.start();
+        line.start();
+        for (const Cycles idle : {20'000, 300'000, 1'000'000}) {
+            engine.sleepFor(idle);
+            EXPECT_TRUE(current(queue)) << "after " << idle;
+            EXPECT_TRUE(current(line)) << "after " << idle;
+            queue.call("ecall_empty", {});
+            line.call("ecall_empty", {});
+        }
+        queue.stop();
+        line.stop();
+        engine.stop();
+    });
+    engine.run();
+    EXPECT_GT(queue.stats().responderPolls, 10'000u);
+    EXPECT_GT(line.stats().responderPolls, 10'000u);
+}

@@ -286,17 +286,25 @@ noteAccess(std::vector<std::uint64_t> &trace, Addr line,
  * Drive CacheModel and ReferenceCache through @p ops seeded operations
  * from four cores: reads and writes over a region four times the
  * cache, repeated spans (so span memos record, replay and go stale),
- * line and span flushes, and the odd flushAll. @return the first op
- * after which any result, flushed dirty bit or hit/miss counter
- * differs, or -1.
+ * line and span flushes, and the odd flushAll. With @p replayed set,
+ * a batch of owned hits follows about every fifth op: the cores whose
+ * last single-line access ownedMemoHit() certifies access those lines
+ * in a random interleaving, once each through the reference and, per
+ * core, through one replayOwnedHits() on the model, as a steady batch
+ * applies them; @p replayed counts the hits. The batches draw from
+ * their own generator, so the operation stream is the one without them.
+ * @return the first op after which any result, flushed dirty bit or
+ * hit/miss counter differs, or -1.
  */
 int
 referenceDivergence(std::uint64_t size, int ways, std::uint64_t seed,
-                    int ops)
+                    int ops, std::uint64_t *replayed = nullptr)
 {
     CacheModel cache(size, ways);
     ReferenceCache ref(size, ways);
     Rng rng(seed);
+    Rng batches(seed + 1'000);
+    Addr last_line[4] = {};
     constexpr Addr kBase = 0x200000;
     const std::uint64_t region_lines = 4 * size / kCacheLineSize;
     struct Span {
@@ -320,11 +328,13 @@ referenceDivergence(std::uint64_t size, int ways, std::uint64_t seed,
                 kBase + rng.nextBelow(region_lines) * kCacheLineSize;
             noteAccess(got, line, cache.access(core, line, write));
             noteAccess(want, line, ref.access(core, line, write));
+            last_line[core] = line;
         } else if (kind < 50) { // one line out of a span
             const Addr line =
                 s.first + rng.nextBelow(s.count) * kCacheLineSize;
             noteAccess(got, line, cache.access(core, line, write));
             noteAccess(want, line, ref.access(core, line, write));
+            last_line[core] = line;
         } else if (kind < 80) { // a span, mostly from one core
             const CoreId span_core = rng.chance(0.8) ? 0 : core;
             cache.accessSpan(
@@ -356,6 +366,35 @@ referenceDivergence(std::uint64_t size, int ways, std::uint64_t seed,
             cache.flushAll();
             ref.flushAll();
         }
+        if (replayed && batches.chance(0.2)) {
+            std::vector<CoreId> lanes;
+            for (CoreId c = 0; c < 4; ++c)
+                if (cache.ownedMemoHit(c, last_line[c]))
+                    lanes.push_back(c);
+            std::uint64_t count[4] = {}, last[4] = {};
+            bool wrote[4] = {};
+            const std::uint64_t base = cache.useClock();
+            const std::uint64_t hits =
+                lanes.empty() ? 0 : 1 + batches.nextBelow(40);
+            CacheModel::Result owned;
+            owned.outcome = CacheOutcome::OwnedHit;
+            for (std::uint64_t k = 1; k <= hits; ++k) {
+                const CoreId c = lanes[batches.nextBelow(lanes.size())];
+                const bool w = batches.chance(0.3);
+                noteAccess(want, last_line[c],
+                           ref.access(c, last_line[c], w));
+                noteAccess(got, last_line[c], owned);
+                ++count[c];
+                last[c] = k;
+                wrote[c] = wrote[c] || w;
+            }
+            for (const CoreId c : lanes) {
+                if (count[c] > 0)
+                    cache.replayOwnedHits(c, last_line[c], wrote[c],
+                                          count[c], base, last[c]);
+            }
+            *replayed += hits;
+        }
         got.insert(got.end(), {cache.hits(), cache.misses()});
         want.insert(want.end(), {ref.hits(), ref.misses()});
         if (got != want)
@@ -375,6 +414,25 @@ TEST(CacheModel, MatchesReferenceModel)
             << "seed=" << seed;
         EXPECT_EQ(referenceDivergence(48_KiB, 16, seed, 4'000), -1)
             << "seed=" << seed;
+    }
+}
+
+TEST(CacheModel, ReplayedOwnedHitsMatchAccesses)
+{
+    // The operation stream of MatchesReferenceModel, with batches of
+    // owned hits from up to four cores replayed between its operations:
+    // the stream that follows sees the tags, LRU stamps, owners, dirty
+    // bits, memos and counters the same accesses leave in the
+    // reference, so every later hit, miss and victim agrees.
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        std::uint64_t replayed = 0;
+        EXPECT_EQ(referenceDivergence(64_KiB, 4, seed, 4'000, &replayed),
+                  -1)
+            << "seed=" << seed;
+        EXPECT_EQ(referenceDivergence(48_KiB, 16, seed, 4'000, &replayed),
+                  -1)
+            << "seed=" << seed;
+        EXPECT_GT(replayed, 1'000u) << "seed=" << seed;
     }
 }
 

@@ -661,6 +661,32 @@ TEST(Epoll, RejectsSelfAndCyclicMembership)
     });
 }
 
+TEST(Epoll, DeleteOfAMissingMemberFails)
+{
+    Fixture f;
+    f.run([&] {
+        const int listener = f.kernel.listenTcp(95);
+        const int epfd = f.kernel.epollCreate();
+        const int other = f.kernel.epollCreate();
+        EXPECT_EQ(f.kernel.epollCtlAdd(epfd, listener), 0);
+        // No such descriptor, as fd or as set.
+        EXPECT_EQ(f.kernel.epollCtlDel(epfd, 999), kEbadf);
+        EXPECT_EQ(f.kernel.epollCtlDel(999, listener), kEbadf);
+        // A live fd that is not a member, then a double delete.
+        EXPECT_EQ(f.kernel.epollCtlDel(other, listener), kEnoent);
+        EXPECT_EQ(f.kernel.epollCtlDel(epfd, listener), 0);
+        EXPECT_EQ(f.kernel.epollCtlDel(epfd, listener), kEnoent);
+        // Each failure is charged like a success, as before.
+        const Cycles t0 = f.machine.now();
+        f.kernel.epollCtlDel(epfd, listener);
+        const Cycles failed = f.machine.now() - t0;
+        f.kernel.epollCtlAdd(epfd, listener);
+        const Cycles t1 = f.machine.now();
+        f.kernel.epollCtlDel(epfd, listener);
+        EXPECT_EQ(failed, f.machine.now() - t1);
+    });
+}
+
 namespace {
 
 /**
@@ -804,7 +830,7 @@ TEST(Epoll, ReadinessMatchesFullScan)
             for (int op = 0; op < 400; ++op) {
                 const auto streams = model.live(Model::Kind::Stream);
                 const auto sets = model.live(Model::Kind::Set);
-                const int what = static_cast<int>(rng.nextBelow(12));
+                const int what = static_cast<int>(rng.nextBelow(13));
                 if (what == 0) {
                     // connect: the client end, then the server end.
                     const auto listeners =
@@ -944,6 +970,23 @@ TEST(Epoll, ReadinessMatchesFullScan)
                     const int fd = pick(m);
                     EXPECT_EQ(k.epollCtlDel(e, fd), 0);
                     m.erase(std::find(m.begin(), m.end(), fd));
+                } else if (what == 11 && !sets.empty()) {
+                    // Delete a live non-member (kEnoent), or a closed
+                    // or never-opened fd (kEbadf): the set is unchanged.
+                    const int e = pick(sets);
+                    const auto &m = model.fds[e].members;
+                    std::vector<int> outside;
+                    for (const auto &entry : model.fds)
+                        if (std::find(m.begin(), m.end(), entry.first) ==
+                            m.end())
+                            outside.push_back(entry.first);
+                    if (outside.empty() || rng.chance(0.3)) {
+                        const int gone = model.fds.rbegin()->first + 1 +
+                                         static_cast<int>(rng.nextBelow(4));
+                        EXPECT_EQ(k.epollCtlDel(e, gone), kEbadf);
+                    } else {
+                        EXPECT_EQ(k.epollCtlDel(e, pick(outside)), kEnoent);
+                    }
                 } else {
                     // A datagram over the link, a receive, or time.
                     const int kind = static_cast<int>(rng.nextBelow(3));

@@ -2,13 +2,15 @@
  * @file
  * Tests for the discrete-event engine: fibers, virtual-time
  * scheduling, blocking, timeouts, determinism, interrupts, the
- * direct fiber handoff between threads, and spin loops stepped inline.
+ * direct fiber handoff between threads, spin loops stepped inline, and
+ * their declared idle iterations run in batch.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -1017,6 +1019,296 @@ TEST(Spin, SpinnersCostConstantFiberSwitches)
     EXPECT_GE(ref.switches, static_cast<std::uint64_t>(kSteps));
     EXPECT_LE(spin.switches, 12u);
     EXPECT_GE(spin.inlineSteps, 2u * kSteps - 4);
+}
+
+// ----------------------------------------------------------------------
+// Steady batches: loops that declare their idle iterations, run through
+// Engine::spin() (batched where declared) against the written-out
+// reference loop on their fibers.
+// ----------------------------------------------------------------------
+
+namespace {
+
+/** Stands in for the LLC's use clock: every Idler probe takes the next
+ *  value, so a batch must hand each loop the exact place of its last
+ *  probe among every lane's probes. */
+struct UseClock {
+    std::uint64_t now = 0;
+};
+
+/** What an Idler did, compared between the modes. */
+struct IdleCounts {
+    std::uint64_t heads = 0;
+    std::uint64_t probes = 0;
+    std::uint64_t pauses = 0;
+    Cycles lastHead = 0;
+    std::uint64_t lastStamp = 0; //!< UseClock value of its last probe
+
+    bool operator==(const IdleCounts &) const = default;
+};
+
+/** An Idler's iteration and the bounds of its declarations. */
+struct IdleShape {
+    int probes = 1;
+    Cycles probeCycles = 6;
+    Cycles pause = 35;
+    Cycles jitter = 22;
+    std::uint64_t iterations = 300;
+    /** Heads one declaration covers at most. */
+    std::uint64_t headCap = std::numeric_limits<std::uint64_t>::max();
+    /** Declarations end at the next multiple of this (0: never). */
+    Cycles limitEvery = 0;
+};
+
+/**
+ * An idle polling loop: `iterations` iterations of `probes` probes and
+ * a jittered PAUSE, then it exits. step() is the reference; steady()
+ * and advanceSteady() describe the same iteration for batches.
+ */
+class Idler final : public Spin
+{
+  public:
+    Idler(Engine &engine, UseClock &clock, IdleCounts &counts,
+          IdleShape shape)
+        : engine_(engine), clock_(clock), counts_(counts), shape_(shape)
+    {
+    }
+
+    Cycles step() override
+    {
+        if (at_ == 0) {
+            if (counts_.heads == shape_.iterations)
+                return kSpinDone;
+            ++counts_.heads;
+            counts_.lastHead = engine_.now();
+        }
+        if (at_ < shape_.probes) {
+            ++at_;
+            ++counts_.probes;
+            counts_.lastStamp = ++clock_.now;
+            return shape_.probeCycles;
+        }
+        at_ = 0;
+        ++counts_.pauses;
+        return shape_.pause + engine_.rng().nextBelow(shape_.jitter + 1);
+    }
+
+    bool steady(Steady &s) override
+    {
+        s.probes = shape_.probes;
+        s.probeCycles = shape_.probeCycles;
+        s.pauseCycles = shape_.pause;
+        s.pauseJitter = shape_.jitter;
+        s.at = at_;
+        s.heads = std::min(shape_.iterations - counts_.heads, shape_.headCap);
+        if (shape_.limitEvery > 0)
+            s.limit =
+                (engine_.now() / shape_.limitEvery + 1) * shape_.limitEvery;
+        base_ = clock_.now;
+        return true;
+    }
+
+    void advanceSteady(const SteadyRun &run) override
+    {
+        if (const std::uint64_t heads = run.ran(0)) {
+            counts_.heads += heads;
+            counts_.lastHead = run.lastHead;
+        }
+        counts_.pauses += run.ran(shape_.probes);
+        const std::uint64_t probes = run.probes();
+        counts_.probes += probes;
+        if (probes > 0)
+            counts_.lastStamp = base_ + run.lastProbe;
+        clock_.now += probes;
+        at_ = run.at();
+    }
+
+  private:
+    Engine &engine_;
+    UseClock &clock_;
+    IdleCounts &counts_;
+    const IdleShape shape_;
+    int at_ = 0;
+    std::uint64_t base_ = 0;
+};
+
+/** Everything an idle scenario must reproduce, plus host counters. */
+struct IdleRun {
+    std::vector<Tick> trace; //!< the plain threads' records
+    std::map<std::string, IdleCounts> counts;
+    std::vector<Cycles> clocks;
+    std::uint64_t interrupts = 0;
+    std::uint64_t rngAfter = 0; //!< the engine RNG's next value
+    std::uint64_t useClock = 0;
+    std::uint64_t inlineSteps = 0;
+    std::uint64_t steadySteps = 0;
+};
+
+/** What a scenario spawns its threads with. */
+struct IdleBed {
+    Engine &engine;
+    IdleRun &run;
+    UseClock &clock;
+    Mode mode;
+
+    void idler(const std::string &name, CoreId core, IdleShape shape)
+    {
+        IdleCounts &counts = run.counts[name];
+        engine.spawn(name, core, [this, &counts, shape] {
+            Idler idler(engine, clock, counts, shape);
+            runLoop(engine, idler, mode);
+        });
+    }
+
+    void chunky(const std::string &name, CoreId core, Cycles chunk,
+                int count)
+    {
+        spawnChunky(engine, run.trace, name, core, chunk, count);
+    }
+};
+
+IdleRun
+runIdleScenario(Engine::Config config, Mode mode,
+                const std::function<void(IdleBed &)> &scenario)
+{
+    Engine engine(config);
+    engine.setInterruptHandler([](CoreId, Cycles) { return Cycles{37}; });
+    IdleRun run;
+    UseClock clock;
+    IdleBed bed{engine, run, clock, mode};
+    scenario(bed);
+    engine.run();
+    for (int c = 0; c < engine.numCores(); ++c)
+        run.clocks.push_back(engine.coreNow(c));
+    run.interrupts = engine.interruptCount();
+    run.rngAfter = engine.rng().next();
+    run.useClock = clock.now;
+    run.inlineSteps = engine.inlineSteps();
+    run.steadySteps = engine.steadySteps();
+    return run;
+}
+
+/** Run @p scenario both ways: every observable must match, and the
+ *  spin() run must have batched. */
+void
+expectSteadyMatchesReference(Engine::Config config,
+                             const std::function<void(IdleBed &)> &scenario)
+{
+    const IdleRun spin = runIdleScenario(config, Mode::Spin, scenario);
+    const IdleRun ref = runIdleScenario(config, Mode::Reference, scenario);
+    for (const auto &[name, counts] : ref.counts) {
+        const IdleCounts &got = spin.counts.at(name);
+        EXPECT_EQ(got.heads, counts.heads) << name;
+        EXPECT_EQ(got.probes, counts.probes) << name;
+        EXPECT_EQ(got.pauses, counts.pauses) << name;
+        EXPECT_EQ(got.lastHead, counts.lastHead) << name;
+        EXPECT_EQ(got.lastStamp, counts.lastStamp) << name;
+    }
+    EXPECT_EQ(spin.trace, ref.trace);
+    EXPECT_EQ(spin.clocks, ref.clocks);
+    EXPECT_EQ(spin.interrupts, ref.interrupts);
+    EXPECT_EQ(spin.rngAfter, ref.rngAfter);
+    EXPECT_EQ(spin.useClock, ref.useClock);
+    EXPECT_EQ(ref.steadySteps, 0u);
+    EXPECT_GT(spin.steadySteps, 0u);
+    EXPECT_LE(spin.steadySteps, spin.inlineSteps);
+}
+
+} // anonymous namespace
+
+TEST(Steady, OneAndThreeProbeIterationsBesideAChunkyThread)
+{
+    Engine::Config config;
+    config.numCores = 4;
+    expectSteadyMatchesReference(config, [](IdleBed &bed) {
+        bed.chunky("chunky", 0, 1'000, 40);
+        bed.idler("one", 1, {});
+        bed.idler("three", 2, {.probes = 3, .probeCycles = 9});
+        bed.idler("slow", 3, {.pause = 80, .jitter = 5, .iterations = 200});
+    });
+}
+
+TEST(Steady, HeadAndCycleLimitsEndBatches)
+{
+    Engine::Config config;
+    config.numCores = 3;
+    expectSteadyMatchesReference(config, [](IdleBed &bed) {
+        bed.chunky("chunky", 0, 2'500, 10);
+        bed.idler("capped", 1, {.probes = 3, .headCap = 5});
+        bed.idler("limited", 2, {.iterations = 500, .limitEvery = 777});
+    });
+}
+
+TEST(Steady, TiesBreakByCoreIndex)
+{
+    // Equal fixed iterations keep every clock tied, spawned out of core
+    // order; the plain thread on core 2 ties with lanes on either side.
+    Engine::Config config;
+    config.numCores = 5;
+    const IdleShape tied{.probes = 2, .probeCycles = 10, .pause = 30,
+                         .jitter = 0, .iterations = 80};
+    expectSteadyMatchesReference(config, [&tied](IdleBed &bed) {
+        bed.idler("e", 4, tied);
+        bed.idler("b", 1, tied);
+        bed.chunky("plain", 2, 50, 100);
+        bed.idler("d", 3, tied);
+        bed.idler("a", 0, tied);
+    });
+}
+
+TEST(Steady, InterruptsEndBatchesAndArriveOnTheStepPath)
+{
+    Engine::Config config;
+    config.numCores = 4;
+    config.seed = 5;
+    config.interruptMeanCycles = 400;
+    expectSteadyMatchesReference(config, [](IdleBed &bed) {
+        bed.chunky("chunky", 0, 700, 20);
+        bed.idler("a", 1, {.iterations = 400});
+        bed.idler("b", 2, {.probes = 3});
+        bed.idler("c", 3, {.pause = 45});
+    });
+}
+
+TEST(Steady, TimeoutExpiresMidBatch)
+{
+    Engine::Config config;
+    config.numCores = 4;
+    WaitQueue never_notified;
+    expectSteadyMatchesReference(config, [&never_notified](IdleBed &bed) {
+        bed.idler("a", 0, {});
+        bed.idler("b", 1, {.probes = 3, .pause = 43});
+        bed.idler("c", 2, {.pause = 29});
+        Engine &engine = bed.engine;
+        std::vector<Tick> &trace = bed.run.trace;
+        engine.spawn("waiter", 3, [&engine, &trace, &never_notified] {
+            const bool notified = engine.waitUntil(never_notified, 1'234);
+            trace.push_back({"waiter", engine.now(), notified});
+            engine.advance(500);
+            trace.push_back({"waiter", engine.now(), 0});
+        });
+    });
+}
+
+TEST(Steady, SharedCoreStepsOnTheFiber)
+{
+    // "a" shares core 0 with a plain thread until that one exits, so
+    // its fiber steps it; "b" has core 1 to itself and batches.
+    Engine::Config config;
+    config.numCores = 2;
+    expectSteadyMatchesReference(config, [](IdleBed &bed) {
+        bed.idler("a", 0, {.probes = 3});
+        Engine &engine = bed.engine;
+        std::vector<Tick> &trace = bed.run.trace;
+        engine.spawn("sharer", 0, [&engine, &trace] {
+            for (int i = 0; i < 20; ++i) {
+                trace.push_back({"sharer", engine.now(), 0});
+                engine.advance(90);
+                engine.yield();
+            }
+        });
+        bed.idler("b", 1, {.iterations = 500});
+    });
 }
 
 namespace {

@@ -51,13 +51,22 @@ TEST(Rng, NextBelowInRange)
 
 TEST(Rng, NextBelowMatchesTheReferenceAcrossBoundChanges)
 {
-    // The cached rejection threshold must follow every change of
-    // bound: each draw equals the uncached formula applied to a twin
-    // generator's raw stream. The huge bound rejects about half its
-    // raw values, so a stale threshold would show.
+    // The cached rejection threshold and reciprocal must follow every
+    // change of bound: each draw equals the uncached formula applied to
+    // a twin generator's raw stream. A repeated bound takes the
+    // reciprocal path, so every bound appears twice in a row at least
+    // once. The huge bound rejects about half its raw values, so a
+    // stale threshold would show; 2^63, 2^64 - 5 and 2^32 + 15 put the
+    // reciprocal's rounding at its extremes.
     Rng rng(11), raw(11);
     const std::uint64_t huge = (std::uint64_t{1} << 63) + 1;
-    const std::uint64_t bounds[] = {23, 23, 7, 23, huge, 1, huge, 23};
+    const std::uint64_t top = std::uint64_t{1} << 63;
+    const std::uint64_t near_max = ~std::uint64_t{0} - 4;
+    const std::uint64_t mid = (std::uint64_t{1} << 32) + 15;
+    const std::uint64_t bounds[] = {23,       23,       7,   23,   huge,
+                                    huge,     1,        1,   huge, 23,
+                                    2,        2,        top, top,  near_max,
+                                    near_max, 23,       mid, mid,  near_max};
     for (int round = 0; round < 200; ++round) {
         for (std::uint64_t bound : bounds) {
             const std::uint64_t threshold = (0 - bound) % bound;
