@@ -54,21 +54,14 @@ Mee::macFor(std::uint64_t line_index, std::uint64_t version) const
     return fastHash64(material, sizeof(material));
 }
 
-Mee::Chunk &
-Mee::touch(std::uint64_t line_index)
+Mee::DramPair &
+Mee::attacked(std::uint64_t line_index)
 {
-    if (chunks_.empty())
-        chunks_.resize((numLines_ + kChunkMask) >> kChunkShift);
-    std::unique_ptr<Chunk> &slot = chunks_[line_index >> kChunkShift];
-    if (!slot)
-        slot = std::make_unique<Chunk>();
-    const std::uint64_t bit = lineBit(line_index);
-    if (!(slot->touched & bit)) {
-        slot->touched |= bit;
-        slot->metas[line_index & kChunkMask].dramMac =
-            macFor(line_index, 0);
-    }
-    return *slot;
+    const std::uint32_t version = trustedVersion(line_index);
+    return attacked_
+        .try_emplace(line_index,
+                     DramPair{version, macFor(line_index, version)})
+        .first->second;
 }
 
 int
@@ -171,17 +164,16 @@ bool
 Mee::verifyLine(Addr line_addr) const
 {
     const std::uint64_t idx = lineIndex(line_addr);
-    const Chunk *chunk =
-        chunks_.empty() ? nullptr : chunks_[idx >> kChunkShift].get();
-    const std::uint64_t bit = lineBit(idx);
-    if (!chunk || !(chunk->touched & bit) || (chunk->verified & bit))
-        return true; // untouched line: version 0, MAC as initialised
-    const LineMeta &meta = chunk->metas[idx & kChunkMask];
-    if (meta.dramMac != macFor(idx, meta.dramVersion))
+    if (attacked_.empty())
+        return true; // every DRAM pair is the one the MEE last wrote
+    const auto it = attacked_.find(idx);
+    if (it == attacked_.end())
+        return true;
+    const DramPair &dram = it->second;
+    if (dram.mac != macFor(idx, dram.version))
         return false; // forged/corrupted line or MAC
-    if (meta.dramVersion != meta.trustedVersion)
+    if (dram.version != trustedVersion(idx))
         return false; // consistent but stale: rollback attack
-    chunk->verified |= bit;
     return true;
 }
 
@@ -189,34 +181,30 @@ void
 Mee::writebackLine(Addr line_addr)
 {
     const std::uint64_t idx = lineIndex(line_addr);
-    Chunk &chunk = touch(idx);
-    LineMeta &meta = chunk.metas[idx & kChunkMask];
-    ++meta.trustedVersion;
-    meta.dramVersion = meta.trustedVersion;
-    meta.dramMac = macFor(idx, meta.dramVersion);
+    if (idx >= versions_.size()) {
+        versions_.reserve(numLines_); // once: the counters never move
+        versions_.resize(idx + 1);
+    }
+    ++versions_[idx];
     // The fresh pair matches the trusted counter by construction.
-    chunk.verified |= lineBit(idx);
+    if (!attacked_.empty())
+        attacked_.erase(idx);
 }
 
 void
 Mee::tamperMac(Addr line_addr)
 {
-    const std::uint64_t idx = lineIndex(line_addr);
-    Chunk &chunk = touch(idx);
-    chunk.metas[idx & kChunkMask].dramMac ^= 0x1;
-    chunk.verified &= ~lineBit(idx);
+    attacked(lineIndex(line_addr)).mac ^= 0x1;
 }
 
 void
 Mee::rollbackLine(Addr line_addr)
 {
     const std::uint64_t idx = lineIndex(line_addr);
-    Chunk &chunk = touch(idx);
-    LineMeta &meta = chunk.metas[idx & kChunkMask];
-    hc_assert(meta.dramVersion > 0);
-    --meta.dramVersion;
-    meta.dramMac = macFor(idx, meta.dramVersion);
-    chunk.verified &= ~lineBit(idx);
+    DramPair &dram = attacked(idx);
+    hc_assert(dram.version > 0);
+    --dram.version;
+    dram.mac = macFor(idx, dram.version);
 }
 
 } // namespace hc::mem

@@ -20,20 +20,22 @@
  *    paper's observation that encrypted writes cost only ~6% extra
  *    (Fig 7) while reads pay up to 102%.
  *
- * Line metadata is a sparse overlay: a line with no record is in its
- * freshly-initialised state (version 0 on both sides, MAC derivable
- * from the key). Records are materialised on first touch, so
- * construction does no per-line work — the eager form hashed a MAC for
- * each of the ~4M lines of a 256 MiB EPC before the simulation could
- * start.
+ * Per line, the MEE keeps only what verification reads: one trusted
+ * version counter, the line's write-back count, in a flat array that
+ * grows with the highest line written back (a line past its end was
+ * never written back: version 0). The DRAM-resident (version, MAC)
+ * pair is the one the MEE last wrote, (counter, MAC of counter), for
+ * every line except those an attack hook has since changed; only
+ * those carry a stored pair, in a side map that the line's next
+ * write-back clears. Verification therefore hashes only attacked
+ * lines, and with none attacked it reads no per-line state at all.
  */
 
 #ifndef HC_MEM_MEE_HH
 #define HC_MEM_MEE_HH
 
-#include <array>
 #include <cstdint>
-#include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "mem/cost_params.hh"
@@ -98,7 +100,11 @@ class Mee
      */
     bool verifyLine(Addr line_addr) const;
 
-    /** Record a write-back of @p line_addr: bump version, re-MAC. */
+    /**
+     * Record a write-back of @p line_addr: bump its trusted version.
+     * The DRAM copy becomes the fresh (version, MAC) pair, which ends
+     * any attack on the line.
+     */
     void writebackLine(Addr line_addr);
 
     /** Attack hook: corrupt the stored MAC of a line. */
@@ -106,7 +112,10 @@ class Mee
 
     /**
      * Attack hook: replay the previous (version, MAC) pair of a
-     * line — a consistent but stale snapshot, i.e. a rollback.
+     * line — a consistent but stale snapshot, i.e. a rollback. Each
+     * call steps one version further back; the DRAM version must be
+     * above 0 (asserted), so a line can be rolled back at most as
+     * many times as it was written back.
      */
     void rollbackLine(Addr line_addr);
 
@@ -121,18 +130,6 @@ class Mee
     std::uint64_t nodeCacheMisses() const { return nodeMisses_; }
 
   private:
-    /**
-     * Per-line protection state, meaningful once the line's chunk
-     * marks it touched. An untouched line is "never written back or
-     * attacked": version 0 everywhere, MAC = macFor(index, 0),
-     * trivially valid.
-     */
-    struct LineMeta {
-        std::uint32_t trustedVersion = 0;
-        std::uint32_t dramVersion = 0;
-        std::uint64_t dramMac = 0;
-    };
-
     std::uint64_t lineIndex(Addr line_addr) const;
     std::uint64_t macFor(std::uint64_t line_index,
                          std::uint64_t version) const;
@@ -180,35 +177,31 @@ class Mee
     std::uint64_t leafTag_ = 0;
     NodeWay *leafWay_ = nullptr;
 
-    /**
-     * The per-line overlay, in chunks of 64 consecutive lines: a
-     * directory with one slot per chunk of the EPC, indexed by line
-     * index >> kChunkShift, each chunk allocated on first touch. The
-     * directory itself is allocated at the first touch of any line,
-     * so a run that never writes an EPC line back builds none.
-     * Chunks never move, so a lookup is one directory load.
-     */
-    static constexpr unsigned kChunkShift = 6;
-    static constexpr std::uint64_t kChunkMask =
-        (std::uint64_t{1} << kChunkShift) - 1;
-    struct Chunk {
-        std::array<LineMeta, std::size_t{1} << kChunkShift> metas;
-        /** Bit i: metas[i] is materialised (dramMac set by touch()). */
-        std::uint64_t touched = 0;
-        /** Bit i: metas[i]'s (version, MAC) pair last passed
-         *  verifyLine(). Purely an avoided re-hash, cleared by every
-         *  mutation; verifyLine() is const and sets it. */
-        mutable std::uint64_t verified = 0;
-    };
-    /** @return the bit of @p line_index in its chunk's masks. */
-    static std::uint64_t lineBit(std::uint64_t line_index)
+    /** @return the trusted version counter of @p line_index. */
+    std::uint32_t trustedVersion(std::uint64_t line_index) const
     {
-        return std::uint64_t{1} << (line_index & kChunkMask);
+        return line_index < versions_.size() ? versions_[line_index] : 0;
     }
-    /** The chunk of @p line_index with that line materialised,
-     *  allocating the chunk on first touch. */
-    Chunk &touch(std::uint64_t line_index);
-    std::vector<std::unique_ptr<Chunk>> chunks_;
+
+    /**
+     * Trusted version counters by line index: each line's write-back
+     * count. Reserved for the whole EPC at the first write-back, so it
+     * never moves, and zero-filled only up to the highest line written
+     * back; a run that writes no EPC line back allocates nothing.
+     */
+    std::vector<std::uint32_t> versions_;
+
+    /** A DRAM-resident (version, MAC) pair an attack hook changed. */
+    struct DramPair {
+        std::uint32_t version;
+        std::uint64_t mac;
+    };
+    /** The stored pair of @p line_index, started from the one the MEE
+     *  last wrote (trusted counter, its MAC) if the line has none. */
+    DramPair &attacked(std::uint64_t line_index);
+    /** The attacked lines' pairs; every other line's DRAM pair is
+     *  (trusted counter, macFor(counter)) by construction. */
+    std::unordered_map<std::uint64_t, DramPair> attacked_;
 
     std::uint64_t nodeHits_ = 0;
     std::uint64_t nodeMisses_ = 0;

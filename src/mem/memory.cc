@@ -264,11 +264,10 @@ MemoryModel::evictRange(Addr addr, std::uint64_t len)
 void
 MemoryModel::evictAll()
 {
-    // Write back dirty EPC state functionally before dropping lines.
-    // The cache model does not enumerate dirty lines by domain, so we
-    // conservatively keep MEE state consistent by bumping nothing:
-    // lines dropped here were never observed leaving the package, and
-    // verifyFetched() accepts the last written-back version.
+    // Drops every line, dirty EPC lines included, with no write-back:
+    // their data never left the package, so the MEE's counters and
+    // DRAM pairs still hold the last write-back, which a later fetch
+    // verifies.
     cache_.flushAll();
 }
 

@@ -118,7 +118,8 @@ class MemoryModel
     /** Evict every line overlapping [addr, addr+len). */
     void evictRange(Addr addr, std::uint64_t len);
 
-    /** Evict the entire LLC (cold-cache experiments). */
+    /** Evict the entire LLC (cold-cache experiments). Dirty lines are
+     *  dropped, not written back through the MEE. */
     void evictAll();
 
     // ------------------------------------------------------------------

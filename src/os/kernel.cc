@@ -815,10 +815,10 @@ Kernel::poll(const std::vector<int> &fds, std::vector<int> &ready,
         ready.clear();
         Cycles future = kNever;
         for (int fd : fds) {
+            // An fd with no descriptor is reported at once, as Linux
+            // reports it with POLLNVAL.
             const Desc *m = desc(fd);
-            if (!m)
-                continue;
-            if (readableNow(*m))
+            if (!m || readableNow(*m))
                 ready.push_back(fd);
             else
                 future = std::min(future, earliestAvailability(*m));

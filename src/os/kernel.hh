@@ -199,7 +199,9 @@ class Kernel
                   Cycles timeout);
 
     /**
-     * poll(2) over @p fds; @p ready gets the readable subset.
+     * poll(2) over @p fds; @p ready gets the readable subset, plus
+     * every fd with no descriptor (Linux's POLLNVAL), which makes the
+     * call return at once.
      * @return number of ready fds (0 on timeout)
      */
     int poll(const std::vector<int> &fds, std::vector<int> &ready,

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <map>
 #include <vector>
 
 #include "mem/buffer.hh"
@@ -549,6 +550,316 @@ TEST(Mee, OverlayCoversTheWholeEpc)
     }
 }
 
+namespace {
+
+/**
+ * The MEE's line state kept in full, the reference for Mee's lean
+ * state: every line touched carries a trusted version and a
+ * DRAM-resident (version, keyed MAC) pair, written back and attacked
+ * exactly as the hooks describe. Its MAC is its own keyed hash; only
+ * whether a pair verifies is compared.
+ */
+class ReferenceLines
+{
+  public:
+    bool verify(std::uint64_t idx) const
+    {
+        const auto it = lines_.find(idx);
+        if (it == lines_.end())
+            return true; // never touched: version 0, MAC as initialised
+        const Line &line = it->second;
+        return line.dramMac == mac(idx, line.dramVersion) &&
+               line.dramVersion == line.trusted;
+    }
+
+    void writeback(std::uint64_t idx)
+    {
+        Line &line = at(idx);
+        ++line.trusted;
+        line.dramVersion = line.trusted;
+        line.dramMac = mac(idx, line.dramVersion);
+    }
+
+    void tamper(std::uint64_t idx) { at(idx).dramMac ^= 0x1; }
+
+    void rollback(std::uint64_t idx)
+    {
+        Line &line = at(idx);
+        --line.dramVersion;
+        line.dramMac = mac(idx, line.dramVersion);
+    }
+
+    std::uint32_t dramVersion(std::uint64_t idx) const
+    {
+        const auto it = lines_.find(idx);
+        return it == lines_.end() ? 0 : it->second.dramVersion;
+    }
+
+  private:
+    struct Line {
+        std::uint32_t trusted = 0;
+        std::uint32_t dramVersion = 0;
+        std::uint64_t dramMac = 0;
+    };
+
+    static std::uint64_t mac(std::uint64_t idx, std::uint64_t version)
+    {
+        const std::uint64_t material[3] = {0x726566, idx, version};
+        return fastHash64(material, sizeof(material));
+    }
+
+    Line &at(std::uint64_t idx)
+    {
+        const auto [it, fresh] = lines_.try_emplace(idx);
+        if (fresh)
+            it->second.dramMac = mac(idx, 0);
+        return it->second;
+    }
+
+    std::map<std::uint64_t, Line> lines_;
+};
+
+/**
+ * Drive a Mee over an EPC of @p epc_size bytes and the reference
+ * through @p ops seeded operations on eight lines (the first two, the
+ * last two and four in the lower half): write-backs, single and double
+ * MAC tampers, and rollbacks of one to three steps where the reference
+ * has the versions to replay. After every operation, verifyLine() of
+ * those lines and of lines nothing touches (in the upper half) is
+ * compared. @p failures counts the failed verifications seen.
+ * @return the first op after which any verification differs, or -1.
+ */
+int
+lineStateDivergence(std::uint64_t seed, std::uint64_t epc_size, int ops,
+                    std::uint64_t &failures)
+{
+    CostParams params;
+    constexpr Addr kBase = 0x1000000;
+    const std::uint64_t lines = epc_size / kCacheLineSize;
+    Mee mee(params, kBase, epc_size, 0x6b6579 + seed);
+    ReferenceLines ref;
+    Rng rng(seed);
+    std::vector<std::uint64_t> hot = {0, 1, lines - 2, lines - 1};
+    for (int i = 0; i < 4; ++i)
+        hot.push_back(2 + rng.nextBelow(lines / 2 - 2));
+    std::vector<std::uint64_t> watched = hot;
+    watched.insert(watched.end(), {lines / 2, lines - 3});
+    for (int i = 0; i < 2; ++i)
+        watched.push_back(lines / 2 + rng.nextBelow(lines / 2 - 3));
+    const auto at = [&](std::uint64_t idx) {
+        return kBase + idx * kCacheLineSize;
+    };
+    for (int op = 0; op < ops; ++op) {
+        const std::uint64_t idx = hot[rng.nextBelow(hot.size())];
+        const std::uint64_t kind = rng.nextBelow(10);
+        if (kind < 5) {
+            mee.writebackLine(at(idx));
+            ref.writeback(idx);
+        } else if (kind < 8) { // one tamper, or two that cancel
+            const int times = kind == 7 ? 2 : 1;
+            for (int i = 0; i < times; ++i) {
+                mee.tamperMac(at(idx));
+                ref.tamper(idx);
+            }
+        } else {
+            const std::uint64_t steps = 1 + rng.nextBelow(3);
+            if (ref.dramVersion(idx) < steps)
+                continue;
+            for (std::uint64_t i = 0; i < steps; ++i) {
+                mee.rollbackLine(at(idx));
+                ref.rollback(idx);
+            }
+        }
+        for (const std::uint64_t line : watched) {
+            const bool valid = ref.verify(line);
+            failures += valid ? 0 : 1;
+            if (mee.verifyLine(at(line)) != valid)
+                return op;
+        }
+    }
+    return -1;
+}
+
+/**
+ * A naive MEE node cache, the reference for Mee's timed half: the
+ * same (level << 48) | (node + 1) tags and mix64 sets, and the walk's
+ * victim rule (the last empty way of the set, else its first least
+ * recently used way), with every walk re-derived from the line index.
+ * No path memo, no leaf memo, no span replay.
+ */
+class ReferenceNodeCache
+{
+  public:
+    ReferenceNodeCache(const CostParams &params, std::uint64_t lines)
+        : arity_(static_cast<std::uint64_t>(params.meeTreeArity)),
+          ways_(static_cast<std::size_t>(params.meeCacheWays)),
+          sets_(static_cast<std::uint64_t>(params.meeCacheEntries /
+                                           params.meeCacheWays))
+    {
+        for (std::uint64_t coverage = 1; coverage < lines;
+             coverage *= arity_)
+            ++levels_;
+        clear();
+    }
+
+    void clear() { cache_ = std::vector<Way>(sets_ * ways_); }
+
+    int walk(std::uint64_t idx)
+    {
+        int misses = 0;
+        std::uint64_t node = idx / arity_;
+        for (int level = 1; level < levels_; ++level, node /= arity_) {
+            const std::uint64_t tag =
+                (static_cast<std::uint64_t>(level) << 48) | (node + 1);
+            Way *set = &cache_[(mix64(tag) % sets_) * ways_];
+            ++clock_;
+            Way *hit = nullptr;
+            for (std::size_t w = 0; w < ways_; ++w)
+                if (set[w].tag == tag)
+                    hit = &set[w];
+            if (hit) {
+                hit->lastUse = clock_;
+                ++hits_;
+                return misses;
+            }
+            ++misses_;
+            ++misses;
+            Way *victim = nullptr;
+            for (std::size_t w = 0; w < ways_; ++w)
+                if (set[w].tag == 0)
+                    victim = &set[w];
+            if (!victim) {
+                victim = &set[0];
+                for (std::size_t w = 0; w < ways_; ++w)
+                    if (set[w].lastUse < victim->lastUse)
+                        victim = &set[w];
+            }
+            *victim = Way{tag, clock_};
+        }
+        return misses;
+    }
+
+    int levels() const { return levels_; }
+    std::uint64_t hits() const { return hits_; }
+    std::uint64_t misses() const { return misses_; }
+
+  private:
+    struct Way {
+        std::uint64_t tag = 0;
+        std::uint64_t lastUse = 0;
+    };
+    std::uint64_t arity_;
+    std::size_t ways_;
+    std::uint64_t sets_;
+    int levels_ = 0;
+    std::vector<Way> cache_;
+    std::uint64_t clock_ = 0;
+    std::uint64_t hits_ = 0;
+    std::uint64_t misses_ = 0;
+};
+
+/**
+ * Drive a Mee with a node cache of @p entries entries of @p ways ways
+ * and the reference through @p ops seeded operations over a 16 MiB
+ * EPC: ascending spans through spanWalkMisses() in a 4096-line hot
+ * region, single-line readWalkMisses() there or anywhere, and node
+ * cache clears. @return the first op after which any walk's miss
+ * count or the hit/miss counters differ, or -1.
+ */
+int
+nodeCacheDivergence(int entries, int ways, std::uint64_t seed, int ops)
+{
+    CostParams params;
+    params.meeCacheEntries = entries;
+    params.meeCacheWays = ways;
+    constexpr Addr kBase = 0x1000000;
+    constexpr std::uint64_t kLines = 16_MiB / kCacheLineSize;
+    constexpr std::uint64_t kHotLines = 4096;
+    Mee mee(params, kBase, 16_MiB, 0x6b6579);
+    ReferenceNodeCache ref(params, kLines);
+    if (mee.treeLevels() != ref.levels())
+        return 0; // the walks could not agree: fail at the first op
+    Rng rng(seed);
+    for (int op = 0; op < ops; ++op) {
+        std::vector<int> got, want;
+        const std::uint64_t kind = rng.nextBelow(10);
+        if (kind < 5) { // an ascending span
+            const std::uint64_t count = 1 + rng.nextBelow(64);
+            std::uint64_t idx = rng.nextBelow(kHotLines - count);
+            for (std::uint64_t i = 0; i < count; ++i, ++idx) {
+                got.push_back(
+                    mee.spanWalkMisses(kBase + idx * kCacheLineSize));
+                want.push_back(ref.walk(idx));
+            }
+        } else if (kind < 9) { // one line, hot or anywhere
+            const std::uint64_t idx =
+                rng.nextBelow(kind < 7 ? kHotLines : kLines);
+            got.push_back(mee.readWalkMisses(kBase + idx * kCacheLineSize));
+            want.push_back(ref.walk(idx));
+        } else {
+            mee.clearNodeCache();
+            ref.clear();
+        }
+        if (got != want || mee.nodeCacheHits() != ref.hits() ||
+            mee.nodeCacheMisses() != ref.misses())
+            return op;
+    }
+    return -1;
+}
+
+} // anonymous namespace
+
+TEST(Mee, MatchesReferenceModel)
+{
+    // A one-line-past-1 MiB EPC and the default 256 MiB one, whose
+    // last line is the top of the trusted counters.
+    const CostParams params;
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        for (const std::uint64_t size :
+             {1_MiB + kCacheLineSize, params.epcVirtualSize}) {
+            std::uint64_t failures = 0;
+            EXPECT_EQ(lineStateDivergence(seed, size, 2'000, failures), -1)
+                << "seed=" << seed << " size=" << size;
+            EXPECT_GT(failures, 100u) << "seed=" << seed;
+        }
+    }
+}
+
+TEST(MeeDeathTest, RollbackOfAnUntouchedLineIsRefused)
+{
+    CostParams params;
+    Mee mee(params, 0, 1_MiB, 99);
+    mee.writebackLine(0);
+    // Line 1 was never written back: it has no older version.
+    EXPECT_DEATH(mee.rollbackLine(64), "dram.version > 0");
+}
+
+TEST(MeeDeathTest, RollbackPastTheFirstWritebackIsRefused)
+{
+    CostParams params;
+    Mee mee(params, 0, 1_MiB, 99);
+    mee.writebackLine(128);
+    mee.writebackLine(128);
+    mee.rollbackLine(128);
+    mee.rollbackLine(128); // back to the initial version 0
+    EXPECT_FALSE(mee.verifyLine(128));
+    EXPECT_DEATH(mee.rollbackLine(128), "dram.version > 0");
+}
+
+TEST(Mee, NodeCacheMatchesReferenceModel)
+{
+    // The default 24 sets of 2 ways, 4 sets of 2 (a walk's upper levels
+    // evict its own leaf), and 4 sets of 4 (more than one empty way).
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        EXPECT_EQ(nodeCacheDivergence(48, 2, seed, 2'000), -1)
+            << "seed=" << seed;
+        EXPECT_EQ(nodeCacheDivergence(8, 2, seed, 2'000), -1)
+            << "seed=" << seed;
+        EXPECT_EQ(nodeCacheDivergence(16, 4, seed, 2'000), -1)
+            << "seed=" << seed;
+    }
+}
+
 // ----------------------------------------------------------------------
 // MemoryModel: the Table 1 anchors.
 // ----------------------------------------------------------------------
@@ -676,6 +987,53 @@ TEST(MemoryModel, IntegrityFailureHookFires)
             [&](Addr) { ++failures; });
         memory.accessWord(enc.addr(), false);
         EXPECT_EQ(failures, 1);
+    });
+}
+
+TEST(MemoryModel, AttackedLinesFailUntilRewritten)
+{
+    // A 4 KiB LLC of 16 sets, so a 64 KiB sweep evicts every line.
+    MachineConfig config;
+    config.mem.llcSize = 4_KiB;
+    config.mem.llcWays = 4;
+    Machine machine(config);
+    runSim(machine, [&] {
+        auto &memory = machine.memory();
+        Buffer enc(machine, Domain::Epc, 4 * kCacheLineSize);
+        Buffer sweep(machine, Domain::Untrusted, 64_KiB);
+        const Addr a = enc.addr();
+        const Addr b = a + kCacheLineSize;
+        const Addr c = b + kCacheLineSize;
+        const Addr d = c + kCacheLineSize;
+        memory.writeBuffer(enc.addr(), enc.size(), /*flush_after=*/true);
+        std::vector<Addr> failed;
+        memory.setIntegrityFailureHook(
+            [&](Addr line) { failed.push_back(line); });
+        memory.mee().tamperMac(a);
+        memory.mee().rollbackLine(b);
+        memory.mee().tamperMac(c);
+
+        // A load miss and a span miss both verify what they fetch.
+        memory.accessWord(a, false);
+        memory.readBuffer(b, kCacheLineSize);
+        memory.readBuffer(d, kCacheLineSize);
+        EXPECT_EQ(failed, (std::vector<Addr>{a, b}));
+
+        // a is rewritten by a flushed write, b by a dirty LLC eviction.
+        memory.writeBuffer(a, kCacheLineSize, /*flush_after=*/true);
+        memory.accessWord(b, true);
+        memory.readBuffer(sweep.addr(), sweep.size());
+        ASSERT_FALSE(memory.cache().contains(b));
+        failed.clear();
+        memory.accessWord(a, false);
+        memory.readBuffer(b, kCacheLineSize);
+        EXPECT_TRUE(failed.empty());
+
+        // c was never rewritten: it still fails, on either path.
+        memory.readBuffer(c, kCacheLineSize);
+        memory.evictRange(c, kCacheLineSize);
+        memory.accessWord(c, false);
+        EXPECT_EQ(failed, (std::vector<Addr>{c, c}));
     });
 }
 

@@ -463,6 +463,35 @@ TEST(Poll, WakesOnFutureUdpAvailability)
     });
 }
 
+TEST(Poll, ReportsAnInvalidFdAtOnce)
+{
+    // Linux counts an fd with no descriptor as ready (POLLNVAL) and
+    // returns at once: a closed fd must not leave poll() sleeping
+    // until its timeout with nothing else readable.
+    Fixture f;
+    f.run([&] {
+        const int listener = f.kernel.listenTcp(96);
+        const int client = f.kernel.connectTcp(96);
+        const int server = f.kernel.accept(listener);
+        const int closed = f.kernel.connectTcp(96);
+        ASSERT_EQ(f.kernel.close(closed), 0);
+
+        std::vector<int> ready;
+        const Cycles start = f.machine.now();
+        EXPECT_EQ(f.kernel.poll({server, 999, closed}, ready,
+                                secondsToCycles(1.0)),
+                  2);
+        EXPECT_EQ(ready, (std::vector<int>{999, closed}));
+        EXPECT_LT(f.machine.now(), start + secondsToCycles(0.001));
+
+        // Beside a readable fd, in the order given.
+        const auto msg = bytes("v");
+        f.kernel.send(client, msg.data(), 1);
+        EXPECT_EQ(f.kernel.poll({closed, server}, ready, 0), 2);
+        EXPECT_EQ(ready, (std::vector<int>{closed, server}));
+    });
+}
+
 // ----------------------------------------------------------------------
 // Clock & misc.
 // ----------------------------------------------------------------------

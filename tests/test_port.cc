@@ -162,6 +162,11 @@ exerciseSurface(Fixture &f, Transcript &t)
     EXPECT_EQ(note(app.poll({client, server}, ready, 0)), 1);
     ASSERT_EQ(ready.size(), 1u);
     EXPECT_EQ(note(ready[0]), server);
+    // A closed fd is reported at once, not slept on (Linux's POLLNVAL).
+    EXPECT_EQ(note(app.poll({client, file}, ready, secondsToCycles(1.0))),
+              1);
+    ASSERT_EQ(ready.size(), 1u);
+    EXPECT_EQ(note(ready[0]), file);
     EXPECT_EQ(note(app.epollCtlAdd(epfd, epfd)), os::kEinval);
     EXPECT_EQ(note(app.epollCtlDel(epfd, server)), 0);
     EXPECT_EQ(note(app.epollCtlDel(server, server)), os::kEbadf);
