@@ -14,10 +14,12 @@
 #ifndef HC_MEM_CACHE_HH
 #define HC_MEM_CACHE_HH
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "support/units.hh"
@@ -31,10 +33,23 @@ enum class CacheOutcome {
     Miss,      //!< not present: DRAM fetch
 };
 
-/** Set-associative LLC with LRU replacement. */
+/**
+ * Set-associative LLC with LRU replacement.
+ *
+ * Each set's metadata but its tags sits in one 64-byte set header
+ * (SetHeader): a 16-bit fingerprint, an owner byte and a dirty bit per
+ * way, and the ways in LRU order. A lookup reads the set's valid mask
+ * and its header, and a full tag only where a valid way's fingerprint
+ * matches; a miss takes its victim from the header.
+ */
 class CacheModel
 {
   public:
+    /** Widest associativity: a set header has 16 way slots. */
+    static constexpr int kMaxWays = 16;
+    /** Highest core id: a set header keeps owners in bytes. */
+    static constexpr CoreId kMaxCore = 255;
+
     /** Result of one access, including any eviction it caused. */
     struct Result {
         CacheOutcome outcome = CacheOutcome::Miss;
@@ -45,7 +60,7 @@ class CacheModel
 
     /**
      * @param size       total capacity in bytes
-     * @param ways       associativity
+     * @param ways       associativity, 1 to kMaxWays
      * @param line_size  line size in bytes (power of two)
      */
     CacheModel(std::uint64_t size, int ways,
@@ -54,7 +69,8 @@ class CacheModel
     /**
      * Look up (and on miss, fill) the line containing @p addr.
      *
-     * @param core   accessing core (updates the owner on every access)
+     * @param core   accessing core, 0 to kMaxCore (updates the owner
+     *               on every access)
      * @param addr   byte address
      * @param write  marks the line dirty
      */
@@ -66,15 +82,15 @@ class CacheModel
      * result) for each in ascending order.
      *
      * Bit-identical to @p count calls of access(): same outcomes,
-     * same hit/miss counters, same LRU (lastUse) evolution, same
-     * evictions, in the same order. What it saves is the per-line
-     * hash + way scan for spans the span-hit memo has already proved
-     * fully resident and owned by @p core: those replay as straight
-     * metadata updates. The memo is keyed by span start, validated
-     * against a modification generation (modGen_) bumped by every
-     * residency or ownership change, so any interleaving fill, flush,
-     * or cross-core touch since the recording falls back to the full
-     * per-line probes.
+     * same hit/miss counters, same LRU order, same evictions, in the
+     * same order. What it saves is the per-line hash and set lookup
+     * for spans the span-hit memo has already proved fully resident
+     * and owned by @p core: those replay as straight metadata updates.
+     * The memo is keyed by span start, validated against a
+     * modification generation (modGen_) bumped by every residency or
+     * ownership change, so any interleaving fill, flush, or cross-core
+     * touch since the recording falls back to the full per-line
+     * probes.
      */
     template <typename OnLine>
     void accessSpan(CoreId core, Addr first_line, std::uint64_t count,
@@ -90,20 +106,18 @@ class CacheModel
                  revalidate(memo, first_line, core))) {
                 // Replay: every line is resident and already owned by
                 // this core (recorded or just revalidated), so each
-                // access is exactly an OwnedHit of access():
-                // ++useCounter_, dirty |= write, lastUse, ++hits_.
+                // access is exactly an OwnedHit of access(): dirty |=
+                // write, most recently used, ++useCounter_, ++hits_.
                 Result hit;
                 hit.outcome = CacheOutcome::OwnedHit;
                 const Way *ways = memo.ways.data();
                 Addr line = first_line;
                 for (std::uint64_t i = 0; i < count;
                      ++i, line += lineSize_) {
-                    const Way way = ways[i];
-                    ++useCounter_;
-                    dirty_[way] = dirty_[way] || write;
-                    lastUse_[way] = useCounter_;
+                    use(ways[i], write, 0);
                     on_line(line, hit);
                 }
+                useCounter_ += count;
                 hits_ += count;
                 return;
             }
@@ -140,7 +154,7 @@ class CacheModel
      * Bulk-span flush: flushLine() over @p count consecutive lines
      * from @p first_line, invoking @p on_line(line_addr, was_dirty)
      * for each in ascending order. Bit-identical state and results; a
-     * valid span memo turns the per-line set scans into direct way
+     * valid span memo turns the per-line set lookups into direct way
      * invalidations.
      */
     template <typename OnLine>
@@ -170,8 +184,8 @@ class CacheModel
     /**
      * @return true when access(@p core, @p addr, ...) would be an
      * OwnedHit through @p core's most-recently-used memo: one that
-     * changes nothing but the line's lastUse stamp, its dirty bit and
-     * the use clock and hit count (replayOwnedHits()).
+     * changes nothing but the line's place in its set's LRU order, its
+     * dirty bit and the use clock and hit count (replayOwnedHits()).
      */
     bool ownedMemoHit(CoreId core, Addr addr) const
     {
@@ -180,7 +194,7 @@ class CacheModel
             return false;
         const CoreMemo &memo = memo_[idx];
         return memo.line == lineAddr(addr) && tags_[memo.way] == memo.line &&
-               owners_[memo.way] == core;
+               owned(memo.way, core);
     }
 
     /**
@@ -189,14 +203,18 @@ class CacheModel
      * certified hits after use clock @p since (useClock() then), the
      * last of them as the @p last-th: each core's hits are applied by
      * their own call, and the calls together advance the use clock by
-     * every access they replay.
+     * every access they replay. One batch's calls must arrive back to
+     * back, the first at use clock @p since, with no other access in
+     * between (asserted): a line's place in the LRU order is that of
+     * its last hit, and among the lines used after @p since only the
+     * batch's earlier calls can have placed one later.
      */
     void replayOwnedHits(CoreId core, Addr addr, bool write,
                          std::uint64_t count, std::uint64_t since,
                          std::uint64_t last);
 
-    /** @return the use clock: accesses so far, the source of lastUse
-     *  stamps. */
+    /** @return the use clock: accesses so far, replayed ones included,
+     *  which orders a replay batch's hits (replayOwnedHits()). */
     std::uint64_t useClock() const { return useCounter_; }
 
     /** @return true if the line containing @p addr is resident. */
@@ -216,11 +234,16 @@ class CacheModel
 
   private:
     /**
-     * A way's index into the per-way arrays: set * ways + way. Ways
-     * never move, so an index stays bound to its way for the cache's
+     * A way's index: set * kMaxWays + slot, where slot is the way's
+     * place in its set (below the associativity). It indexes tags_
+     * directly and names its set header and slot there. Ways never
+     * move, so an index stays bound to its way for the cache's
      * lifetime.
      */
     using Way = std::uint32_t;
+
+    /** find()'s answer for a line that is not resident. */
+    static constexpr Way kNoWay = ~Way{0};
 
     /**
      * The tag of an invalid way. Not line-aligned, so no line address
@@ -229,11 +252,40 @@ class CacheModel
     static constexpr Addr kNoLine = ~Addr{0};
 
     /**
+     * A set's metadata but its tags, in one host cache line. Slot s of
+     * the set (way set * kMaxWays + s) has the fingerprint in bits
+     * 16 * (s % 4) of fingerprints[s / 4], the owner byte owners[s] and
+     * dirty bit s. `order` lists the slots from the most recently used
+     * (low nibble) to the least; slots at or past the associativity keep
+     * their own ranks. A header is written whole by the first fill into
+     * an empty set and is read only while the set holds a line.
+     */
+    struct alignas(64) SetHeader {
+        std::uint64_t fingerprints[kMaxWays / 4];
+        std::uint64_t order;
+        std::uint8_t owners[kMaxWays]; //!< core that touched the line last
+        std::uint16_t dirty;
+    };
+    static_assert(sizeof(SetHeader) == 64);
+
+    /** @return @p way's slot in its set. */
+    static unsigned slotOf(Way way) { return way % kMaxWays; }
+    SetHeader &headerOf(Way way) { return headers_[way / kMaxWays]; }
+    const SetHeader &headerOf(Way way) const
+    {
+        return headers_[way / kMaxWays];
+    }
+    bool owned(Way way, CoreId core) const
+    {
+        return headerOf(way).owners[slotOf(way)] == core;
+    }
+
+    /**
      * Per-core most-recently-used way. Spin-polling a HotCalls
      * channel or sweeping a buffer hits the same line back to back;
      * the memo turns those accesses into one tag compare (which also
      * proves the way valid, so any eviction in between is caught)
-     * instead of a hash + way scan.
+     * instead of a hash and a set lookup.
      */
     struct CoreMemo {
         Addr line = ~Addr{0};
@@ -273,7 +325,7 @@ class CacheModel
     {
         Addr line = first_line;
         for (const Way way : memo.ways) {
-            if (tags_[way] != line || owners_[way] != core)
+            if (tags_[way] != line || !owned(way, core))
                 return false;
             line += lineSize_;
         }
@@ -289,8 +341,50 @@ class CacheModel
      */
     void recordSpan(Addr first_line, CoreId core);
 
-    std::uint64_t setIndex(Addr line) const;
     Addr lineAddr(Addr addr) const { return addr & ~(lineSize_ - 1); }
+
+    /** Where a line sits when resident: its set and its fingerprint. */
+    struct Place {
+        std::uint64_t set;
+        std::uint16_t fingerprint;
+    };
+    Place placeOf(Addr line) const;
+    /** @return the way holding @p line, at @p place, or kNoWay. */
+    Way find(Addr line, const Place &place) const;
+
+    /** @return LRU order @p order with @p slot moved to rank @p rank. */
+    static std::uint64_t moveTo(std::uint64_t order, unsigned slot,
+                                unsigned rank)
+    {
+        // The slot's rank now: its nibble is the one zero nibble of x,
+        // where bit 3 is left set (adding 7 to a nibble's low 3 bits
+        // carries into bit 3 iff they are not all zero, and never into
+        // the next nibble).
+        constexpr std::uint64_t kNibbles = 0x1111'1111'1111'1111;
+        constexpr std::uint64_t kLow3 = 0x7 * kNibbles;
+        const std::uint64_t x = order ^ (slot * kNibbles);
+        const std::uint64_t zero = ~(((x & kLow3) + kLow3) | x | kLow3);
+        const auto from = static_cast<unsigned>(std::countr_zero(zero)) / 4;
+        // Take it out (the later ranks move up one, the last nibble is
+        // left 0), then put it in at rank.
+        const std::uint64_t before = (std::uint64_t{1} << (4 * from)) - 1;
+        const std::uint64_t rest =
+            (order & before) | ((order >> 4) & ~before);
+        const std::uint64_t keep = (std::uint64_t{1} << (4 * rank)) - 1;
+        return (rest & keep) | (std::uint64_t{slot} << (4 * rank)) |
+               ((rest & ~keep) << 4);
+    }
+
+    /** Mark @p way used: dirty if @p write, at rank @p rank of its set's
+     *  LRU order (0 is the most recently used). */
+    void use(Way way, bool write, unsigned rank)
+    {
+        SetHeader &header = headerOf(way);
+        const unsigned slot = slotOf(way);
+        header.dirty |= static_cast<std::uint16_t>(unsigned{write} << slot);
+        header.order = moveTo(header.order, slot, rank);
+    }
+
     /** Classify a hit on @p way and update its metadata. */
     CacheOutcome touchHit(Way way, CoreId core, bool write);
     /** Invalidate valid @p way. @return whether it was dirty. */
@@ -299,40 +393,48 @@ class CacheModel
     Result accessImpl(CoreId core, Addr addr, bool write, Way &touched);
 
     std::uint64_t lineSize_;
-    Way ways_;                  //!< associativity
+    unsigned ways_;             //!< associativity
     std::uint64_t numSets_ = 0;
     std::uint64_t setMask_ = 0; //!< sets-1 when a power of two, else 0
-    std::uint64_t fullMask_ = 0; //!< a set's valid mask, every way set
+    std::uint16_t fullMask_ = 0; //!< a set's valid mask, every way set
 
     /**
-     * Per-way metadata, indexed by Way: four arrays carved from one
-     * allocation, wayStore_. One block rather than four keeps the
-     * allocator recycling it whole when machines are built and torn
-     * down in a loop, instead of mapping fresh pages for every cache.
-     * The arrays start uninitialised, so constructing a cache touches
-     * none of it: the fill that makes a way valid writes all four
-     * fields, and only valid ways, and ways a memo recorded while they
+     * One block, uninitialised, holding every set's header and then
+     * every set's kMaxWays tags (tags_, indexed by Way). One block
+     * rather than two keeps the allocator recycling it whole when
+     * machines are built and torn down in a loop, instead of mapping
+     * fresh pages for every cache; leaving it uninitialised means
+     * constructing a cache touches none of it. A fill writes its way's
+     * tag, and only valid ways, and ways a memo recorded while they
      * were valid, are ever read. An invalidated way's tag is kNoLine;
-     * its other fields are stale until the next fill.
+     * its slot in the header is stale until the next fill.
      */
-    std::unique_ptr<std::byte[]> wayStore_;
+    struct alignas(64) HostLine {
+        std::byte bytes[64];
+    };
+    std::unique_ptr<HostLine[]> store_;
+    SetHeader *headers_ = nullptr;
     Addr *tags_ = nullptr;
-    std::uint64_t *lastUse_ = nullptr;
-    CoreId *owners_ = nullptr; //!< core that touched the line last
-    bool *dirty_ = nullptr;
     /**
-     * Per set, bit i set iff way i holds a line. Hit scans visit only
-     * valid ways (ascending, like a full scan with a valid check: same
-     * candidates, same first match) and the first-invalid victim pick
-     * reads one bit instead of walking way metadata. Caps associativity
-     * at 64 (asserted).
+     * Per set, bit s set iff slot s holds a line: lookups compare only
+     * valid slots' fingerprints, and the first-invalid victim pick reads
+     * one bit. Zeroed at construction: the one per-set field that is.
      */
-    std::vector<std::uint64_t> validMask_;
+    std::vector<std::uint16_t> validMask_;
 
     std::vector<CoreMemo> memo_; //!< indexed by core, grown on demand
     std::uint64_t useCounter_ = 0;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
+
+    /**
+     * The replay batch replayOwnedHits() is applying: the use clock it
+     * started at, the use clock its last call left, and the way and
+     * last-hit clock of every line it replayed so far.
+     */
+    std::uint64_t replaySince_ = 0;
+    std::uint64_t replayClock_ = 0;
+    std::vector<std::pair<Way, std::uint64_t>> replayed_;
 
     /**
      * Generation counter for the span-hit memo: bumped by every event

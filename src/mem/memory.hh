@@ -84,7 +84,7 @@ class MemoryModel
     /**
      * The price of accessWord(@p addr, ..., false) from the calling
      * core, when it is an owned hit that changes nothing but the line's
-     * LRU stamp, its dirty bit and the cache's counters (a polling
+     * LRU place, its dirty bit and the cache's counters (a polling
      * loop's idle probe, see sim::Spin::steady()); else 0. Always 0
      * with SimCheck attached, which must see every access, and for EPC
      * lines, which take the page-touch hook.

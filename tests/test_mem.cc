@@ -252,6 +252,12 @@ class ReferenceCache
     std::uint64_t hits() const { return hits_; }
     std::uint64_t misses() const { return misses_; }
 
+    /** @return the set @p line maps to. */
+    std::uint64_t setIndex(Addr line) const
+    {
+        return mix64(line) % sets_.size();
+    }
+
   private:
     struct Way {
         Addr tag = 0;
@@ -261,10 +267,7 @@ class ReferenceCache
         std::uint64_t lastUse = 0;
     };
 
-    std::vector<Way> &setOf(Addr line)
-    {
-        return sets_[mix64(line) % sets_.size()];
-    }
+    std::vector<Way> &setOf(Addr line) { return sets_[setIndex(line)]; }
 
     std::vector<std::vector<Way>> sets_;
     std::uint64_t clock_ = 0;
@@ -284,16 +287,54 @@ noteAccess(std::vector<std::uint64_t> &trace, Addr line,
 }
 
 /**
+ * A batch of owned hits, as a steady batch applies them: the cores
+ * whose last single-line access (@p last_line) ownedMemoHit()
+ * certifies access those lines in a random interleaving drawn from
+ * @p rng, once each through @p ref and, per core in core order,
+ * through one replayOwnedHits() on @p cache. Every hit is noted in
+ * @p got and @p want.
+ * @return the hits replayed
+ */
+std::uint64_t
+replayBatch(CacheModel &cache, ReferenceCache &ref, Rng &rng,
+            const Addr (&last_line)[4], std::vector<std::uint64_t> &got,
+            std::vector<std::uint64_t> &want)
+{
+    std::vector<CoreId> lanes;
+    for (CoreId c = 0; c < 4; ++c)
+        if (cache.ownedMemoHit(c, last_line[c]))
+            lanes.push_back(c);
+    std::uint64_t count[4] = {}, last[4] = {};
+    bool wrote[4] = {};
+    const std::uint64_t base = cache.useClock();
+    const std::uint64_t hits = lanes.empty() ? 0 : 1 + rng.nextBelow(40);
+    CacheModel::Result owned;
+    owned.outcome = CacheOutcome::OwnedHit;
+    for (std::uint64_t k = 1; k <= hits; ++k) {
+        const CoreId c = lanes[rng.nextBelow(lanes.size())];
+        const bool w = rng.chance(0.3);
+        noteAccess(want, last_line[c], ref.access(c, last_line[c], w));
+        noteAccess(got, last_line[c], owned);
+        ++count[c];
+        last[c] = k;
+        wrote[c] = wrote[c] || w;
+    }
+    for (const CoreId c : lanes) {
+        if (count[c] > 0)
+            cache.replayOwnedHits(c, last_line[c], wrote[c], count[c], base,
+                                  last[c]);
+    }
+    return hits;
+}
+
+/**
  * Drive CacheModel and ReferenceCache through @p ops seeded operations
  * from four cores: reads and writes over a region four times the
  * cache, repeated spans (so span memos record, replay and go stale),
  * line and span flushes, and the odd flushAll. With @p replayed set,
- * a batch of owned hits follows about every fifth op: the cores whose
- * last single-line access ownedMemoHit() certifies access those lines
- * in a random interleaving, once each through the reference and, per
- * core, through one replayOwnedHits() on the model, as a steady batch
- * applies them; @p replayed counts the hits. The batches draw from
- * their own generator, so the operation stream is the one without them.
+ * a replayBatch() follows about every fifth op; @p replayed counts its
+ * hits. The batches draw from their own generator, so the operation
+ * stream is the one without them.
  * @return the first op after which any result, flushed dirty bit or
  * hit/miss counter differs, or -1.
  */
@@ -367,35 +408,67 @@ referenceDivergence(std::uint64_t size, int ways, std::uint64_t seed,
             cache.flushAll();
             ref.flushAll();
         }
-        if (replayed && batches.chance(0.2)) {
-            std::vector<CoreId> lanes;
-            for (CoreId c = 0; c < 4; ++c)
-                if (cache.ownedMemoHit(c, last_line[c]))
-                    lanes.push_back(c);
-            std::uint64_t count[4] = {}, last[4] = {};
-            bool wrote[4] = {};
-            const std::uint64_t base = cache.useClock();
-            const std::uint64_t hits =
-                lanes.empty() ? 0 : 1 + batches.nextBelow(40);
-            CacheModel::Result owned;
-            owned.outcome = CacheOutcome::OwnedHit;
-            for (std::uint64_t k = 1; k <= hits; ++k) {
-                const CoreId c = lanes[batches.nextBelow(lanes.size())];
-                const bool w = batches.chance(0.3);
-                noteAccess(want, last_line[c],
-                           ref.access(c, last_line[c], w));
-                noteAccess(got, last_line[c], owned);
-                ++count[c];
-                last[c] = k;
-                wrote[c] = wrote[c] || w;
-            }
-            for (const CoreId c : lanes) {
-                if (count[c] > 0)
-                    cache.replayOwnedHits(c, last_line[c], wrote[c],
-                                          count[c], base, last[c]);
-            }
-            *replayed += hits;
+        if (replayed && batches.chance(0.2))
+            *replayed +=
+                replayBatch(cache, ref, batches, last_line, got, want);
+        got.insert(got.end(), {cache.hits(), cache.misses()});
+        want.insert(want.end(), {ref.hits(), ref.misses()});
+        if (got != want)
+            return op;
+    }
+    return -1;
+}
+
+/**
+ * Drive CacheModel and ReferenceCache through @p ops seeded operations
+ * on 4,096 distinct lines that the reference maps to one set, so
+ * nearly every fill evicts: reads and writes from four cores, half of
+ * them to a hot group half again the set's size, line flushes and the
+ * odd flushAll, each op followed about every fifth time by a
+ * replayBatch(), whose lines then always share that set (@p replayed
+ * counts its hits). So victims depend on the LRU order a batch leaves
+ * among its lines, which it replays in core order, not in the order
+ * of their last hits; and lines collide in any few bits of their
+ * hashes.
+ * @return the first op after which any result, flushed dirty bit or
+ * hit/miss counter differs, or -1.
+ */
+int
+oneSetDivergence(std::uint64_t size, int ways, std::uint64_t seed,
+                 int ops, std::uint64_t &replayed)
+{
+    CacheModel cache(size, ways);
+    ReferenceCache ref(size, ways);
+    Rng rng(seed);
+    Rng batches(seed + 1'000);
+    constexpr Addr kBase = 0x200000;
+    constexpr std::uint64_t kLines = 4'096;
+    std::vector<Addr> lines;
+    const std::uint64_t set = ref.setIndex(kBase);
+    for (Addr line = kBase; lines.size() < kLines; line += kCacheLineSize)
+        if (ref.setIndex(line) == set)
+            lines.push_back(line);
+    const std::uint64_t hot = static_cast<std::uint64_t>(ways) * 3 / 2 + 1;
+    Addr last_line[4] = {};
+    for (int op = 0; op < ops; ++op) {
+        std::vector<std::uint64_t> got, want;
+        const auto core = static_cast<CoreId>(rng.nextBelow(4));
+        const Addr line = lines[rng.nextBelow(rng.chance(0.5) ? hot : kLines)];
+        const std::uint64_t kind = rng.nextBelow(100);
+        if (kind < 94) {
+            const bool write = rng.chance(0.5);
+            noteAccess(got, line, cache.access(core, line, write));
+            noteAccess(want, line, ref.access(core, line, write));
+            last_line[core] = line;
+        } else if (kind < 99) {
+            got.push_back(cache.flushLine(line));
+            want.push_back(ref.flushLine(line));
+        } else {
+            cache.flushAll();
+            ref.flushAll();
         }
+        if (batches.chance(0.2))
+            replayed += replayBatch(cache, ref, batches, last_line, got, want);
         got.insert(got.end(), {cache.hits(), cache.misses()});
         want.insert(want.end(), {ref.hits(), ref.misses()});
         if (got != want)
@@ -435,6 +508,73 @@ TEST(CacheModel, ReplayedOwnedHitsMatchAccesses)
             << "seed=" << seed;
         EXPECT_GT(replayed, 1'000u) << "seed=" << seed;
     }
+}
+
+TEST(CacheModel, OneSetMatchesReferenceModel)
+{
+    // 48 sets (the modulo index) of 16 ways, and 256 power-of-two sets
+    // of 4 ways.
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        std::uint64_t replayed = 0;
+        EXPECT_EQ(oneSetDivergence(48_KiB, 16, seed, 20'000, replayed), -1)
+            << "seed=" << seed;
+        EXPECT_EQ(oneSetDivergence(64_KiB, 4, seed, 20'000, replayed), -1)
+            << "seed=" << seed;
+        EXPECT_GT(replayed, 10'000u) << "seed=" << seed;
+    }
+}
+
+TEST(CacheModel, EveryAssociativityMatchesReferenceModel)
+{
+    // MatchesReferenceModel's and ReplayedOwnedHitsMatchAccesses' runs
+    // at the other associativities caches are built with, each over
+    // power-of-two (64 KiB) and modulo (48 KiB) set counts.
+    for (const int ways : {1, 2, 8}) {
+        for (const std::uint64_t size : {64_KiB, 48_KiB}) {
+            for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+                std::uint64_t replayed = 0;
+                EXPECT_EQ(referenceDivergence(size, ways, seed, 4'000), -1)
+                    << "ways=" << ways << " size=" << size
+                    << " seed=" << seed;
+                EXPECT_EQ(referenceDivergence(size, ways, seed, 4'000,
+                                              &replayed),
+                          -1)
+                    << "ways=" << ways << " size=" << size
+                    << " seed=" << seed;
+                EXPECT_GT(replayed, 500u)
+                    << "ways=" << ways << " size=" << size
+                    << " seed=" << seed;
+            }
+        }
+    }
+}
+
+TEST(CacheModelDeathTest, AssociativityAbove16IsRefused)
+{
+    // A set header has 16 way slots.
+    EXPECT_DEATH({ CacheModel cache(17 * 64 * 4, 17); }, "ways <= kMaxWays");
+}
+
+TEST(CacheModelDeathTest, CoreIdAbove255IsRefused)
+{
+    // A set header keeps owners in bytes.
+    CacheModel cache(64_KiB, 4);
+    EXPECT_EQ(cache.access(255, 0x1000, false).outcome, CacheOutcome::Miss);
+    EXPECT_DEATH(cache.access(256, 0x1000, false), "core <= kMaxCore");
+}
+
+TEST(CacheModelDeathTest, ReplayAfterAnotherAccessIsRefused)
+{
+    // A replay batch's calls arrive back to back: an access between
+    // them could have moved the lines the batch ranks against.
+    CacheModel cache(64_KiB, 4);
+    cache.access(0, 0x1000, false);
+    cache.access(1, 0x2000, false);
+    const std::uint64_t since = cache.useClock();
+    cache.replayOwnedHits(0, 0x1000, false, 1, since, 2);
+    cache.access(2, 0x3000, false);
+    EXPECT_DEATH(cache.replayOwnedHits(1, 0x2000, false, 1, since, 1),
+                 "useCounter_ == replayClock_");
 }
 
 // ----------------------------------------------------------------------
