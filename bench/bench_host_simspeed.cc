@@ -15,7 +15,10 @@
  *  - HotQueue at 4 requesters: the scaled channel (six fibers,
  *    batching responder pool),
  *  - encrypted-buffer sweep: readBuffer/writeBuffer over EPC working
- *    sets (cache + MEE model bound, no fiber switches).
+ *    sets (cache + MEE model bound, no fiber switches),
+ *  - steady lanes: two declared idle polls batched by the engine
+ *    beside one thread that advances a fixed chunk per step (engine
+ *    only; only Engine::run() is timed).
  *
  * Every benchmark reports sim_Mcycles_per_s (simulated Mcycles per
  * host second, the figure of merit) next to google-benchmark's
@@ -25,14 +28,20 @@
  * inline_steps_per_call, the polling phases the scheduler stepped
  * without resuming a fiber (Engine::inlineSteps), and
  * steady_steps_per_call, those of them it ran in batch from the loops'
- * idle-iteration declarations (Engine::steadySteps).
+ * idle-iteration declarations (Engine::steadySteps). The steady-lane
+ * workload reports steps_per_batch and the host time per batch and
+ * per step.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
+#include "hotcalls/channel.hh"
 #include "hotcalls/hotcall.hh"
 #include "hotcalls/hotqueue.hh"
 #include "mem/buffer.hh"
+#include "mem/cost_params.hh"
 #include "mem/machine.hh"
 #include "sdk/runtime.hh"
 #include "sgx/platform.hh"
@@ -238,6 +247,110 @@ BENCHMARK(BM_SimEncryptedBufferSweep)
     ->Arg(32768)
     ->Arg(262144)
     ->Arg(1048576);
+
+namespace {
+
+/**
+ * An idle poll as a HotCall responder's looks to the engine: `probes`
+ * owned hits of its line, then a jittered PAUSE, declared steady
+ * until the driver is done; then it exits at its next head.
+ */
+class IdleLane final : public sim::Spin
+{
+  public:
+    IdleLane(sim::Engine &engine, const bool &done, int probes)
+        : engine_(engine), done_(done), probes_(probes)
+    {
+    }
+
+    Cycles step() override
+    {
+        if (at_ == 0 && done_)
+            return sim::kSpinDone;
+        if (at_ < probes_) {
+            ++at_;
+            return mem::CostParams{}.ownedHit;
+        }
+        at_ = 0;
+        return sdk::kPauseCycles +
+               engine_.rng().nextBelow(hotcalls::kPollJitter + 1);
+    }
+
+    bool steady(sim::Steady &s) override
+    {
+        if (done_)
+            return false;
+        s.probes = probes_;
+        s.probeCycles = mem::CostParams{}.ownedHit;
+        s.pauseCycles = sdk::kPauseCycles;
+        s.pauseJitter = hotcalls::kPollJitter;
+        s.at = at_;
+        return true;
+    }
+
+    void advanceSteady(const sim::SteadyRun &run) override
+    {
+        at_ = run.at();
+    }
+
+  private:
+    sim::Engine &engine_;
+    const bool &done_;
+    const int probes_;
+    int at_ = 0;
+};
+
+} // anonymous namespace
+
+/**
+ * Steady batches alone: 1- and 3-probe idle lanes on cores 1 and 2
+ * beside a driver on core 0 that advances range(0) cycles per step for
+ * 2M cycles. The lanes run only in batches, each ending at the
+ * driver's next step, so a batch holds range(0) cycles of both lanes'
+ * iterations (about 6 steps at 60, 80 at 800).
+ */
+static void
+BM_SimSteadyLanes(benchmark::State &state)
+{
+    const auto chunk = static_cast<Cycles>(state.range(0));
+    constexpr Cycles kSpan = 2'000'000;
+    const std::uint64_t driver_steps = kSpan / chunk;
+    double batches = 0, steps = 0;
+    for (auto _ : state) {
+        state.PauseTiming();
+        sim::Engine::Config config;
+        config.numCores = 3;
+        config.seed = 42;
+        auto engine = std::make_unique<sim::Engine>(config);
+        bool done = false;
+        engine->spawn("driver", 0, [&engine, &done, chunk, driver_steps] {
+            for (std::uint64_t i = 0; i < driver_steps; ++i)
+                engine->advance(chunk);
+            done = true;
+        });
+        for (int probes : {1, 3}) {
+            engine->spawn("lane", probes == 1 ? 1 : 2,
+                          [&engine, &done, probes] {
+                              IdleLane lane(*engine, done, probes);
+                              engine->spin(lane);
+                          });
+        }
+        state.ResumeTiming();
+        engine->run();
+        state.PauseTiming();
+        batches += static_cast<double>(driver_steps);
+        steps += static_cast<double>(engine->steadySteps());
+        engine.reset();
+        state.ResumeTiming();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(steps));
+    state.counters["steps_per_batch"] = steps / batches;
+    state.counters["s_per_batch"] = benchmark::Counter(
+        batches, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+    state.counters["s_per_step"] = benchmark::Counter(
+        steps, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_SimSteadyLanes)->Arg(60)->Arg(800);
 
 // Stamp the build type of *this* binary (the system benchmark
 // library's own library_build_type says how the .so was compiled,

@@ -33,26 +33,6 @@ StagedCall::scalar(int index) const
     return args_[static_cast<std::size_t>(index)].scalar;
 }
 
-const StagedCall::Slot &
-StagedCall::slot(int index) const
-{
-    hc_assert(index >= 0 &&
-              static_cast<std::size_t>(index) < slots_.size());
-    return slots_[static_cast<std::size_t>(index)];
-}
-
-std::uint8_t *
-StagedCall::data(int index)
-{
-    return slot(index).data;
-}
-
-std::uint64_t
-StagedCall::size(int index) const
-{
-    return slot(index).bytes;
-}
-
 Addr
 StagedCall::addr(int index) const
 {

@@ -32,6 +32,7 @@
 #include "mem/buffer.hh"
 #include "mem/machine.hh"
 #include "sgx/sgx_cost_params.hh"
+#include "support/logging.hh"
 
 namespace hc::edl {
 
@@ -167,10 +168,10 @@ class StagedCall
     std::uint64_t scalar(int index) const;
 
     /** @return callee-visible bytes of pointer parameter @p index. */
-    std::uint8_t *data(int index);
+    std::uint8_t *data(int index) { return slot(index).data; }
 
     /** @return the resolved byte length of pointer param @p index. */
-    std::uint64_t size(int index) const;
+    std::uint64_t size(int index) const { return slot(index).bytes; }
 
     /** @return the callee-visible simulated address of param @p i. */
     Addr addr(int index) const;
@@ -196,7 +197,12 @@ class StagedCall
     };
 
     /** Locate a checked slot. */
-    const Slot &slot(int index) const;
+    const Slot &slot(int index) const
+    {
+        hc_assert(index >= 0 &&
+                  static_cast<std::size_t>(index) < slots_.size());
+        return slots_[static_cast<std::size_t>(index)];
+    }
 
     const CallPlan *plan_ = nullptr;
     Args args_;

@@ -316,9 +316,10 @@ Thread *
 Engine::stepSpinners(Selection &other)
 {
     // Every loop is asked afresh: steps elsewhere may have changed it.
-    batches_.resize(lanes_.size());
-    for (LaneBatch &batch : batches_)
-        batch.ask = LaneBatch::Ask::Unasked;
+    if (batches_.size() < lanes_.size())
+        batches_.resize(lanes_.size());
+    for (std::size_t i = 0; i < lanes_.size(); ++i)
+        batches_[i].ask = LaneBatch::Ask::Unasked;
     for (;;) {
         // selectNext()'s rule over lanes and the other candidate. The
         // rest bound the lane's run.
@@ -409,117 +410,259 @@ Engine::pickLane(Cycles &rest) const
 }
 
 bool
-Engine::declare(const Lane &lane, LaneBatch &batch)
+Engine::declare(Lane &lane, LaneBatch &batch)
 {
     Thread *spinner = cores_[lane.coreIdx].first;
-    batch.steady = Steady{};
+    Steady &s = batch.steady;
+    s = Steady{};
     running_ = spinner;
     stepping_ = true;
-    const bool steady = spinner->spin_->steady(batch.steady);
+    const bool steady = spinner->spin_->steady(s);
     stepping_ = false;
     if (!steady) {
         batch.ask = LaneBatch::Ask::Declined;
         return false;
     }
-    const Steady &s = batch.steady;
     hc_assert(s.probes >= 1 && s.at >= 0 && s.at <= s.probes);
+    batch.span = static_cast<Cycles>(s.probes) * s.probeCycles;
+    // An iteration that costs nothing would never move the clock.
+    hc_assert(batch.span + s.pauseCycles > 0);
     batch.ask = LaneBatch::Ask::Steady;
-    batch.at = s.at;
-    batch.headsLeft = s.heads;
     batch.run = SteadyRun{s.probes + 1, s.at, 0, 0, 0};
+    // No step may start at the limit or reach the interrupt, and the
+    // PAUSE is a segment's last and latest-ending step.
+    const Cycles interrupt = cores_[lane.coreIdx].nextInterrupt;
+    const Cycles widest = s.pauseCycles + s.pauseJitter;
+    batch.below =
+        std::min(s.limit, interrupt > widest ? interrupt - widest : 0);
+    // Segment k starts head number k + 1, or k past a first segment
+    // that starts beyond its head.
+    batch.heads =
+        s.heads + (s.at != 0 &&
+                   s.heads != std::numeric_limits<std::uint64_t>::max());
+    batch.pauses.clear();
+    batch.start = lane.time;
+    lane.time += static_cast<Cycles>(s.probes - s.at) * s.probeCycles;
     return true;
 }
 
 bool
 Engine::runSteady(const Selection &other)
 {
-    std::uint64_t probes = 0; // the batch's probes so far, every lane
-    for (;;) {
-        // stepSpinners()'s pick and bounds.
-        Cycles rest;
-        const std::size_t i = pickLane(rest);
-        Lane &lane = lanes_[i];
-        if ((other.timeoutThread &&
-             other.timeoutTime < std::min(lane.time, other.time)) ||
-            precedes(other, lane))
-            break;
-        LaneBatch &batch = batches_[i];
-        if (batch.ask == LaneBatch::Ask::Unasked)
-            declare(lane, batch);
-        if (batch.ask != LaneBatch::Ask::Steady)
-            break;
-
-        // The lane's steps until its clock reaches the next event, as
-        // stepSpinners() runs them, while the declaration covers them:
-        // no step may start at its limit, start a head past its count,
-        // or reach the core's next interrupt (even at the widest
-        // jitter), which only the step path delivers.
-        const Steady &s = batch.steady;
-        SteadyRun &run = batch.run;
-        const Cycles horizon =
-            std::min({rest, other.time, other.timeoutTime});
-        const Cycles interrupt = cores_[lane.coreIdx].nextInterrupt;
-        Cycles t = lane.time;
-        bool covered = true;
-        do {
-            if (t >= s.limit) {
-                covered = false;
-            } else if (batch.at < s.probes) {
-                const bool head = batch.at == 0;
-                if ((head && batch.headsLeft == 0) ||
-                    t + s.probeCycles >= interrupt) {
-                    covered = false;
-                } else {
-                    if (head) {
-                        --batch.headsLeft;
-                        run.lastHead = t;
-                    }
-                    run.lastProbe = ++probes;
-                    ++batch.at;
-                    t += s.probeCycles;
-                }
-            } else if (t + s.pauseCycles + s.pauseJitter >= interrupt) {
-                covered = false;
-            } else {
-                t += s.pauseCycles + rng_.nextBelow(s.pauseJitter + 1);
-                batch.at = 0;
-            }
-            if (!covered)
-                break;
-            ++run.steps;
-        } while (t < horizon);
-        lane.time = t;
-        if (!covered)
-            break;
+    // The batch ends at one key: a step at (clock, core) runs while it
+    // precedes (end_time, end_core). A timed waiter's deadline ends it
+    // after every core's steps at that clock. When the end is a lane's
+    // own uncovered step, that lane runs its segment's first end_steps
+    // steps, which also holds for probes of no cycles at that clock.
+    Cycles end_time = other.time;
+    std::size_t end_core = other.coreIdx;
+    if (other.timeoutTime < end_time) {
+        end_time = other.timeoutTime;
+        end_core = cores_.size();
+    }
+    const std::size_t n = lanes_.size();
+    std::size_t end_lane = n; // none
+    int end_steps = 0;
+    const auto precedes_end = [&](Cycles t, std::size_t core) {
+        return t < end_time || (t == end_time && core < end_core);
+    };
+    // A new segment of lane i: the first step it does not cover, if
+    // any, may end the batch. Checked once, against its bounds.
+    const auto check = [&](std::size_t i) {
+        const LaneBatch &batch = batches_[i];
+        if (lanes_[i].time < batch.below &&
+            batch.pauses.size() < batch.heads)
+            return;
+        const int step = uncoveredStep(i);
+        const Cycles t = batch.start +
+                         static_cast<Cycles>(step) * batch.steady.probeCycles;
+        if (precedes_end(t, lanes_[i].coreIdx)) {
+            end_time = t;
+            end_core = lanes_[i].coreIdx;
+            end_lane = i;
+            end_steps = step;
+        }
+    };
+    const auto decline = [&](std::size_t i) {
+        if (precedes_end(lanes_[i].time, lanes_[i].coreIdx)) {
+            end_time = lanes_[i].time;
+            end_core = lanes_[i].coreIdx;
+            end_lane = n;
+        }
+    };
+    for (std::size_t i = 0; i < n; ++i) {
+        if (batches_[i].ask == LaneBatch::Ask::Steady)
+            check(i);
+        else if (batches_[i].ask == LaneBatch::Ask::Declined)
+            decline(i);
     }
 
-    // Hand each loop what ran. Declined lanes stay declined (nothing
-    // ran that could change them); the rest are asked again, since
-    // their loops move on.
+    // Pick the lane whose next PAUSE, or first step while unasked,
+    // comes first (lanes are in core order: `<` keeps the lower core).
+    // Its probes before that PAUSE run unseen: they draw nothing.
+    Rng rng = rng_;
+    for (;;) {
+        std::size_t i = 0;
+        for (std::size_t j = 1; j < n; ++j) {
+            if (lanes_[j].time < lanes_[i].time)
+                i = j;
+        }
+        Lane &lane = lanes_[i];
+        if (!precedes_end(lane.time, lane.coreIdx))
+            break;
+        LaneBatch &batch = batches_[i];
+        if (batch.ask == LaneBatch::Ask::Unasked) {
+            rng_ = rng; // its loop sees the engine as the steps left it
+            if (declare(lane, batch))
+                check(i);
+            else
+                decline(i);
+            rng = rng_;
+            continue;
+        }
+        const Steady &s = batch.steady;
+        batch.pauses.push_back(lane.time);
+        batch.start =
+            lane.time + s.pauseCycles + rng.nextBelow(s.pauseJitter + 1);
+        lane.time = batch.start + batch.span;
+        check(i);
+    }
+    rng_ = rng;
+
+    // Where each declared lane stopped: the probes of its segment that
+    // precede the end, its steps, its last head and its last probe.
+    std::uint64_t probes = 0; // the batch's, every lane
+    for (std::size_t i = 0; i < n; ++i) {
+        LaneBatch &batch = batches_[i];
+        batch.probesRun = 0;
+        if (batch.ask != LaneBatch::Ask::Steady)
+            continue;
+        const Steady &s = batch.steady;
+        SteadyRun &run = batch.run;
+        const Cycles pc = s.probeCycles;
+        const std::uint64_t k = batch.pauses.size();
+        const int count = s.probes - (k == 0 ? s.at : 0);
+        int tail = end_steps;
+        if (i != end_lane) {
+            // A probe at clock t on this core runs while t < bound.
+            const Cycles bound =
+                end_time + (lanes_[i].coreIdx < end_core && end_time != kNever);
+            tail = 0;
+            Cycles t = batch.start;
+            for (int step = 0; step < count; ++step, t += pc)
+                tail += t < bound;
+        }
+        batch.tail = tail;
+        const auto probes_per = static_cast<std::uint64_t>(s.probes);
+        const auto at = static_cast<std::uint64_t>(s.at);
+        run.steps = (k == 0 ? 0 : k * (probes_per + 1) - at) +
+                    static_cast<std::uint64_t>(tail);
+        batch.probesRun =
+            (k == 0 ? 0 : k * probes_per - at) + static_cast<std::uint64_t>(tail);
+        probes += batch.probesRun;
+        if (tail > 0 && count == s.probes)
+            run.lastHead = batch.start; // this segment's head ran
+        else if (k > 1 || (k == 1 && s.at == 0))
+            run.lastHead = batch.pauses[k - 1] - batch.span;
+        if (batch.probesRun > 0)
+            batch.lastProbeClock =
+                tail > 0 ? batch.start + static_cast<Cycles>(tail - 1) * pc
+                         : batch.pauses.back() - pc;
+        lanes_[i].time = batch.start + static_cast<Cycles>(tail) * pc;
+    }
+
+    // Hand each loop what ran, with its last probe's place: the batch's
+    // probes less those after it, on lanes whose last probe is later.
+    // Declined lanes stay declined (nothing ran that could change
+    // them); the rest are asked again, since their loops move on.
     bool ran = false;
-    for (std::size_t i = 0; i < lanes_.size(); ++i) {
+    for (std::size_t i = 0; i < n; ++i) {
         LaneBatch &batch = batches_[i];
         if (batch.ask != LaneBatch::Ask::Steady)
             continue;
         batch.ask = LaneBatch::Ask::Unasked;
-        if (batch.run.steps == 0)
+        SteadyRun &run = batch.run;
+        if (run.steps == 0)
             continue;
         ran = true;
         const Lane &lane = lanes_[i];
+        if (batch.probesRun > 0) {
+            run.lastProbe = probes;
+            for (std::size_t j = 0; j < n; ++j) {
+                const LaneBatch &other = batches_[j];
+                if (other.probesRun > 0 &&
+                    (other.lastProbeClock > batch.lastProbeClock ||
+                     (other.lastProbeClock == batch.lastProbeClock && j > i)))
+                    run.lastProbe -=
+                        probesAfter(j, batch.lastProbeClock, lane.coreIdx);
+            }
+        }
         Core &core = cores_[lane.coreIdx];
         Thread *spinner = core.first;
         // Ready again at its clock, as the step path leaves it.
         core.clock = lane.time;
         core.firstTime = lane.time;
         spinner->readyTime_ = lane.time;
-        inlineSteps_ += batch.run.steps;
-        steadySteps_ += batch.run.steps;
+        inlineSteps_ += run.steps;
+        steadySteps_ += run.steps;
         running_ = spinner;
         stepping_ = true;
-        spinner->spin_->advanceSteady(batch.run);
+        spinner->spin_->advanceSteady(run);
         stepping_ = false;
     }
     return ran;
+}
+
+int
+Engine::uncoveredStep(std::size_t i) const
+{
+    const LaneBatch &batch = batches_[i];
+    const Steady &s = batch.steady;
+    const bool first = batch.pauses.empty();
+    const int count = s.probes - (first ? s.at : 0);
+    const Cycles interrupt = cores_[lanes_[i].coreIdx].nextInterrupt;
+    // A head past the count, a probe at the limit or reaching the
+    // interrupt; else the PAUSE, the only step left.
+    const bool head = !first || s.at == 0;
+    if (head && batch.pauses.size() >= batch.heads)
+        return 0;
+    Cycles t = batch.start;
+    for (int step = 0; step < count; ++step, t += s.probeCycles) {
+        if (t >= s.limit || t + s.probeCycles >= interrupt)
+            return step;
+    }
+    return count;
+}
+
+std::uint64_t
+Engine::probesAfter(std::size_t i, Cycles t, std::size_t core) const
+{
+    const LaneBatch &batch = batches_[i];
+    const Cycles pc = batch.steady.probeCycles;
+    // A probe at clock u on this core comes after (t, core) when
+    // u >= from.
+    const Cycles from = t + (lanes_[i].coreIdx < core);
+    const auto after = [from, pc](Cycles u, int probes) {
+        int count = 0;
+        for (int step = 0; step < probes; ++step, u += pc)
+            count += u >= from;
+        return count;
+    };
+    // Latest first: the current segment's probes, then each PAUSE's,
+    // until a segment's first probe does not come after.
+    int count = after(batch.start, batch.tail);
+    std::uint64_t total = static_cast<std::uint64_t>(count);
+    if (count < batch.tail)
+        return total;
+    for (std::size_t k = batch.pauses.size(); k-- > 0;) {
+        const int probes = batch.steady.probes - (k == 0 ? batch.steady.at : 0);
+        count = after(batch.pauses[k] - static_cast<Cycles>(probes) * pc,
+                      probes);
+        total += static_cast<std::uint64_t>(count);
+        if (count < probes)
+            break;
+    }
+    return total;
 }
 
 void

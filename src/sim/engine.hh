@@ -486,23 +486,40 @@ class Engine
     };
 
     /** A spinner alone on its core: the core's index and the time the
-     *  spinner can run. */
+     *  spinner can run (inside runSteady(), a declared lane's next
+     *  PAUSE). */
     struct Lane {
         std::size_t coreIdx;
         Cycles time;
     };
 
-    /** A lane's part in the batches of one stepSpinners() call, kept
-     *  beside lanes_. */
+    /**
+     * A lane's part in the batches of one stepSpinners() call, kept
+     * beside lanes_. In a batch a declared lane is its current
+     * segment: its probes up to and including its next PAUSE, which
+     * starts at its Lane::time.
+     */
     struct LaneBatch {
         /** Whether its loop was asked for a declaration since it last
          *  stepped, and the answer. */
         enum class Ask : std::uint8_t { Unasked, Steady, Declined };
         Ask ask = Ask::Unasked;
-        Steady steady;          //!< the declaration (Ask::Steady)
-        int at = 0;             //!< where its iteration stands
-        std::uint64_t headsLeft = 0;
-        SteadyRun run;          //!< what the batch ran
+        Steady steady;    //!< the declaration (Ask::Steady)
+        SteadyRun run;    //!< what the batch ran
+        Cycles start = 0; //!< the segment's first step's clock
+        Cycles span = 0;  //!< a whole segment's probe cycles
+        /** A segment runs whole when its PAUSE starts below this clock
+         *  (its limit, and its core's next interrupt at the widest
+         *  jitter)... */
+        Cycles below = 0;
+        /** ...and fewer PAUSEs than this ran before it (its head). */
+        std::uint64_t heads = 0;
+        /** The PAUSEs the batch ran, by their clocks. */
+        std::vector<Cycles> pauses;
+        // Once the batch ended:
+        int tail = 0;                //!< the current segment's probes run
+        std::uint64_t probesRun = 0; //!< every probe run
+        Cycles lastProbeClock = 0;   //!< the last one's clock
     };
 
     /** Move @p thread to Ready on its core, runnable at @p when. */
@@ -563,21 +580,35 @@ class Engine
                (other.time == lane.time && other.coreIdx < lane.coreIdx);
     }
 
-    /** Ask @p lane's loop for its steady() declaration into @p batch.
+    /** Ask @p lane's loop for its steady() declaration into @p batch
+     *  and, when it makes one, start its first segment there.
      *  @return true when it made one. */
-    bool declare(const Lane &lane, LaneBatch &batch);
+    bool declare(Lane &lane, LaneBatch &batch);
 
     /**
      * A batch: the steps stepSpinners() would run next, in its order
-     * (earliest lane, then lowest core), as long as each is covered by
-     * its loop's declaration (asked on its first turn) and cannot reach
-     * its core's next interrupt. The batch charges probes and PAUSEs and
-     * draws the jitter itself, then hands each loop its SteadyRun.
-     * It ends at @p other, a timed-waiter deadline, or the first
-     * step it does not cover, which stepSpinners() runs.
+     * (earliest step, then lowest core), as long as each is covered by
+     * its loop's declaration (asked on its lane's first turn) and
+     * cannot reach its core's next interrupt. Only PAUSEs draw, so it
+     * moves one segment at a time: the lane whose next PAUSE comes
+     * first draws that PAUSE's jitter and starts its next segment. It
+     * ends at one (clock, core) key: @p other, just past a timed-waiter
+     * deadline, a declining lane, or the first step a declaration does
+     * not cover, which stepSpinners() runs; every step below that key
+     * ran. Each loop then gets its SteadyRun.
      * @return true when it ran a step
      */
     bool runSteady(const Selection &other);
+
+    /** @return the index within lane @p i's current segment, which its
+     *  declaration does not cover whole, of the first step it does not
+     *  cover (the segment's probe count: its PAUSE). */
+    int uncoveredStep(std::size_t i) const;
+
+    /** @return the probes lane @p i ran in its batch after the step at
+     *  @p t on core @p core. */
+    std::uint64_t probesAfter(std::size_t i, Cycles t,
+                              std::size_t core) const;
 
     /** One Spin step, with suspension calls locked out. */
     Cycles step(Spin &loop)
@@ -626,7 +657,8 @@ class Engine
     std::uint64_t steadySteps_ = 0;
     /** The last scan's lanes, in core order. */
     std::vector<Lane> lanes_;
-    /** Per lane of lanes_, its batch state. */
+    /** Per lane of lanes_, its batch state (it never shrinks, so the
+     *  PAUSE lists keep their capacity). */
     std::vector<LaneBatch> batches_;
     InterruptHandler interruptHandler_;
     EngineObserver *observer_ = nullptr;

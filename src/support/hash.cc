@@ -50,12 +50,4 @@ fastHash64(const void *data, std::size_t len, std::uint64_t seed)
     return mix(h);
 }
 
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-
 } // namespace hc

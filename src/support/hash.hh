@@ -37,7 +37,13 @@ fastHash64(std::string_view s, std::uint64_t seed = 0)
 }
 
 /** Single-value 64-bit finalizer (splitmix64 finalization function). */
-std::uint64_t mix64(std::uint64_t x);
+inline std::uint64_t
+mix64(std::uint64_t x)
+{
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
+}
 
 } // namespace hc
 

@@ -1311,6 +1311,85 @@ TEST(Steady, SharedCoreStepsOnTheFiber)
     });
 }
 
+TEST(Steady, RandomShapesMatchReference)
+{
+    // Per seed: 2-5 idlers of random shape on their own cores, chunky
+    // threads of random chunk sizes sharing core 0, and a timed waiter
+    // whose deadline falls among the batches; interrupts on every
+    // other seed.
+    struct Chunky {
+        Cycles chunk;
+        int count;
+    };
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        Rng draw(seed);
+        auto range = [&draw](std::int64_t lo, std::int64_t hi) {
+            return static_cast<Cycles>(draw.nextRange(lo, hi));
+        };
+        std::vector<IdleShape> shapes(range(2, 5));
+        for (IdleShape &shape : shapes) {
+            shape.probes = static_cast<int>(range(1, 4));
+            shape.probeCycles = range(1, 12);
+            shape.pause = range(0, 80);
+            shape.jitter = range(0, 30);
+            shape.iterations = range(50, 400);
+            if (draw.chance(0.5))
+                shape.headCap = range(0, 6);
+            if (draw.chance(0.5))
+                shape.limitEvery = range(50, 2'000);
+        }
+        std::vector<Chunky> chunkies(range(1, 2));
+        for (Chunky &chunky : chunkies)
+            chunky = {range(1, 3'000), static_cast<int>(range(5, 40))};
+        const Cycles deadline = range(100, 20'000);
+        const Cycles after = range(1, 2'000);
+
+        Engine::Config config;
+        config.numCores = static_cast<int>(shapes.size()) + 2;
+        config.seed = seed;
+        if (seed % 2 == 0)
+            config.interruptMeanCycles = static_cast<double>(range(200, 3'000));
+        WaitQueue never_notified;
+        expectSteadyMatchesReference(config, [&](IdleBed &bed) {
+            for (std::size_t i = 0; i < chunkies.size(); ++i)
+                bed.chunky("chunky" + std::to_string(i), 0,
+                           chunkies[i].chunk, chunkies[i].count);
+            for (std::size_t i = 0; i < shapes.size(); ++i)
+                bed.idler("idler" + std::to_string(i),
+                          static_cast<CoreId>(i + 1), shapes[i]);
+            Engine &engine = bed.engine;
+            std::vector<Tick> &trace = bed.run.trace;
+            engine.spawn("waiter", static_cast<CoreId>(shapes.size() + 1),
+                         [&engine, &trace, &never_notified, deadline,
+                          after] {
+                             const bool notified =
+                                 engine.waitUntil(never_notified, deadline);
+                             trace.push_back(
+                                 {"waiter", engine.now(), notified});
+                             engine.advance(after);
+                             trace.push_back({"waiter", engine.now(), 0});
+                         });
+        });
+    }
+}
+
+TEST(SteadyDeathTest, ZeroCostIterationIsRefused)
+{
+    // Probes and a PAUSE of no cycles (the jitter may draw 0 too): a
+    // batch of them would never move the clock.
+    Engine::Config config;
+    config.numCores = 2;
+    EXPECT_DEATH(runIdleScenario(config, Mode::Spin,
+                                 [](IdleBed &bed) {
+                                     bed.chunky("chunky", 0, 1'000, 4);
+                                     bed.idler("free", 1,
+                                               {.probeCycles = 0,
+                                                .pause = 0});
+                                 }),
+                 "pauseCycles > 0");
+}
+
 namespace {
 
 /** Two spinners on their own cores; from its third step (inline by
